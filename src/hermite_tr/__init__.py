@@ -4,104 +4,7 @@ The surrogate interpolates objective values and gradients with a radial
 kernel; a computable interpolation error bound defines the trust region,
 so candidate steps can be accepted or rejected without touching the
 expensive objective whenever the bound is decisive.
+
+The package has no top-level re-exports: import each name from its
+module, e.g. ``from hermite_tr.harness import load_config, run_experiment``.
 """
-
-from .baseline import BaselineConfig, minimize, reference_solution
-from .driver import (
-    Branch,
-    IterationRecord,
-    NormSource,
-    RunReport,
-    TRConfig,
-    acceptance_step,
-    rho,
-    run,
-    update_radius,
-)
-from .errors import (
-    AssumptionViolationError,
-    ConfigError,
-    DuplicatePointsError,
-    HermiteTrError,
-    IllConditionedGramError,
-    LineSearchError,
-    NumericalError,
-    StalledError,
-)
-from .harness import (
-    ExperimentConfig,
-    SummaryRow,
-    emit_outputs,
-    export_power_field,
-    load_config,
-    run_experiment,
-)
-from .kernels import KernelSpec, cross_hessian, grad1, make_kernel, value
-from .problems import Problem, make_problem, problem_1d, problem_pde2d, problem_rosenbrock
-from .subproblem import (
-    SubproblemConfig,
-    SubproblemResult,
-    Termination,
-    armijo_search,
-    constraint_value,
-    solve,
-)
-from .surrogate import (
-    Surrogate,
-    TrainingSet,
-    analytic_norm_1d_gaussian,
-    assemble_gram,
-    estimate_norm,
-    fit,
-)
-
-__all__ = [
-    "AssumptionViolationError",
-    "BaselineConfig",
-    "Branch",
-    "ConfigError",
-    "DuplicatePointsError",
-    "ExperimentConfig",
-    "HermiteTrError",
-    "IllConditionedGramError",
-    "IterationRecord",
-    "KernelSpec",
-    "LineSearchError",
-    "NormSource",
-    "NumericalError",
-    "Problem",
-    "RunReport",
-    "StalledError",
-    "SubproblemConfig",
-    "SubproblemResult",
-    "SummaryRow",
-    "Surrogate",
-    "TRConfig",
-    "Termination",
-    "TrainingSet",
-    "acceptance_step",
-    "analytic_norm_1d_gaussian",
-    "armijo_search",
-    "assemble_gram",
-    "constraint_value",
-    "cross_hessian",
-    "emit_outputs",
-    "estimate_norm",
-    "export_power_field",
-    "fit",
-    "grad1",
-    "load_config",
-    "make_kernel",
-    "make_problem",
-    "minimize",
-    "problem_1d",
-    "problem_pde2d",
-    "problem_rosenbrock",
-    "reference_solution",
-    "rho",
-    "run",
-    "run_experiment",
-    "solve",
-    "update_radius",
-    "value",
-]

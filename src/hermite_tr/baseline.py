@@ -9,7 +9,7 @@ solutions for accuracy reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
     armijo_backtrack,
+    bfgs_inverse_update,
     project_box,
     projected_decrease_rule,
     projected_gradient_norm,
@@ -105,18 +106,12 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
                 ) from None
         grad_new = cache["grad"]
 
-        step = x_new - x
-        y = grad_new - grad
-        sy = float(step @ y)
         clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
         if clipped and not np.any((x <= problem.lower) | (x >= problem.upper)):
             # step just landed on a face: curvature pairs straddle the kink
             hinv = np.eye(dim)
-        elif sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            eye = np.eye(dim)
-            hinv = (eye - rho * np.outer(step, y)) @ hinv @ (eye - rho * np.outer(y, step)) \
-                + rho * np.outer(step, step)
+        else:
+            hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
 
         j_diff = (fx - f_new) / max(fx, f_new, 1.0)
         x, fx, grad = x_new, f_new, grad_new

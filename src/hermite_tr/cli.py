@@ -6,7 +6,8 @@ Subcommands:
   compare <config>       surrogate method vs. baseline evaluation-count table
   power-field <config>   export the power function of a small seeded fit on a grid
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure (for run and
+compare, also when every run failed).
 """
 
 from __future__ import annotations
@@ -27,16 +28,25 @@ from .harness import (
     output_dir,
     run_experiment,
     sample_starts,
-    _fresh_problem,
 )
+from .problems import make_problem
 
 
 def _cmd_run(args):
+    """Run the experiment and write its outputs; compare adds the gap to the baseline."""
     cfg = load_config(args.config)
     rows, reports, meta = run_experiment(cfg)
     out = emit_outputs(rows, reports, meta, cfg)
     print(format_table(rows))
     print(f"reference J = {meta['reference_j']:.12g}")
+    if args.command == "compare":
+        base = next(r for r in rows if r.label == "baseline")
+        for r in rows:
+            if r.label == "baseline" or np.isnan(r.avg_fom_evals):
+                continue
+            gap = r.avg_fom_evals - base.avg_fom_evals
+            print(f"{r.label}: avg FOM evals {r.avg_fom_evals:g} vs baseline "
+                  f"{base.avg_fom_evals:g} (gap {gap:+g})")
     print(f"outputs written to {out}")
     if all(np.isnan(r.avg_fom_evals) for r in rows):
         raise NumericalError("all runs failed")
@@ -45,9 +55,8 @@ def _cmd_run(args):
 
 def _cmd_reference(args):
     cfg = load_config(args.config)
-    starts = sample_starts(cfg)
-    problem = _fresh_problem(cfg)
-    x_ref, j_ref = reference_solution(problem, starts)
+    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+    x_ref, j_ref = reference_solution(problem, sample_starts(cfg, problem))
     payload = {
         "reference_iterate": np.asarray(x_ref).tolist(),
         "reference_j": float(j_ref),
@@ -58,22 +67,6 @@ def _cmd_reference(args):
     with open(out / "reference.json", "w") as fh:
         json.dump(payload, fh, indent=1)
     print(json.dumps(payload, indent=1))
-    return 0
-
-
-def _cmd_compare(args):
-    cfg = load_config(args.config)
-    rows, reports, meta = run_experiment(cfg)
-    out = emit_outputs(rows, reports, meta, cfg)
-    print(format_table(rows))
-    base = next(r for r in rows if r.label == "baseline")
-    for r in rows:
-        if r.label == "baseline" or np.isnan(r.avg_fom_evals):
-            continue
-        gap = r.avg_fom_evals - base.avg_fom_evals
-        print(f"{r.label}: avg FOM evals {r.avg_fom_evals:g} vs baseline "
-              f"{base.avg_fom_evals:g} (gap {gap:+g})")
-    print(f"outputs written to {out}")
     return 0
 
 
@@ -101,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="surrogate method vs. baseline table")
     p_cmp.add_argument("config")
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(func=_cmd_run)
 
     p_pow = sub.add_parser("power-field", help="export the power function on a grid")
     p_pow.add_argument("config")

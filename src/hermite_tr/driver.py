@@ -39,6 +39,7 @@ from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
     SubproblemResult,
+    project_box,
     projected_gradient_norm,
     solve,
 )
@@ -194,7 +195,7 @@ def update_radius(rho_value: float, delta: float, cfg: TRConfig) -> float:
 
 
 def _box_of(problem: Problem):
-    if problem.bounded or np.any(np.isfinite(problem.lower)) or np.any(np.isfinite(problem.upper)):
+    if np.any(np.isfinite(problem.lower)) or np.any(np.isfinite(problem.upper)):
         return (problem.lower, problem.upper)
     return None
 
@@ -312,7 +313,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
-    x = problem.clip(x0)
+    x = project_box(x0, box)
 
     norm_bound, norm_evals = resolve_norm_bound(cfg.norm_source, kernel, problem)
     evals_before = problem.counter

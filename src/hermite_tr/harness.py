@@ -24,12 +24,11 @@ from .baseline import BaselineConfig, minimize, reference_solution
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
 from .errors import ConfigError, HermiteTrError
 from .kernels import FAMILIES, make_kernel
-from .problems import make_problem
+from .problems import PROBLEM_FACTORIES, bounded_box, make_problem
 from .subproblem import SubproblemConfig
-from .surrogate import TrainingSet, fit
+from .surrogate import sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
-PROBLEM_NAMES = ("one_d", "rosenbrock", "pde2d")
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,25 @@ class ExperimentConfig:
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
-        if self.problem not in PROBLEM_NAMES:
-            raise ConfigError(f"problem must be one of {PROBLEM_NAMES}, got {self.problem!r}")
+        if self.problem not in PROBLEM_FACTORIES:
+            raise ConfigError(
+                f"problem must be one of {tuple(PROBLEM_FACTORIES)}, got {self.problem!r}"
+            )
         if self.kernel_family not in FAMILIES:
             raise ConfigError(f"kernel.family must be one of {FAMILIES}")
         if len(self.shapes) < 1 or any(not s > 0 for s in self.shapes):
             raise ConfigError("kernel.shape must be a positive number or list of them")
         if self.n_starts < 1:
             raise ConfigError("n_starts must be >= 1")
+        if self.start_box is not None:
+            dim = make_problem(self.problem, grid_n=self.grid_n).dim
+            lower, upper = self.start_box
+            if len(lower) != dim or len(upper) != dim or \
+                    not all(lo <= hi for lo, hi in zip(lower, upper)):
+                raise ConfigError(
+                    f"start_box must hold {dim} lower bounds, each at or below its "
+                    f"upper bound, got {self.start_box}"
+                )
 
 
 @dataclass
@@ -78,6 +88,13 @@ def _pop_section(data, key, path):
 def _reject_unknown(section, path):
     if section:
         raise ConfigError(f"unknown keys under {path}: {sorted(section)}")
+
+
+def _integral(raw):
+    """int(raw), refusing to truncate a non-integral float."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
 
 
 def _get(section, key, default, path, cast=float):
@@ -115,7 +132,10 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
     shape_raw = kernel.pop("shape", None)
     if shape_raw is None:
         raise ConfigError(f"{source}: kernel.shape is required")
-    shapes = tuple(float(s) for s in (shape_raw if isinstance(shape_raw, (list, tuple)) else [shape_raw]))
+    try:
+        shapes = tuple(float(s) for s in (shape_raw if isinstance(shape_raw, (list, tuple)) else [shape_raw]))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source}: kernel.shape: cannot interpret {shape_raw!r}") from None
     _reject_unknown(kernel, "kernel")
 
     tr_raw = _pop_section(data, "trust_region", source)
@@ -128,8 +148,8 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
         kappa_arm=_get(sub_raw, "kappa_arm", 1e-4, "subproblem"),
         tau_sub=_get(sub_raw, "tau_sub", tau_foc / 10.0, "subproblem"),
         beta2=_get(sub_raw, "beta2", 0.95, "subproblem"),
-        l_max=_get(sub_raw, "l_max", 50, "subproblem", cast=int),
-        j_max=_get(sub_raw, "j_max", 30, "subproblem", cast=int),
+        l_max=_get(sub_raw, "l_max", 50, "subproblem", cast=_integral),
+        j_max=_get(sub_raw, "j_max", 30, "subproblem", cast=_integral),
     )
     _reject_unknown(sub_raw, "subproblem")
 
@@ -138,21 +158,21 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
         norm_kind = "analytic1d"
     norm_source = NormSource(
         kind=norm_kind,
-        n_samples=_get(tr_raw, "norm_samples", 50, "trust_region", cast=int),
-        seed=_get(tr_raw, "norm_seed", 0, "trust_region", cast=int),
+        n_samples=_get(tr_raw, "norm_samples", 50, "trust_region", cast=_integral),
+        seed=_get(tr_raw, "norm_seed", 0, "trust_region", cast=_integral),
         safety=_get(tr_raw, "norm_safety", 1.0, "trust_region"),
         value=_get(tr_raw, "norm_value", 0.0, "trust_region"),
     )
     tr = TRConfig(
         delta0=_get(tr_raw, "delta0", 0.5, "trust_region"),
-        i_max=_get(tr_raw, "i_max", 50, "trust_region", cast=int),
+        i_max=_get(tr_raw, "i_max", 50, "trust_region", cast=_integral),
         tau_foc=tau_foc,
         tau_j=_get(tr_raw, "tau_j", 1e-14, "trust_region"),
         xi1=_get(tr_raw, "xi1", 0.1, "trust_region"),
         xi2=_get(tr_raw, "xi2", 0.9, "trust_region"),
         beta_radius=_get(tr_raw, "beta_radius", 0.5, "trust_region"),
         beta1_shrink=_get(tr_raw, "beta1_shrink", 0.5, "trust_region"),
-        max_rejects=_get(tr_raw, "max_rejects", 15, "trust_region", cast=int),
+        max_rejects=_get(tr_raw, "max_rejects", 15, "trust_region", cast=_integral),
         sub=sub,
         norm_source=norm_source,
     )
@@ -161,25 +181,30 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
     baseline = BaselineConfig(
         tau_foc=_get(base_raw, "tau_foc", tau_foc, "baseline"),
         tau_j=_get(base_raw, "tau_j", tr.tau_j, "baseline"),
-        i_max=_get(base_raw, "i_max", 200, "baseline", cast=int),
+        i_max=_get(base_raw, "i_max", 200, "baseline", cast=_integral),
         kappa_bt=_get(base_raw, "kappa_bt", 0.5, "baseline"),
         kappa_arm=_get(base_raw, "kappa_arm", 1e-4, "baseline"),
-        j_max=_get(base_raw, "j_max", 30, "baseline", cast=int),
+        j_max=_get(base_raw, "j_max", 30, "baseline", cast=_integral),
     )
     _reject_unknown(base_raw, "baseline")
 
     start_box = data.pop("start_box", None)
     if start_box is not None:
-        start_box = (tuple(float(v) for v in start_box[0]),
-                     tuple(float(v) for v in start_box[1]))
+        try:
+            lower, upper = start_box
+            start_box = (tuple(float(v) for v in lower), tuple(float(v) for v in upper))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{source}: start_box must be [[lo, ...], [hi, ...]], got {start_box!r}"
+            ) from None
 
     cfg = ExperimentConfig(
         problem=str(problem),
         kernel_family=str(family),
         shapes=shapes,
-        grid_n=_get(data, "grid_n", 96, source, cast=int),
-        n_starts=_get(data, "n_starts", 5, source, cast=int),
-        seed=_get(data, "seed", 0, source, cast=int),
+        grid_n=_get(data, "grid_n", 96, source, cast=_integral),
+        n_starts=_get(data, "n_starts", 5, source, cast=_integral),
+        seed=_get(data, "seed", 0, source, cast=_integral),
         output_dir=str(data.pop("output_dir", "results")),
         start_box=start_box,
         tr=tr,
@@ -192,30 +217,11 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
 # -- execution --------------------------------------------------------
 
 
-def _fresh_problem(cfg, cache={}):
-    if cfg.problem == "pde2d":
-        # share the assembled discretization across problem instances
-        key = ("pde2d", cfg.grid_n)
-        if key not in cache:
-            cache[key] = make_problem("pde2d", grid_n=cfg.grid_n)
-        template = cache[key]
-        return dataclasses.replace(template, counter=0)
-    return make_problem(cfg.problem, grid_n=cfg.grid_n)
-
-
-def sample_starts(cfg: ExperimentConfig) -> np.ndarray:
+def sample_starts(cfg: ExperimentConfig, problem) -> np.ndarray:
     """Shared start list: uniform in the problem box (or cfg.start_box)."""
-    probe = _fresh_problem(cfg)
-    if cfg.start_box is not None:
-        lower, upper = (np.asarray(b, dtype=float) for b in cfg.start_box)
-    else:
-        lower, upper = probe.lower, probe.upper
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ConfigError(
-            f"problem {cfg.problem} has an unbounded box; provide start_box"
-        )
+    lower, upper = bounded_box(problem, cfg.start_box)
     rng = np.random.default_rng(cfg.seed)
-    return rng.uniform(lower, upper, size=(cfg.n_starts, probe.dim))
+    return rng.uniform(lower, upper, size=(cfg.n_starts, problem.dim))
 
 
 def _rel_err(j_value, j_ref):
@@ -223,10 +229,16 @@ def _rel_err(j_value, j_ref):
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Execute the full protocol; returns (rows, per-run reports, metadata)."""
-    starts = sample_starts(cfg)
-    ref_problem = _fresh_problem(cfg)
-    ref_x, ref_j = reference_solution(ref_problem, starts)
+    """Execute the full protocol; returns (rows, per-run reports, metadata).
+
+    One problem instance serves the whole experiment; each phase reports
+    the evaluations it spent as a delta of the problem's counter.
+    """
+    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+    starts = sample_starts(cfg, problem)
+    evals_before = problem.counter
+    ref_x, ref_j = reference_solution(problem, starts)
+    ref_evals = problem.counter - evals_before
 
     rows = []
     reports = {}   # label -> list of (start_index, RunReport | failure str)
@@ -234,14 +246,12 @@ def run_experiment(cfg: ExperimentConfig):
 
     for shape in cfg.shapes:
         label = f"eps={shape:g}"
-        kernel = make_kernel(cfg.kernel_family, shape, _fresh_problem(cfg).dim)
+        kernel = make_kernel(cfg.kernel_family, shape, problem.dim)
         tr_cfg = cfg.tr
-        norm_evals = 0
         if cfg.tr.norm_source.kind == "estimated":
             # one estimate per shape, shared by all starts (deterministic by seed)
-            norm_problem = _fresh_problem(cfg)
             value, norm_evals = resolve_norm_bound(
-                cfg.tr.norm_source, kernel, norm_problem, box=cfg.start_box
+                cfg.tr.norm_source, kernel, problem, box=cfg.start_box
             )
             tr_cfg = dataclasses.replace(
                 cfg.tr, norm_source=NormSource(kind="fixed", value=value)
@@ -250,10 +260,8 @@ def run_experiment(cfg: ExperimentConfig):
 
         group = []
         for k, x0 in enumerate(starts):
-            problem = _fresh_problem(cfg)
             try:
-                report = run(problem, kernel, x0, tr_cfg)
-                group.append((k, report))
+                group.append((k, run(problem, kernel, x0, tr_cfg)))
             except HermiteTrError as exc:
                 group.append((k, f"{type(exc).__name__}: {exc}"))
         reports[label] = group
@@ -261,10 +269,8 @@ def run_experiment(cfg: ExperimentConfig):
 
     baseline_group = []
     for k, x0 in enumerate(starts):
-        problem = _fresh_problem(cfg)
         try:
-            report = minimize(problem, x0, cfg.baseline)
-            baseline_group.append((k, report))
+            baseline_group.append((k, minimize(problem, x0, cfg.baseline)))
         except HermiteTrError as exc:
             baseline_group.append((k, f"{type(exc).__name__}: {exc}"))
     reports["baseline"] = baseline_group
@@ -273,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig):
     meta = {
         "reference_iterate": np.asarray(ref_x).tolist(),
         "reference_j": float(ref_j),
-        "reference_fom_evals": ref_problem.counter,
+        "reference_fom_evals": ref_evals,
         "starts": starts.tolist(),
         "norm_estimation": norm_info,
     }
@@ -353,24 +359,13 @@ def export_power_field(cfg: ExperimentConfig, grid: int = 101, centers: int = 5)
     """
     if grid < 2 or centers < 1:
         raise ConfigError("grid must be >= 2 and centers >= 1")
-    problem = _fresh_problem(cfg)
+    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
     if problem.dim > 2:
         raise ConfigError("power-field export supports 1D and 2D problems")
-    if cfg.start_box is not None:
-        lower, upper = (np.asarray(b, dtype=float) for b in cfg.start_box)
-    else:
-        lower, upper = problem.lower, problem.upper
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ConfigError("power-field export needs a bounded box")
-
+    lower, upper = bounded_box(problem, cfg.start_box)
     kernel = make_kernel(cfg.kernel_family, cfg.shapes[0], problem.dim)
-    rng = np.random.default_rng(cfg.seed)
-    pts = rng.uniform(lower, upper, size=(centers, problem.dim))
-    vals = np.empty(centers)
-    grads = np.empty((centers, problem.dim))
-    for i, x in enumerate(pts):
-        vals[i], grads[i] = problem.eval(x)
-    surrogate = fit(kernel, TrainingSet(pts, vals, grads), norm_bound=1.0)
+    surrogate = sampled_fit(kernel, problem, (lower, upper), centers, cfg.seed)
+    pts = surrogate.training.points
 
     axes = [np.linspace(lower[d], upper[d], grid) for d in range(problem.dim)]
     out = output_dir(cfg)

@@ -62,7 +62,6 @@ class Pde2dDiscretization:
     a1: sp.csc_matrix
     a2: sp.csc_matrix
     load: np.ndarray          # midpoint quadrature of l, also the system rhs
-    cell_centers: np.ndarray  # (grid_n,) coordinates along one axis
 
     @staticmethod
     def build(grid_n: int = 96) -> "Pde2dDiscretization":
@@ -114,9 +113,7 @@ class Pde2dDiscretization:
         load = (
             0.5 * np.pi**2 * np.cos(0.5 * np.pi * X) * np.cos(0.5 * np.pi * Y)
         ).ravel() * h * h
-        return Pde2dDiscretization(
-            grid_n=n, a1=blocks[1], a2=blocks[2], load=load, cell_centers=centers
-        )
+        return Pde2dDiscretization(grid_n=n, a1=blocks[1], a2=blocks[2], load=load)
 
     def system_matrix(self, mu) -> sp.csc_matrix:
         return (theta1(mu) * self.a1 + theta2(mu) * self.a2).tocsc()
@@ -149,12 +146,3 @@ def pde2d_gradient(disc: Pde2dDiscretization, mu, u, lu=None):
         du = lu.solve(rhs)
         grad[m] = 0.2 * fu + tj * float(disc.load @ du)
     return grad
-
-
-def state_to_csv(disc: Pde2dDiscretization, u, path):
-    """Export the cell-centered state as x,y,u rows for external plotting."""
-    n = disc.grid_n
-    X, Y = np.meshgrid(disc.cell_centers, disc.cell_centers, indexing="ij")
-    data = np.column_stack([X.ravel(), Y.ravel(), np.asarray(u).ravel()])
-    header = "x,y,u"
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.12g")

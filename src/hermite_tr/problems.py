@@ -8,12 +8,12 @@ quantities without counting and exists for audits and reference checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolationError
+from .errors import AssumptionViolationError, ConfigError
 
 
 @dataclass
@@ -48,9 +48,6 @@ class Problem:
                 "positive; add a larger additive offset"
             )
         return float(val), np.asarray(grad, dtype=float)
-
-    def clip(self, x):
-        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lower), self.upper)
 
     @property
     def bounded(self) -> bool:
@@ -115,17 +112,30 @@ def problem_pde2d(grid_n: int = 96) -> Problem:
     )
 
 
+# name -> factory taking the grid size, which only the PDE problem uses
 PROBLEM_FACTORIES = {
-    "one_d": problem_1d,
-    "rosenbrock": problem_rosenbrock,
+    "one_d": lambda grid_n: problem_1d(),
+    "rosenbrock": lambda grid_n: problem_rosenbrock(),
     "pde2d": problem_pde2d,
 }
 
 
 def make_problem(name: str, grid_n: int = 96) -> Problem:
-    if name == "pde2d":
-        return problem_pde2d(grid_n)
     try:
-        return PROBLEM_FACTORIES[name]()
+        factory = PROBLEM_FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown problem {name!r}") from None
+    return factory(grid_n)
+
+
+def bounded_box(problem: Problem, box=None):
+    """(lower, upper) float arrays of box, or of the problem's own box if None.
+
+    Sampling needs finite bounds, so an unbounded result is a config
+    error: the caller has to supply a start_box.
+    """
+    lower, upper = (np.asarray(b, dtype=float)
+                    for b in (box if box is not None else (problem.lower, problem.upper)))
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ConfigError(f"problem {problem.name} has an unbounded box; provide start_box")
+    return lower, upper

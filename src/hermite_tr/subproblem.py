@@ -130,33 +130,19 @@ def projected_decrease_rule(kappa_arm, grad):
     return rule
 
 
-def armijo_search(s: Surrogate, x, direction, delta: float, cfg: SubproblemConfig,
-                  box=None):
-    """Line search on the surrogate with the trust-region feasibility test.
+def bfgs_inverse_update(hinv, step, y):
+    """BFGS update of the inverse Hessian from the pair (step, y = grad change).
 
-    Requires a descent direction.  Trial points where the surrogate
-    positivity floor is violated count as infeasible (the constraint ratio
-    diverges there), so backtracking simply continues past them.
+    Skipped (hinv returned unchanged) unless the curvature step @ y is
+    safely positive, which keeps the update positive definite.
     """
-    x = np.asarray(x, dtype=float)
-    grad = s.gradient(x)
-    slope = float(grad @ direction)
-    if not slope < 0.0:
-        raise ValueError(f"direction is not a descent direction (slope {slope:.3e})")
-    grad_norm = float(np.linalg.norm(grad))
-    cos_phi = -slope / (grad_norm * float(np.linalg.norm(direction)))
-
-    def feasible(trial):
-        try:
-            return constraint_value(s, delta, trial) >= 0.0
-        except AssumptionViolationError:
-            return False
-
-    trial, _, j = armijo_backtrack(
-        s.value, x, s.value(x), angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi),
-        direction, cfg, box=box, feasible=feasible,
-    )
-    return trial, j
+    sy = float(step @ y)
+    if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y):
+        rho = 1.0 / sy
+        eye = np.eye(step.shape[0])
+        return (eye - rho * np.outer(step, y)) @ hinv @ (eye - rho * np.outer(y, step)) \
+            + rho * np.outer(step, step)
+    return hinv
 
 
 def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box=None) -> SubproblemResult:
@@ -181,6 +167,8 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box=None) -> Su
         return SubproblemResult(candidate=x, agc=x.copy(), iterates=[],
                                 termination=Termination.STATIONARY_INNER)
 
+    # a trial below the positivity floor counts as infeasible (the
+    # constraint ratio diverges there), so backtracking continues past it
     def feasible(trial):
         try:
             return constraint_value(s, delta, trial) >= 0.0
@@ -222,14 +210,7 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box=None) -> Su
             agc = x_new.copy()
         grad_new = s.gradient(x_new)
 
-        step = x_new - x
-        y = grad_new - grad
-        sy = float(step @ y)
-        if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            eye = np.eye(dim)
-            hinv = (eye - rho * np.outer(step, y)) @ hinv @ (eye - rho * np.outer(y, step)) \
-                + rho * np.outer(step, step)
+        hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
         x, grad = x_new, grad_new
 
         if projected_gradient_norm(x, grad, box) <= cfg.tau_sub:

@@ -16,7 +16,6 @@ trust region used by the outer optimizer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     NumericalError,
 )
 from .kernels import KernelSpec, radial_profiles
+from .problems import bounded_box
 
 # Points closer than DISTINCT_TOL * (1 + ||x||) count as the same center.
 DISTINCT_TOL = 1e-10
@@ -58,9 +58,7 @@ class TrainingSet:
                 f"inconsistent training data: {n} points of dim {p}, "
                 f"{vals.shape} values, {grads.shape} gradients"
             )
-        i, j, dist = _closest_pair(pts)
-        if i is not None and dist <= DISTINCT_TOL * (1.0 + np.linalg.norm(pts[i])):
-            raise DuplicatePointsError(i, j, dist)
+        _require_distinct(pts)
 
     @property
     def n(self) -> int:
@@ -89,14 +87,16 @@ class TrainingSet:
         )
 
 
-def _closest_pair(pts):
+def _require_distinct(pts):
+    """Raise DuplicatePointsError if the closest pair is within the threshold."""
     n = pts.shape[0]
     if n < 2:
-        return None, None, np.inf
+        return
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     d[np.diag_indices(n)] = np.inf
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    return int(i), int(j), float(d[i, j])
+    i, j = (int(k) for k in np.unravel_index(np.argmin(d), d.shape))
+    if d[i, j] <= DISTINCT_TOL * (1.0 + np.linalg.norm(pts[i])):
+        raise DuplicatePointsError(i, j, float(d[i, j]))
 
 
 def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
@@ -109,9 +109,7 @@ def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, p = pts.shape
-    i, j, dist = _closest_pair(pts)
-    if i is not None and dist <= DISTINCT_TOL * (1.0 + np.linalg.norm(pts[i])):
-        raise DuplicatePointsError(i, j, dist)
+    _require_distinct(pts)
 
     diff = pts[:, None, :] - pts[None, :, :]          # (n, n, p)
     r = np.linalg.norm(diff, axis=2)
@@ -142,8 +140,6 @@ class Surrogate:
 
     kernel: KernelSpec
     training: TrainingSet
-    alpha: np.ndarray          # (n,)
-    beta: np.ndarray           # (n, p)
     norm_bound: float
     jitter_used: float
     gram: np.ndarray = field(repr=False)          # unregularized
@@ -169,15 +165,6 @@ class Surrogate:
             row = -g1[:, None] * np.eye(p)[order] - g2[:, None] * d[:, order : order + 1] * d
             b[n:] = row.ravel()
         return b
-
-    def evaluate(self, x):
-        """Interpolant value and gradient at x."""
-        x = np.asarray(x, dtype=float)
-        val = float(self._eval_vector(x) @ self._coeffs)
-        grad = np.array(
-            [self._eval_vector(x, order=l) @ self._coeffs for l in range(self.training.dim)]
-        )
-        return val, grad
 
     def value(self, x) -> float:
         return float(self._eval_vector(x) @ self._coeffs)
@@ -218,20 +205,6 @@ class Surrogate:
             raise NumericalError(f"negative RKHS norm quadratic form: {q:.3e}")
         return float(np.sqrt(max(q, 0.0)))
 
-    def dump(self, path):
-        """Write centers, coefficients and fit metadata as JSON (debugging aid)."""
-        payload = {
-            "family": self.kernel.family,
-            "shape": self.kernel.shape,
-            "centers": self.training.points.tolist(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "norm_bound": self.norm_bound,
-            "jitter_used": self.jitter_used,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-
 
 def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surrogate:
     """Solve the generalized Gram system for the interpolation coefficients.
@@ -242,7 +215,6 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surroga
     """
     if not norm_bound > 0:
         raise ValueError(f"norm_bound must be positive, got {norm_bound}")
-    n, p = training.n, training.dim
     M = assemble_gram(kernel, training.points)
     y = np.concatenate([training.values, training.gradients.ravel()])
 
@@ -272,8 +244,6 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surroga
     return Surrogate(
         kernel=kernel,
         training=training,
-        alpha=coeffs[:n].copy(),
-        beta=coeffs[n:].reshape(n, p).copy(),
         norm_bound=float(norm_bound),
         jitter_used=jitter_used,
         gram=M,
@@ -287,30 +257,34 @@ def estimate_norm(kernel: KernelSpec, problem, n_samples: int, sampler_seed: int
                   safety: float = 1.0, box=None) -> float:
     """Estimate the target's RKHS norm from a global interpolant.
 
-    Draws n_samples uniform points in the problem box (the sample stream
-    is nested: a larger n_samples extends a smaller one for the same
-    seed), fits one interpolant, and returns safety * its norm.  The
-    objective evaluations spent here are counted on the problem's counter;
-    callers report them separately from optimization evaluations.  box
-    overrides the sampling region, e.g. for problems without bounds.
+    Fits one interpolant to n_samples seeded points in the problem box
+    (see sampled_fit) and returns safety * its norm.  The objective
+    evaluations spent here are counted on the problem's counter; callers
+    report them separately from optimization evaluations.  box overrides
+    the sampling region, e.g. for problems without bounds.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if safety < 1.0:
         raise ValueError("safety factor must be >= 1")
-    lower, upper = box if box is not None else (problem.lower, problem.upper)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ValueError("norm estimation needs a bounded box")
-    rng = np.random.default_rng(sampler_seed)
+    s = sampled_fit(kernel, problem, bounded_box(problem, box), n_samples, sampler_seed)
+    return float(safety) * s.rkhs_norm()
+
+
+def sampled_fit(kernel: KernelSpec, problem, box, n_samples: int, seed: int) -> Surrogate:
+    """Interpolant (norm_bound 1) of the objective at seeded uniform points in box.
+
+    Every sample is a counted objective evaluation; the same seed gives
+    the same points, and a larger n_samples extends a smaller one.
+    """
+    lower, upper = box
+    rng = np.random.default_rng(seed)
     pts = rng.uniform(lower, upper, size=(n_samples, problem.dim))
     vals = np.empty(n_samples)
     grads = np.empty((n_samples, problem.dim))
     for i, x in enumerate(pts):
         vals[i], grads[i] = problem.eval(x)
-    s = fit(kernel, TrainingSet(pts, vals, grads), norm_bound=1.0)
-    return float(safety) * s.rkhs_norm()
+    return fit(kernel, TrainingSet(pts, vals, grads), norm_bound=1.0)
 
 
 def analytic_norm_1d_gaussian(eps: float) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermite_tr import make_kernel
+from hermite_tr.kernels import make_kernel
 
 
 @pytest.fixture

@@ -12,19 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from hermite_tr import (
-    Branch,
-    DuplicatePointsError,
-    TrainingSet,
-    analytic_norm_1d_gaussian,
-    assemble_gram,
-    fit,
-    make_kernel,
-    update_radius,
-    value,
-)
+from hermite_tr.driver import Branch, update_radius
+from hermite_tr.errors import DuplicatePointsError
 from hermite_tr.harness import config_from_dict, run_experiment
-from hermite_tr.kernels import grad1, radial_profiles
+from hermite_tr.kernels import grad1, make_kernel, radial_profiles, value
+from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, assemble_gram, fit
 
 from test_norms import norm_squared_by_quadrature
 from test_surrogate import synthetic_member
@@ -213,7 +205,7 @@ def test_criterion_6a_exactness_and_spd(capsys, rng):
             violations += 1
         s = fit(k, ts, norm_bound=1.0)
         for j in range(n):
-            v, g = s.evaluate(pts[j])
+            v, g = s.value(pts[j]), s.gradient(pts[j])
             if abs(v - vals[j]) > 1e-8 * (1.0 + abs(vals[j])):
                 violations += 1
             if np.linalg.norm(g - grads[j]) > 1e-6 * (1.0 + np.linalg.norm(grads[j])):
@@ -383,7 +375,7 @@ def test_criterion_6e_driver_audit(tmp_path, capsys):
 
 def test_criterion_6f_finite_difference_oracles(capsys, rng):
     t0 = time.monotonic()
-    from hermite_tr import problem_1d, problem_rosenbrock
+    from hermite_tr.problems import problem_1d, problem_rosenbrock
     from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve
 
     worst = {}

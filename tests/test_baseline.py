@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hermite_tr import BaselineConfig, minimize, problem_1d, problem_rosenbrock, reference_solution
-from hermite_tr.problems import Problem
+from hermite_tr.baseline import BaselineConfig, minimize, reference_solution
+from hermite_tr.problems import Problem, problem_1d, problem_rosenbrock
 from hermite_tr.subproblem import projected_gradient_norm
 
 
@@ -93,7 +93,7 @@ class TestReference:
     GOLDEN_PDE96_X = (1.4246, np.pi)
 
     def test_pde_grid96_golden_reference(self):
-        from hermite_tr import problem_pde2d
+        from hermite_tr.problems import problem_pde2d
 
         rng = np.random.default_rng(7)
         starts = rng.uniform([0.5, 0.5], [np.pi, np.pi], (3, 2))

@@ -5,26 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_tr import (
+from hermite_tr.driver import (
     Branch,
-    ConfigError,
     NormSource,
-    StalledError,
-    SubproblemConfig,
-    SubproblemResult,
-    Termination,
     TRConfig,
-    TrainingSet,
+    TRState,
     acceptance_step,
-    analytic_norm_1d_gaussian,
-    fit,
-    make_kernel,
-    problem_1d,
+    model_decrease_degenerate,
     rho,
     run,
     update_radius,
 )
-from hermite_tr.driver import TRState, model_decrease_degenerate
+from hermite_tr.errors import ConfigError, StalledError
+from hermite_tr.kernels import make_kernel
+from hermite_tr.problems import problem_1d
+from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination
+from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 
 
 def cfg_1d(**overrides):
@@ -276,7 +272,7 @@ class TestRun:
         assert report.fom_evals >= 1
 
     def test_analytic_norm_requires_1d_gaussian(self):
-        from hermite_tr import problem_rosenbrock
+        from hermite_tr.problems import problem_rosenbrock
 
         problem = problem_rosenbrock()
         with pytest.raises(ConfigError):

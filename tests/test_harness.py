@@ -5,14 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from hermite_tr import ConfigError, load_config, run_experiment
 from hermite_tr.cli import main as cli_main
+from hermite_tr.errors import ConfigError
 from hermite_tr.harness import (
     config_from_dict,
     emit_outputs,
     export_power_field,
+    load_config,
+    run_experiment,
     sample_starts,
 )
+from hermite_tr.problems import make_problem
 
 MINIMAL = {
     "problem": "one_d",
@@ -44,9 +47,23 @@ class TestLoadConfig:
         assert cfg.shapes == (0.725,)
 
     def test_negative_shape_rejected(self):
-        bad = {"problem": "one_d", "kernel": {"family": "gaussian", "shape": -1.0}}
-        with pytest.raises(ConfigError):
-            config_from_dict(bad)
+        for shape in (-1.0, "abc"):
+            bad = {"problem": "one_d", "kernel": {"family": "gaussian", "shape": shape}}
+            with pytest.raises(ConfigError):
+                config_from_dict(bad)
+
+    def test_malformed_values_rejected(self):
+        for data in (
+            {**MINIMAL, "n_starts": 2.7},
+            {**MINIMAL, "trust_region": {"i_max": 7.9}},
+            {**MINIMAL, "start_box": 3},
+            {**MINIMAL, "start_box": [[0.0], [1.0, 2.0]]},
+            {**MINIMAL, "start_box": [[0.0, 0.0], [1.0, 1.0]]},   # one_d is 1D
+            {**MINIMAL, "start_box": [[1.0], [0.0]]},
+        ):
+            with pytest.raises(ConfigError):
+                config_from_dict(dict(data))
+        assert config_from_dict({**MINIMAL, "n_starts": 3.0}).n_starts == 3
 
     def test_sweep_creates_groups(self, tmp_path):
         cfg = tiny_config(tmp_path, kernel={"family": "gaussian", "shape": [0.725, 1.0, 2.0]})
@@ -84,8 +101,8 @@ class TestLoadConfig:
 class TestProtocol:
     def test_starts_deterministic_and_shared(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        a = sample_starts(cfg)
-        b = sample_starts(cfg)
+        a = sample_starts(cfg, make_problem(cfg.problem))
+        b = sample_starts(cfg, make_problem(cfg.problem))
         np.testing.assert_array_equal(a, b)
         assert a.shape == (2, 1)
         assert np.all((-2 <= a) & (a <= 2))
@@ -189,29 +206,31 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("problem: one_d\nkernel:\n  family: gaussian\n  shape: -3\n")
-        assert cli_main(["run", str(bad)]) == 2
+        for shape in ("-3", "abc"):
+            bad.write_text(f"problem: one_d\nkernel:\n  family: gaussian\n  shape: {shape}\n")
+            assert cli_main(["run", str(bad)]) == 2
 
-    def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch, command):
         # a summary consisting only of failures must still be written, and
         # the command must exit nonzero (numerical failure)
         import hermite_tr.cli as cli_mod
         from hermite_tr.harness import SummaryRow
 
-        nan_row = SummaryRow(label="eps=0.725", avg_fom_evals=float("nan"),
-                             avg_foc=float("nan"), avg_rel_err_j=float("nan"),
-                             n_failures=2)
+        rows = [SummaryRow(label=label, avg_fom_evals=float("nan"), avg_foc=float("nan"),
+                           avg_rel_err_j=float("nan"), n_failures=2)
+                for label in ("eps=0.725", "baseline")]
+        failed = [(0, "StalledError: x"), (1, "StalledError: y")]
         monkeypatch.setattr(
             cli_mod, "run_experiment",
-            lambda cfg: ([nan_row], {"eps=0.725": [(0, "StalledError: x"), (1, "StalledError: y")]},
-                         {"reference_j": 2.0}),
+            lambda cfg: (rows, {"eps=0.725": failed, "baseline": failed}, {"reference_j": 2.0}),
         )
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(
             "problem: one_d\nkernel:\n  family: gaussian\n  shape: 0.725\n"
             f"output_dir: {tmp_path / 'out'}\n"
         )
-        assert cli_mod.main(["run", str(cfg_path)]) == 3
+        assert cli_mod.main([command, str(cfg_path)]) == 3
         assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_power_field_command(self, tmp_path):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_tr import KernelSpec, cross_hessian, grad1, make_kernel, value
-from hermite_tr.kernels import radial_profiles
+from hermite_tr.kernels import KernelSpec, cross_hessian, grad1, make_kernel, radial_profiles, value
 
 from conftest import ALL_FAMILIES, kernel_for
 
@@ -193,7 +192,7 @@ class TestContinuityBounds:
 
     def test_power_function_hoelder(self, rng):
         # |P(x) - P(y)| <= 4 sqrt(C_k) ||x - y||^(1/2) for a fixed center set
-        from hermite_tr import TrainingSet, fit
+        from hermite_tr.surrogate import TrainingSet, fit
 
         eps = 1.0
         k = make_kernel("gaussian", eps, 2)

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from hermite_tr import AssumptionViolationError, problem_1d, problem_pde2d, problem_rosenbrock
-from hermite_tr.pde2d import (
-    Pde2dDiscretization,
-    pde2d_gradient,
-    pde2d_solve,
-    state_to_csv,
-    theta1,
-    theta2,
-)
-from hermite_tr.problems import Problem, make_problem
+from hermite_tr.errors import AssumptionViolationError
+from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
+from hermite_tr.problems import Problem, make_problem, problem_1d, problem_pde2d, problem_rosenbrock
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -164,14 +157,6 @@ class TestPde2d:
     def test_grid_guard(self):
         with pytest.raises(ValueError):
             Pde2dDiscretization.build(4)
-
-    def test_state_export(self, tmp_path):
-        disc = Pde2dDiscretization.build(24)
-        u, _, _ = pde2d_solve(disc, np.array([1.0, 1.0]))
-        path = tmp_path / "state.csv"
-        state_to_csv(disc, u, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (24 * 24, 3)
 
     def test_make_problem_dispatch(self):
         assert make_problem("one_d").name == "one_d"

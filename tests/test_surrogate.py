@@ -9,17 +9,10 @@ exact oracle rather than another approximation.
 import numpy as np
 import pytest
 
-from hermite_tr import (
-    DuplicatePointsError,
-    TrainingSet,
-    assemble_gram,
-    estimate_norm,
-    fit,
-    make_kernel,
-    value,
-)
-from hermite_tr.kernels import cross_hessian, grad1
+from hermite_tr.errors import DuplicatePointsError
+from hermite_tr.kernels import cross_hessian, grad1, make_kernel, value
 from hermite_tr.problems import Problem
+from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit
 
 from conftest import kernel_for
 
@@ -88,7 +81,7 @@ class TestFitAndEvaluate:
         k = kernel_for(family, 2)
         ts = TrainingSet(np.array([[0.2, -0.3]]), np.array([4.5]), np.zeros((1, 2)))
         s = fit(k, ts, norm_bound=1.0)
-        val, grad = s.evaluate(np.array([0.2, -0.3]))
+        val, grad = s.value(np.array([0.2, -0.3])), s.gradient(np.array([0.2, -0.3]))
         assert val == pytest.approx(4.5, abs=1e-10)
         np.testing.assert_allclose(grad, 0.0, atol=1e-8)
 
@@ -127,7 +120,7 @@ class TestFitAndEvaluate:
                 continue
             s = fit(k, ts, norm_bound=1.0)
             for i in range(n):
-                v, g = s.evaluate(pts[i])
+                v, g = s.value(pts[i]), s.gradient(pts[i])
                 assert abs(v - vals[i]) <= 1e-8 * (1.0 + abs(vals[i]))
                 assert np.linalg.norm(g - grads[i]) <= 1e-6 * (1.0 + np.linalg.norm(grads[i]))
 
@@ -151,12 +144,12 @@ class TestFitAndEvaluate:
         s = fit(k, TrainingSet(pts, np.zeros(4), np.zeros((4, 2))), norm_bound=1.0)
         for _ in range(20):
             x = rng.uniform(-1, 1, 2)
-            v, g = s.evaluate(x)
+            v, g = s.value(x), s.gradient(x)
             assert abs(v) < 1e-12 and np.linalg.norm(g) < 1e-12
 
     def test_factorization_failure_error_contract(self, monkeypatch, rng):
         import hermite_tr.surrogate as sur
-        from hermite_tr import IllConditionedGramError
+        from hermite_tr.errors import IllConditionedGramError
 
         def always_fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced")
@@ -168,18 +161,6 @@ class TestFitAndEvaluate:
             fit(k, ts, norm_bound=1.0)
         assert err.value.jitter == 1e-10
         assert err.value.size == 4
-
-    def test_dump(self, tmp_path, rng):
-        import json
-
-        k = make_kernel("gaussian", 1.0, 1)
-        pts = rng.uniform(-1, 1, (3, 1))
-        s = fit(k, TrainingSet(pts, rng.normal(size=3), rng.normal(size=(3, 1))), 2.5)
-        path = tmp_path / "surrogate.json"
-        s.dump(path)
-        payload = json.loads(path.read_text())
-        assert payload["norm_bound"] == 2.5
-        assert len(payload["alpha"]) == 3
 
 
 class TestPowerFunction:
