@@ -167,13 +167,12 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box=None) -> Su
         return SubproblemResult(candidate=x, agc=x.copy(), iterates=[],
                                 termination=Termination.STATIONARY_INNER)
 
-    # a trial below the positivity floor counts as infeasible (the
-    # constraint ratio diverges there), so backtracking continues past it
+    # a trial at or below the positivity floor counts as infeasible (the
+    # constraint ratio diverges there), so backtracking continues past it;
+    # the floor is tested first, so constraint_value is reached only above
+    # it and its typed error is never built and discarded here
     def feasible(trial):
-        try:
-            return constraint_value(s, delta, trial) >= 0.0
-        except AssumptionViolationError:
-            return False
+        return s.value(trial) > POSITIVITY_FLOOR and constraint_value(s, delta, trial) >= 0.0
 
     hinv = np.eye(dim)
     iterates: list = []

@@ -129,6 +129,19 @@ def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
     return M
 
 
+class _PointMemo:
+    """Distance pass, kernel vectors and finished queries at one point."""
+
+    __slots__ = ("key", "d", "k_vals", "g1", "g2", "vectors", "value", "gradient", "power")
+
+    def __init__(self, key, d, k_vals, g1, g2):
+        self.key, self.d, self.k_vals, self.g1, self.g2 = key, d, k_vals, g1, g2
+        self.vectors = {}     # order -> generalized kernel vector
+        self.value = None
+        self.gradient = None
+        self.power = {}       # order -> power function value
+
+
 @dataclass
 class Surrogate:
     """Fitted interpolant plus the factorization backing the error bounds.
@@ -136,6 +149,13 @@ class Surrogate:
     norm_bound is the caller-supplied upper bound on the RKHS norm of the
     target function; value/gradient error bounds scale linearly with it.
     Immutable in practice: nothing mutates the arrays after fit.
+
+    value, gradient and power at the same x share one distance-and-profile
+    pass: a memo of the most recently queried point keeps its distances,
+    radial profiles, kernel vectors and finished results.  The memo is
+    keyed by the exact float64 bytes of x (no tolerance), holds one point,
+    stores nothing scaled by norm_bound, and is not an init field, so
+    dataclasses.replace starts with an empty one.
     """
 
     kernel: KernelSpec
@@ -146,34 +166,53 @@ class Surrogate:
     _cho: tuple = field(repr=False)               # factor of scaled, jittered Gram
     _scale: np.ndarray = field(repr=False)        # Jacobi scaling D^{-1/2}
     _coeffs: np.ndarray = field(repr=False)       # [alpha; beta.ravel()]
+    _memo: _PointMemo | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- evaluation ----------------------------------------------------
 
-    def _eval_vector(self, x, order=None):
+    def _memo_at(self, x) -> _PointMemo:
+        """Memo of x, after one distance-and-profile pass if x is new."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        memo = self._memo
+        if memo is None or memo.key != key:
+            d = x[None, :] - self.training.points          # (n, p): x - x_j
+            r = np.linalg.norm(d, axis=1)
+            memo = self._memo = _PointMemo(key, d, *radial_profiles(self.kernel, r))
+        return memo
+
+    def _eval_vector(self, memo: _PointMemo, order=None):
         """Generalized kernel vector of d1^a k(x, .) against all functionals."""
-        pts = self.training.points
-        n, p = pts.shape
-        d = np.asarray(x, dtype=float)[None, :] - pts   # (n, p): x - x_j
-        r = np.linalg.norm(d, axis=1)
-        k_vals, g1, g2 = radial_profiles(self.kernel, r)
+        b = memo.vectors.get(order)
+        if b is not None:
+            return b
+        n, p = memo.d.shape
+        d, g1, g2 = memo.d, memo.g1, memo.g2
         b = np.empty(n * (1 + p))
         if order is None:
-            b[:n] = k_vals
+            b[:n] = memo.k_vals
             b[n:] = (-g1[:, None] * d).ravel()          # d2_m k(x, x_j)
         else:
             b[:n] = g1 * d[:, order]                    # d1_l k(x, x_j)
             row = -g1[:, None] * np.eye(p)[order] - g2[:, None] * d[:, order : order + 1] * d
             b[n:] = row.ravel()
+        memo.vectors[order] = b
         return b
 
     def value(self, x) -> float:
-        return float(self._eval_vector(x) @ self._coeffs)
+        memo = self._memo_at(x)
+        if memo.value is None:
+            memo.value = float(self._eval_vector(memo) @ self._coeffs)
+        return memo.value
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [self._eval_vector(x, order=l) @ self._coeffs for l in range(self.training.dim)]
-        )
+        memo = self._memo_at(x)
+        if memo.gradient is None:
+            memo.gradient = np.array(
+                [self._eval_vector(memo, order=l) @ self._coeffs
+                 for l in range(self.training.dim)]
+            )
+        return memo.gradient.copy()
 
     # -- error machinery -----------------------------------------------
 
@@ -185,11 +224,14 @@ class Surrogate:
         before the square root since roundoff can push it slightly
         negative near centers.
         """
-        b = self._eval_vector(x, order=order)
-        diag = self.kernel.diag_value if order is None else self.kernel.cross_diag
-        bs = b * self._scale
-        q = diag - float(bs @ cho_solve(self._cho, bs))
-        return float(np.sqrt(max(q, 0.0)))
+        memo = self._memo_at(x)
+        if order not in memo.power:
+            b = self._eval_vector(memo, order=order)
+            diag = self.kernel.diag_value if order is None else self.kernel.cross_diag
+            bs = b * self._scale
+            q = diag - float(bs @ cho_solve(self._cho, bs))
+            memo.power[order] = float(np.sqrt(max(q, 0.0)))
+        return memo.power[order]
 
     def error_bounds(self, x):
         """(value_bound, gradient_bound) at x, both scaled by norm_bound."""

@@ -1,6 +1,8 @@
 """Config loading, experiment protocol, file outputs, CLI."""
 
+import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,34 @@ class TestProtocol:
         out = emit_outputs(*run_experiment(cfg), cfg)
         assert out == target
         assert (target / "summary.csv").exists()
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+class TestGoldenOutputs:
+    # sha256 of summary.csv from the bundled configs.  rosenbrock and pde2d
+    # are left out: rosenbrock's evaluation counts move with the BLAS
+    # thread count, and pde2d takes too long for this suite.
+    SUMMARY_SHA256 = {
+        "one_d": "1e8e1a9bb60dadf8f7687c961e71ae5fbdefae6c6df6b6166a49d42107939f99",
+        "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+    def test_bundled_summary_unchanged(self, name, tmp_path, monkeypatch):
+        """The bundled config writes exactly the recorded summary.csv.
+
+        Refactors and speed-ups must keep these bytes.  A change that means
+        to alter the numbers (a new step rule, a different factorization)
+        updates the hash here and records the change, with its reason, in
+        CHANGES.md.
+        """
+        monkeypatch.setenv("HERMITE_TR_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        out = emit_outputs(*run_experiment(cfg), cfg)
+        digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
+        assert digest == self.SUMMARY_SHA256[name]
 
 
 class TestPowerField:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from hermite_tr import subproblem
 from hermite_tr.errors import AssumptionViolationError
 from hermite_tr.kernels import make_kernel
 from hermite_tr.subproblem import (
+    POSITIVITY_FLOOR,
     SubproblemConfig,
     Termination,
     angle_decrease_rule,
@@ -200,3 +202,29 @@ class TestSolve:
         inflated = fit(s.kernel, s.training, norm_bound=1e12)
         with pytest.raises(AssumptionViolationError):
             solve(inflated, np.array([1.9]), delta=1e-8, cfg=SubproblemConfig())
+
+    def test_trial_below_positivity_floor_is_infeasible(self, monkeypatch):
+        # a steep line through the data: the full steepest-descent step
+        # lands where the surrogate is negative, so backtracking has to
+        # reject trials below the floor and shorten the step
+        k = make_kernel("gaussian", 1.0, 1)
+        pts = np.linspace(-2.0, 2.0, 21)[:, None]
+        s = fit(k, TrainingSet(pts, 3.0 * pts[:, 0] + 1.0, np.full((21, 1), 3.0)),
+                norm_bound=1.0)
+        trials = []
+        backtrack = subproblem.armijo_backtrack
+
+        def recording(fun, *args, **kwargs):
+            def recorded(point):
+                trials.append(point.copy())
+                return fun(point)
+            return backtrack(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(subproblem, "armijo_backtrack", recording)
+        delta = 0.5
+        res = solve(s, np.array([0.0]), delta=delta, cfg=SubproblemConfig(l_max=1))
+        assert s.value(trials[0]) <= POSITIVITY_FLOOR
+        np.testing.assert_array_equal(res.agc, trials[-1])
+        assert len(trials) > 1
+        assert s.value(res.agc) > POSITIVITY_FLOOR
+        assert constraint_value(s, delta, res.agc) >= 0.0

@@ -6,6 +6,8 @@ the plain Gram quadratic form, so bound containment is checked against an
 exact oracle rather than another approximation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,76 @@ class TestPowerFunction:
         probes = rng.uniform(-2.5, 2.5, (100, 2))
         for x in probes:
             assert s_big.power(x) <= s_small.power(x) + 1e-9
+
+
+def _query(s, x, what):
+    """One surrogate query as raw bytes: "value", "gradient" or a power order."""
+    if what == "value":
+        result = s.value(x)
+    elif what == "gradient":
+        result = s.gradient(x)
+    else:
+        result = s.power(x, order=what[1])
+    return np.asarray(result).tobytes()
+
+
+QUERIES = ("value", "gradient", ("power", None), ("power", 0), ("power", 1))
+
+
+class TestPointMemo:
+    """The per-point memo only ever returns what a fresh surrogate computes."""
+
+    @staticmethod
+    def _setup(family, rng):
+        k = kernel_for(family, 2)
+        pts = rng.uniform(-1.5, 1.5, (5, 2))
+        ts = TrainingSet(pts, rng.normal(size=5), rng.normal(size=(5, 2)))
+        return k, ts, rng.uniform(-2, 2, (3, 2))
+
+    def test_interleaved_queries_match_fresh_twin(self, family, rng):
+        k, ts, (x1, x2, x3) = self._setup(family, rng)
+        s = fit(k, ts, norm_bound=3.0)
+        sequence = (
+            [(x1, q) for q in QUERIES]
+            + [(x2, q) for q in reversed(QUERIES)]
+            + [(x1, q) for q in reversed(QUERIES)]
+            + [(x1.copy(), "value"), (list(x1), "gradient")]
+            + [(np.nextafter(x1, np.inf), q) for q in QUERIES]
+            + [(x3, ("power", None)), (x3, "value"), (x3, ("power", 1)), (x3, "gradient")]
+            + [(x2, "value"), (x1, "value"), (x2, ("power", None))]
+        )
+        for x, what in sequence:
+            twin = fit(k, ts, norm_bound=3.0)
+            assert _query(s, x, what) == _query(twin, x, what), (x, what)
+
+    def test_returned_gradient_is_a_copy(self, rng):
+        k, ts, (x1, _, _) = self._setup("gaussian", rng)
+        s = fit(k, ts, norm_bound=1.0)
+        g = s.gradient(x1)
+        g[:] = 0.0
+        assert _query(s, x1, "gradient") == _query(fit(k, ts, 1.0), x1, "gradient")
+
+    def test_refit_and_replace_never_share_cached_numbers(self, family, rng):
+        k, ts, (x1, x2, _) = self._setup(family, rng)
+        s = fit(k, ts, norm_bound=1.0)
+        for what in QUERIES:
+            _query(s, x1, what)
+
+        # a refit on more data answers from its own fit
+        bigger = ts.with_point(x2, 0.5, np.array([0.1, -0.2]))
+        refit = fit(k, bigger, norm_bound=1.0)
+        for what in QUERIES:
+            assert _query(refit, x1, what) == _query(fit(k, bigger, 1.0), x1, what)
+
+        # replace starts with an empty memo: negated coefficients negate
+        # value and gradient exactly, the power is unchanged, and the new
+        # norm_bound scales the error bound
+        other = dataclasses.replace(s, norm_bound=7.0, _coeffs=-s._coeffs)
+        assert other.value(x1) == -s.value(x1)
+        assert np.array_equal(other.gradient(x1), -s.gradient(x1))
+        for what in QUERIES[2:]:
+            assert _query(other, x1, what) == _query(s, x1, what)
+        assert other.error_bounds(x1)[0] == 7.0 * s.power(x1)
 
 
 class TestErrorBounds:
