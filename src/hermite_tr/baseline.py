@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import Branch, IterationRecord, RunReport
-from .errors import LineSearchError, StalledError
+from .errors import ConfigError, LineSearchError, StalledError
 from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
@@ -37,17 +37,21 @@ class BaselineConfig:
 
     def __post_init__(self):
         if not (self.tau_foc > 0 and self.tau_j > 0):
-            raise ValueError("tolerances must be positive")
+            raise ConfigError("tolerances must be positive")
         if self.i_max < 1:
-            raise ValueError("i_max must be positive")
+            raise ConfigError("i_max must be positive")
+        self.line_search()   # rejects a bad kappa_bt, kappa_arm or j_max up front
+
+    def line_search(self) -> SubproblemConfig:
+        """Backtracking settings for the shared Armijo line search."""
+        return SubproblemConfig(kappa_bt=self.kappa_bt, kappa_arm=self.kappa_arm,
+                                j_max=self.j_max)
 
 
 def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
     """Projected BFGS with Armijo backtracking on the objective itself."""
     box = (problem.lower, problem.upper)
-    ls_cfg = SubproblemConfig(
-        kappa_bt=cfg.kappa_bt, kappa_arm=cfg.kappa_arm, j_max=cfg.j_max
-    )
+    ls_cfg = cfg.line_search()
     evals_before = problem.counter
 
     x = project_box(np.asarray(x0, dtype=float), box)
@@ -84,26 +88,22 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
         # clipping kills the dominant gradient component
         rule = projected_decrease_rule(ls_cfg.kappa_arm, grad)
         try:
-            x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, direction,
-                                               ls_cfg, box=box)
-        except LineSearchError:
-            if np.array_equal(direction, -g_eff):
-                raise StalledError(
-                    "line search failed along steepest descent",
-                    report=_report(problem, x, fx, grad, box, iters,
-                                   evals_before, "stalled", log),
-                ) from None
-            # retry once from a fresh steepest-descent direction
-            hinv = np.eye(dim)
             try:
-                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, -g_eff,
+                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, direction,
                                                    ls_cfg, box=box)
             except LineSearchError:
-                raise StalledError(
-                    "line search failed along steepest descent",
-                    report=_report(problem, x, fx, grad, box, iters,
-                                   evals_before, "stalled", log),
-                ) from None
+                if np.array_equal(direction, -g_eff):
+                    raise
+                # retry once from a fresh steepest-descent direction
+                hinv = np.eye(dim)
+                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, -g_eff,
+                                                   ls_cfg, box=box)
+        except LineSearchError:
+            raise StalledError(
+                "line search failed along steepest descent",
+                report=_report(problem, x, fx, grad, box, iters,
+                               evals_before, "stalled", log),
+            ) from None
         grad_new = cache["grad"]
 
         clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
@@ -133,7 +133,6 @@ def _report(problem, x, fx, grad, box, iters, evals_before, termination, log=Non
         final_j=float(fx),
         final_foc=projected_gradient_norm(x, grad, box),
         fom_evals=problem.counter - evals_before,
-        norm_evals=0,
         outer_iters=iters,
         termination=termination,
         norm_bound=0.0,

@@ -1,21 +1,26 @@
-"""Outer trust-region loop with three-branch acceptance.
+"""Outer trust-region loop: bound-certified or direct acceptance.
 
 Each outer iteration solves the surrogate subproblem, then decides the
 candidate's fate using the error bound eta = norm_bound * power:
 
   1. surrogate value + eta at the candidate already beats the surrogate
-     value at the first inner (Cauchy-like) point: accept without
-     consulting the true objective;
-  2. surrogate value - eta exceeds it: reject without consulting the true
-     objective, shrink the radius;
-  3. otherwise pay one objective evaluation and decide directly; the new
-     data point stays in the model either way.
+     value at the first inner (Cauchy-like) point: accept, certified by
+     the bound;
+  2. otherwise compare the objective at the candidate with that value
+     directly: accept if it is no larger, else reject.
 
-Every acceptance evaluates the objective at the new iterate (the data is
-needed for the refit and the decrease ratio), so the savings of branches
-1 and 2 are the avoided evaluations at rejected candidates.  The radius
-update follows the classic three-interval rule on the realized/predicted
-decrease ratio; rejections shrink by a separate factor.
+The objective is evaluated at every candidate (or its stored datum
+reused when it is a known center), because an acceptance needs the data
+for the refit and the decrease ratio and a rejection keeps the new point
+in the model.  So the bound decides which branch accepts, but never
+whether the objective is evaluated.  There is no certified rejection: it
+would need surrogate value - eta at the candidate above the value at the
+first inner point, but the inner solver takes only Armijo descent steps
+from that point, so the candidate's surrogate value never exceeds it
+(test_subproblem's test_candidate_never_above_agc guards this).
+
+The radius update follows the classic three-interval rule on the
+realized/predicted decrease ratio; rejections shrink by a separate factor.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from .surrogate import (
 
 class Branch(enum.Enum):
     ACCEPTED_BY_SUFFICIENT = "accepted_by_sufficient"
-    REJECTED_BY_NECESSARY = "rejected_by_necessary"
     ACCEPTED_BY_DIRECT = "accepted_by_direct"
     REJECTED_BY_DIRECT = "rejected_by_direct"
     SUBPROBLEM_FAILED = "subproblem_failed"
@@ -92,7 +96,6 @@ class TRConfig:
     beta1_shrink: float = 0.5   # rejection shrink factor
     max_rejects: int = 15
     sub: SubproblemConfig = field(default_factory=SubproblemConfig)
-    norm_source: NormSource = field(default_factory=lambda: NormSource(kind="estimated"))
 
     def __post_init__(self):
         if not self.delta0 > 0:
@@ -145,7 +148,6 @@ class RunReport:
     final_j: float
     final_foc: float              # projected inf-norm of the true gradient
     fom_evals: int
-    norm_evals: int
     outer_iters: int
     termination: str              # "foc" | "stagnation" | "max_iters"
     norm_bound: float
@@ -160,7 +162,6 @@ class RunReport:
             "final_j": self.final_j,
             "final_foc": self.final_foc,
             "fom_evals": self.fom_evals,
-            "norm_evals": self.norm_evals,
             "outer_iters": self.outer_iters,
             "termination": self.termination,
             "norm_bound": self.norm_bound,
@@ -230,12 +231,11 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
                     cfg: TRConfig) -> IterationRecord:
     """Decide the candidate's fate and update the state in place.
 
-    Returns the log record; record.branch tells whether the step was
-    accepted.  On acceptance the objective is evaluated at the candidate
-    (unless it duplicates a history point), the model is refit, and the
-    radius follows the ratio law; on rejection the radius shrinks by the
-    rejection factor and, for the direct branch, the refit model with the
-    new data point is kept.
+    The objective is evaluated at the candidate (unless it duplicates a
+    history point) and the refit model is kept whatever the outcome.  An
+    accepted step moves the iterate and the radius follows the ratio law;
+    a rejection shrinks the radius by the rejection factor.  Returns the
+    log record; record.branch tells which case decided.
     """
     s = state.surrogate
     cand = np.asarray(result.candidate, dtype=float)
@@ -244,44 +244,33 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     jhat_cand = s.value(cand)
     eta_cand = s.norm_bound * s.power(cand)
 
+    j_cand, _, new_history, added = _eval_with_reuse(problem, state.history, cand)
+    if added:
+        state.history = new_history
+        state.surrogate = fit(s.kernel, new_history, s.norm_bound)
+
     record = IterationRecord(
         outer_iter=state.outer_iter,
-        branch=Branch.REJECTED_BY_NECESSARY,
+        branch=Branch.REJECTED_BY_DIRECT,
         candidate=cand.tolist(),
         delta_before=state.delta,
-        delta_after=state.delta,
+        j_value=float(j_cand),
     )
-
-    j_cand = None
-    accepted: Optional[bool] = None
     if jhat_cand + eta_cand <= jhat_agc:
-        accepted = True
         record.branch = Branch.ACCEPTED_BY_SUFFICIENT
-    elif jhat_cand - eta_cand > jhat_agc:
-        accepted = False
-        record.branch = Branch.REJECTED_BY_NECESSARY
+        # audit: the direct condition must hold a posteriori.  The
+        # surrogate's values carry interpolation noise up to the exactness
+        # contract 1e-8*(1+|value|), so the exact-arithmetic inequality can
+        # only be asserted at that resolution.
+        slack = 1e-8 * (1.0 + abs(jhat_agc))
+        record.sufficient_check_ok = bool(j_cand <= jhat_agc + slack)
+    elif j_cand <= jhat_agc:
+        record.branch = Branch.ACCEPTED_BY_DIRECT
 
-    new_surrogate = s
-    if accepted is not False:
-        j_cand, _, new_history, added = _eval_with_reuse(problem, state.history, cand)
-        if added:
-            new_surrogate = fit(s.kernel, new_history, s.norm_bound)
-            state.history = new_history
-        if accepted is None:
-            accepted = j_cand <= jhat_agc
-            record.branch = Branch.ACCEPTED_BY_DIRECT if accepted else Branch.REJECTED_BY_DIRECT
-        else:
-            # branch 1 audit: the direct condition must hold a posteriori.
-            # The surrogate's values carry interpolation noise up to the
-            # exactness contract 1e-8*(1+|value|), so the exact-arithmetic
-            # inequality can only be asserted at that resolution.
-            slack = 1e-8 * (1.0 + abs(jhat_agc))
-            record.sufficient_check_ok = bool(j_cand <= jhat_agc + slack)
-        record.j_value = float(j_cand)
-
-    if accepted:
+    if record.branch is Branch.REJECTED_BY_DIRECT:
+        state.delta = cfg.beta1_shrink * state.delta
+    else:
         if model_decrease_degenerate(jhat_x, jhat_cand):
-            record.rho = None
             state.delta = cfg.beta_radius * state.delta
             record.note = "degenerate model decrease"
         else:
@@ -289,20 +278,18 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
             state.delta = update_radius(record.rho, state.delta, cfg)
         state.iterate = cand
         state.current_j = float(j_cand)
-        state.surrogate = new_surrogate
         state.outer_iter += 1
-    else:
-        state.surrogate = new_surrogate   # direct rejections keep the updated model
-        state.delta = cfg.beta1_shrink * state.delta
 
     record.delta_after = state.delta
     state.log.append(record)
     return record
 
 
-def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
+def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
+        norm_bound: float) -> RunReport:
     """Full optimization run; see the module docstring for the loop shape.
 
+    norm_bound is the resolved RKHS norm bound (see resolve_norm_bound).
     Termination: projected surrogate-gradient measure at the current
     iterate below tau_foc, relative objective decrease at an accepted step
     below tau_j (stagnation), a rejected candidate repeating itself with
@@ -314,8 +301,6 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
     if x0.shape != (problem.dim,):
         raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
     x = project_box(x0, box)
-
-    norm_bound, norm_evals = resolve_norm_bound(cfg.norm_source, kernel, problem)
     evals_before = problem.counter
 
     j0, g0 = problem.eval(x)
@@ -331,7 +316,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
 
     def partial_report():
         return _build_report(state, problem, termination="stalled",
-                             norm_evals=norm_evals, evals_before=evals_before)
+                             evals_before=evals_before)
 
     while state.outer_iter < cfg.i_max:
         foc = projected_gradient_norm(
@@ -343,8 +328,8 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
 
         try:
             result = solve(state.surrogate, state.iterate, state.delta, cfg.sub, box=box)
-            solver_failed_before = False
         except (LineSearchError, AssumptionViolationError) as exc:
+            cause = exc
             delta_before = state.delta
             state.delta = cfg.beta1_shrink * state.delta
             state.log.append(IterationRecord(
@@ -361,33 +346,30 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
                 termination = "stagnation"
                 break
             solver_failed_before = True
-            rejects += 1
-            if rejects >= cfg.max_rejects:
-                raise StalledError(
-                    f"{cfg.max_rejects} consecutive rejections", report=partial_report()
-                ) from exc
-            continue
-
-        j_before = state.current_j
-        history_size_before = state.history.n
-        try:
-            record = acceptance_step(state, result, problem, cfg)
-        except NumericalError as exc:
-            if getattr(exc, "report", None) is None:
-                exc.report = partial_report()
-            raise
-
-        if record.branch in (Branch.ACCEPTED_BY_SUFFICIENT, Branch.ACCEPTED_BY_DIRECT):
-            rejects = 0
-            last_rejected = None
-            record.foc_measure = projected_gradient_norm(
-                state.iterate, state.surrogate.gradient(state.iterate), box
-            )
-            j_diff = (j_before - state.current_j) / max(j_before, state.current_j, 1.0)
-            if j_diff <= cfg.tau_j:
-                termination = "stagnation"
-                break
         else:
+            cause = None
+            solver_failed_before = False
+            j_before = state.current_j
+            history_size_before = state.history.n
+            try:
+                record = acceptance_step(state, result, problem, cfg)
+            except NumericalError as exc:
+                if getattr(exc, "report", None) is None:
+                    exc.report = partial_report()
+                raise
+
+            if record.branch is not Branch.REJECTED_BY_DIRECT:
+                rejects = 0
+                last_rejected = None
+                record.foc_measure = projected_gradient_norm(
+                    state.iterate, state.surrogate.gradient(state.iterate), box
+                )
+                j_diff = (j_before - state.current_j) / max(j_before, state.current_j, 1.0)
+                if j_diff <= cfg.tau_j:
+                    termination = "stagnation"
+                    break
+                continue
+
             cand = np.asarray(result.candidate, dtype=float)
             added = state.history.n > history_size_before
             if (
@@ -402,18 +384,20 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig) -> RunReport:
                 termination = "stagnation"
                 break
             last_rejected = cand
-            rejects += 1
-            if rejects >= cfg.max_rejects:
-                raise StalledError(
-                    f"{cfg.max_rejects} consecutive rejections", report=partial_report()
-                )
+
+        # a failed subproblem and a direct rejection share one budget
+        rejects += 1
+        if rejects >= cfg.max_rejects:
+            raise StalledError(
+                f"{cfg.max_rejects} consecutive rejections", report=partial_report()
+            ) from cause
 
     return _build_report(state, problem, termination=termination,
-                         norm_evals=norm_evals, evals_before=evals_before)
+                         evals_before=evals_before)
 
 
 def _build_report(state: TRState, problem: Problem, termination: str,
-                  norm_evals: int, evals_before: int) -> RunReport:
+                  evals_before: int) -> RunReport:
     box = _box_of(problem)
     idx = state.history.find_close(state.iterate)
     true_grad = state.history.gradients[idx]
@@ -426,7 +410,6 @@ def _build_report(state: TRState, problem: Problem, termination: str,
         final_j=state.current_j,
         final_foc=final_foc,
         fom_evals=problem.counter - evals_before,
-        norm_evals=norm_evals,
         outer_iters=state.outer_iter,
         termination=termination,
         norm_bound=state.surrogate.norm_bound,

@@ -11,7 +11,6 @@ outputs (same seed, same bytes).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "results"
     start_box: tuple | None = None   # ((lo...), (hi...)) when problem box is unbounded
+    norm_source: NormSource = field(default_factory=lambda: NormSource(kind="estimated"))
     tr: TRConfig = field(default_factory=TRConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
@@ -174,7 +174,6 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
         beta1_shrink=_get(tr_raw, "beta1_shrink", 0.5, "trust_region"),
         max_rejects=_get(tr_raw, "max_rejects", 15, "trust_region", cast=_integral),
         sub=sub,
-        norm_source=norm_source,
     )
     _reject_unknown(tr_raw, "trust_region")
 
@@ -207,6 +206,7 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
         seed=_get(data, "seed", 0, source, cast=_integral),
         output_dir=str(data.pop("output_dir", "results")),
         start_box=start_box,
+        norm_source=norm_source,
         tr=tr,
         baseline=baseline,
     )
@@ -247,21 +247,18 @@ def run_experiment(cfg: ExperimentConfig):
     for shape in cfg.shapes:
         label = f"eps={shape:g}"
         kernel = make_kernel(cfg.kernel_family, shape, problem.dim)
-        tr_cfg = cfg.tr
-        if cfg.tr.norm_source.kind == "estimated":
-            # one estimate per shape, shared by all starts (deterministic by seed)
-            value, norm_evals = resolve_norm_bound(
-                cfg.tr.norm_source, kernel, problem, box=cfg.start_box
-            )
-            tr_cfg = dataclasses.replace(
-                cfg.tr, norm_source=NormSource(kind="fixed", value=value)
-            )
-            norm_info[label] = {"norm_bound": value, "norm_evals": norm_evals}
+        # one bound per shape, shared by all starts (deterministic by seed);
+        # a norm source that does not fit the problem is a config error
+        norm_bound, norm_evals = resolve_norm_bound(
+            cfg.norm_source, kernel, problem, box=cfg.start_box
+        )
+        if cfg.norm_source.kind == "estimated":
+            norm_info[label] = {"norm_bound": norm_bound, "norm_evals": norm_evals}
 
         group = []
         for k, x0 in enumerate(starts):
             try:
-                group.append((k, run(problem, kernel, x0, tr_cfg)))
+                group.append((k, run(problem, kernel, x0, cfg.tr, norm_bound)))
             except HermiteTrError as exc:
                 group.append((k, f"{type(exc).__name__}: {exc}"))
         reports[label] = group

@@ -26,7 +26,6 @@ class Problem:
     upper: np.ndarray
     fn: Callable[[np.ndarray], tuple]
     counter: int = 0
-    positivity_guard: bool = True
 
     def eval(self, x):
         """Counted evaluation of (J, grad J) at x."""
@@ -42,7 +41,7 @@ class Problem:
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
         val, grad = self.fn(x)
-        if self.positivity_guard and not val > 0.0:
+        if not val > 0.0:
             raise AssumptionViolationError(
                 f"{self.name}: objective value {val:.3e} at {x} is not strictly "
                 "positive; add a larger additive offset"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolationError, LineSearchError
+from .errors import AssumptionViolationError, ConfigError, LineSearchError
 from .surrogate import Surrogate
 
 # Surrogate values at or below this floor make the constraint ratio
@@ -38,15 +38,15 @@ class SubproblemConfig:
 
     def __post_init__(self):
         if not 0.0 < self.kappa_bt < 1.0:
-            raise ValueError(f"kappa_bt must be in (0,1), got {self.kappa_bt}")
+            raise ConfigError(f"kappa_bt must be in (0,1), got {self.kappa_bt}")
         if not 0.0 < self.kappa_arm < 0.5:
-            raise ValueError(f"kappa_arm must be in (0,0.5), got {self.kappa_arm}")
+            raise ConfigError(f"kappa_arm must be in (0,0.5), got {self.kappa_arm}")
         if not self.tau_sub > 0:
-            raise ValueError(f"tau_sub must be positive, got {self.tau_sub}")
+            raise ConfigError(f"tau_sub must be positive, got {self.tau_sub}")
         if not 0.0 < self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in (0,1), got {self.beta2}")
+            raise ConfigError(f"beta2 must be in (0,1), got {self.beta2}")
         if self.l_max < 1 or self.j_max < 1:
-            raise ValueError("l_max and j_max must be positive")
+            raise ConfigError("l_max and j_max must be positive")
 
 
 class Termination(enum.Enum):

@@ -8,15 +8,22 @@ from hypothesis import strategies as st
 from hermite_tr.driver import (
     Branch,
     NormSource,
+    RunReport,
     TRConfig,
     TRState,
     acceptance_step,
     model_decrease_degenerate,
+    resolve_norm_bound,
     rho,
     run,
     update_radius,
 )
-from hermite_tr.errors import ConfigError, StalledError
+from hermite_tr.errors import (
+    AssumptionViolationError,
+    ConfigError,
+    LineSearchError,
+    StalledError,
+)
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import problem_1d
 from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination
@@ -26,11 +33,17 @@ from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 def cfg_1d(**overrides):
     defaults = dict(
         delta0=0.5, tau_foc=1e-6, tau_j=1e-14, i_max=60,
-        norm_source=NormSource(kind="analytic1d"),
         sub=SubproblemConfig(tau_sub=1e-7),
     )
     defaults.update(overrides)
     return TRConfig(**defaults)
+
+
+def run_1d(problem, shape, x0, cfg=None, norm_bound=None):
+    """driver.run with a 1D Gaussian kernel and, by default, its exact norm bound."""
+    if norm_bound is None:
+        norm_bound = analytic_norm_1d_gaussian(shape)
+    return run(problem, make_kernel("gaussian", shape, 1), x0, cfg or cfg_1d(), norm_bound)
 
 
 class TestRatio:
@@ -109,8 +122,9 @@ class TestAcceptanceBranches:
         assert self.problem.counter == evals_before  # datum reused, no new call
         np.testing.assert_array_equal(state.iterate, [0.2])
 
-    def test_necessary_rejection_shrinks(self):
-        # candidate at a known center with a HIGHER value than the inner point
+    def test_direct_rejection_shrinks(self):
+        # candidate at a known center with a HIGHER value than the inner
+        # point: the bound vanishes there, so the stored datum decides
         state = _two_point_state(self.problem, self.kernel, [0.2, 1.5])
         result = SubproblemResult(
             candidate=np.array([1.5]), agc=np.array([0.2]),
@@ -118,9 +132,12 @@ class TestAcceptanceBranches:
             termination=Termination.STATIONARY_INNER,
         )
         delta_before = state.delta
+        evals_before = self.problem.counter
         record = acceptance_step(state, result, self.problem, self.cfg)
-        assert record.branch is Branch.REJECTED_BY_NECESSARY
-        assert state.delta == pytest.approx(self.cfg.beta1_shrink * delta_before)
+        assert record.branch is Branch.REJECTED_BY_DIRECT
+        assert self.problem.counter == evals_before  # datum reused, no new call
+        assert record.j_value == state.history.values[1]
+        assert state.delta == self.cfg.beta1_shrink * delta_before
         np.testing.assert_array_equal(state.iterate, [0.2])
 
     def test_direct_branch_matches_oracle(self):
@@ -156,8 +173,7 @@ class TestAcceptanceBranches:
 class TestRun:
     def test_stationary_start_terminates_immediately(self):
         problem = problem_1d()
-        report = run(problem, make_kernel("gaussian", 0.725, 1),
-                     np.array([0.0]), cfg_1d())
+        report = run_1d(problem, 0.725, [0.0])
         assert report.termination == "foc"
         assert report.outer_iters == 0
         assert report.fom_evals == 1
@@ -166,11 +182,10 @@ class TestRun:
         # five uniform starts; evaluation counts and accuracy at the level
         # reported for this problem family
         rng = np.random.default_rng(0)
-        kernel = make_kernel("gaussian", 0.725, 1)
         evals, errors, focs = [], [], []
         for _ in range(5):
             problem = problem_1d()
-            report = run(problem, kernel, rng.uniform(-2, 2, 1), cfg_1d())
+            report = run_1d(problem, 0.725, rng.uniform(-2, 2, 1))
             evals.append(report.fom_evals)
             errors.append(abs(report.final_j - 2.0) / 2.0)
             focs.append(report.final_foc)
@@ -180,8 +195,7 @@ class TestRun:
 
     def test_accepted_values_nonincreasing(self):
         problem = problem_1d()
-        report = run(problem, make_kernel("gaussian", 1.0, 1),
-                     np.array([1.8]), cfg_1d())
+        report = run_1d(problem, 1.0, [1.8])
         accepted = [r.j_value for r in report.log
                     if r.branch in (Branch.ACCEPTED_BY_SUFFICIENT, Branch.ACCEPTED_BY_DIRECT)]
         for a, b in zip(accepted, accepted[1:]):
@@ -191,7 +205,7 @@ class TestRun:
     def test_radius_transitions_follow_law(self):
         problem = problem_1d()
         cfg = cfg_1d()
-        report = run(problem, make_kernel("gaussian", 2.0, 1), np.array([1.7]), cfg)
+        report = run_1d(problem, 2.0, [1.7], cfg)
         for rec in report.log:
             if rec.branch in (Branch.ACCEPTED_BY_SUFFICIENT, Branch.ACCEPTED_BY_DIRECT):
                 if rec.rho is None:
@@ -206,29 +220,25 @@ class TestRun:
         for seed in range(3):
             problem = problem_1d()
             rng = np.random.default_rng(seed)
-            report = run(problem, make_kernel("gaussian", 0.725, 1),
-                         rng.uniform(-2, 2, 1), cfg_1d())
+            report = run_1d(problem, 0.725, rng.uniform(-2, 2, 1))
             assert report.audit_failures == 0
 
     def test_surrogate_true_value_consistency(self):
         problem = problem_1d()
-        report = run(problem, make_kernel("gaussian", 0.725, 1),
-                     np.array([1.3]), cfg_1d())
+        report = run_1d(problem, 0.725, [1.3])
         true_j = problem.peek(report.final_iterate)[0]
         assert abs(report.final_j - true_j) <= 1e-8 * (1.0 + abs(true_j))
 
     def test_box_feasibility_of_logged_candidates(self):
         problem = problem_1d()
-        report = run(problem, make_kernel("gaussian", 1.0, 1),
-                     np.array([1.9]), cfg_1d())
+        report = run_1d(problem, 1.0, [1.9])
         for rec in report.log:
             if rec.candidate is not None:
                 assert -2.0 <= rec.candidate[0] <= 2.0
 
     def test_start_outside_box_is_clamped(self):
         problem = problem_1d()
-        report = run(problem, make_kernel("gaussian", 0.725, 1),
-                     np.array([5.0]), cfg_1d())
+        report = run_1d(problem, 0.725, [5.0])
         assert report.termination in ("foc", "stagnation")
         assert abs(report.final_iterate[0]) <= 2.0
 
@@ -242,42 +252,70 @@ class TestRun:
 
         problem = Problem(name="adversarial", dim=1,
                           lower=np.array([-2.0]), upper=np.array([2.0]), fn=fn)
-        cfg = cfg_1d(norm_source=NormSource(kind="fixed", value=5.0), max_rejects=1,
-                     tau_foc=1e-9, sub=SubproblemConfig(tau_sub=1e-10))
+        cfg = cfg_1d(max_rejects=1, tau_foc=1e-9, sub=SubproblemConfig(tau_sub=1e-10))
         with pytest.raises(StalledError) as err:
-            run(problem, make_kernel("gaussian", 1.0, 1), np.array([1.0]), cfg)
+            run_1d(problem, 1.0, [1.0], cfg, norm_bound=5.0)
         assert err.value.report is not None
         assert err.value.report.fom_evals >= 1
+        assert err.value.report.log[-1].branch is Branch.REJECTED_BY_DIRECT
+
+        # a failed inner solve draws on the same budget
+        with pytest.raises(StalledError) as err:
+            run_1d(problem_1d(), 0.725, [1.5], cfg_1d(max_rejects=1), norm_bound=1e8)
+        assert isinstance(err.value.__cause__, (LineSearchError, AssumptionViolationError))
+        assert err.value.report.log[-1].branch is Branch.SUBPROBLEM_FAILED
 
     def test_conclusive_repeat_failure_exits_as_stagnation(self):
         # an absurd norm bound blocks the very first inner line search; the
         # repeat at a smaller radius is conclusive and must not burn the
         # whole rejection budget
         problem = problem_1d()
-        cfg = cfg_1d(norm_source=NormSource(kind="fixed", value=1e8), max_rejects=15)
-        report = run(problem, make_kernel("gaussian", 0.725, 1), np.array([1.5]), cfg)
+        cfg = cfg_1d(max_rejects=15)
+        report = run_1d(problem, 0.725, [1.5], cfg, norm_bound=1e8)
         assert report.termination == "stagnation"
         assert report.fom_evals <= 3
         failed = [r for r in report.log if r.branch is Branch.SUBPROBLEM_FAILED]
         assert len(failed) == 2
         assert "repeat" in report.log[-1].note
 
-    def test_fom_accounting_excludes_norm_estimation(self):
-        problem = problem_1d()
-        cfg = cfg_1d(norm_source=NormSource(kind="estimated", n_samples=12, seed=4))
-        report = run(problem, make_kernel("gaussian", 0.725, 1), np.array([1.2]), cfg)
-        assert report.norm_evals == 12
-        assert report.fom_evals + report.norm_evals == problem.counter
-        # history holds exactly the optimization evaluations
-        assert report.fom_evals >= 1
+    def test_fom_accounting_excludes_norm_estimation(self, monkeypatch):
+        # one problem serves the whole experiment: its counter splits
+        # exactly into the reference, the norm estimates (one per shape),
+        # the method runs and the baseline runs
+        from hermite_tr import harness
+
+        cfg = harness.config_from_dict({
+            "problem": "one_d", "n_starts": 2,
+            "kernel": {"family": "gaussian", "shape": [0.725, 1.0]},
+            "trust_region": {"norm_source": "estimated", "norm_samples": 12, "norm_seed": 4},
+        })
+        made = []
+        make_problem = harness.make_problem
+
+        def capture(*args, **kwargs):
+            made.append(make_problem(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "make_problem", capture)
+        _, reports, meta = harness.run_experiment(cfg)
+        (problem,) = made
+        norm_evals = [v["norm_evals"] for v in meta["norm_estimation"].values()]
+        assert norm_evals == [12, 12]
+        runs = [r for group in reports.values() for _, r in group]
+        assert len(runs) == 6 and all(isinstance(r, RunReport) for r in runs)
+        assert problem.counter == (meta["reference_fom_evals"] + sum(norm_evals)
+                                   + sum(r.fom_evals for r in runs))
 
     def test_analytic_norm_requires_1d_gaussian(self):
         from hermite_tr.problems import problem_rosenbrock
 
-        problem = problem_rosenbrock()
+        analytic = NormSource(kind="analytic1d")
         with pytest.raises(ConfigError):
-            run(problem, make_kernel("gaussian", 1.0, 2), np.array([0.0, 0.0]),
-                cfg_1d())
+            resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 2), problem_rosenbrock())
+        with pytest.raises(ConfigError):
+            resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d())
+        assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d()) \
+            == (analytic_norm_1d_gaussian(1.0), 0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

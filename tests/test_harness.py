@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hermite_tr.cli import main as cli_main
 from hermite_tr.errors import ConfigError
@@ -62,6 +63,9 @@ class TestLoadConfig:
             {**MINIMAL, "start_box": [[0.0], [1.0, 2.0]]},
             {**MINIMAL, "start_box": [[0.0, 0.0], [1.0, 1.0]]},   # one_d is 1D
             {**MINIMAL, "start_box": [[1.0], [0.0]]},
+            {**MINIMAL, "subproblem": {"kappa_bt": 2.0}},
+            {**MINIMAL, "baseline": {"i_max": 0}},
+            {**MINIMAL, "baseline": {"kappa_bt": 2.0}},
         ):
             with pytest.raises(ConfigError):
                 config_from_dict(dict(data))
@@ -239,6 +243,28 @@ class TestCli:
         for shape in ("-3", "abc"):
             bad.write_text(f"problem: one_d\nkernel:\n  family: gaussian\n  shape: {shape}\n")
             assert cli_main(["run", str(bad)]) == 2
+        bad.write_text(
+            "problem: one_d\nkernel:\n  family: gaussian\n  shape: 1.0\n"
+            "subproblem:\n  kappa_bt: 2.0\n"
+        )
+        assert cli_main(["run", str(bad)]) == 2
+
+    def test_analytic_norm_on_rosenbrock_is_config_error(self, tmp_path):
+        # the closed-form norm exists only for the 1D Gaussian setup; this
+        # is a config error for the experiment, not a failure of each run
+        data = {
+            "problem": "rosenbrock", "n_starts": 1,
+            "start_box": [[-1.5, -1.5], [1.5, 1.5]],
+            "kernel": {"family": "gaussian", "shape": 1.0},
+            "trust_region": {"norm_source": "analytic"},
+            "output_dir": str(tmp_path / "out"),
+        }
+        with pytest.raises(ConfigError, match="analytic"):
+            run_experiment(config_from_dict(data))
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch, command):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hermite_tr import subproblem
-from hermite_tr.errors import AssumptionViolationError
+from hermite_tr.errors import AssumptionViolationError, ConfigError, LineSearchError
 from hermite_tr.kernels import make_kernel
+from hermite_tr.problems import problem_rosenbrock
 from hermite_tr.subproblem import (
     POSITIVITY_FLOOR,
     SubproblemConfig,
@@ -31,13 +32,13 @@ def quadratic_surrogate(center=0.0, offset=2.0, half_width=2.0, n=21, eps=1.0):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SubproblemConfig(kappa_bt=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SubproblemConfig(kappa_arm=0.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SubproblemConfig(beta2=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SubproblemConfig(tau_sub=-1.0)
 
 
@@ -228,3 +229,34 @@ class TestSolve:
         assert len(trials) > 1
         assert s.value(res.agc) > POSITIVITY_FLOOR
         assert constraint_value(s, delta, res.agc) >= 0.0
+
+    def test_candidate_never_above_agc(self, family):
+        """The candidate's surrogate value never exceeds the one at the AGC point.
+
+        Every inner step after the AGC point is an Armijo descent step, and
+        a failed line search returns the last accepted iterate.  The outer
+        loop has no bound-certified rejection because of this: that branch
+        would need s(candidate) - eta > s(agc).  If this test fails, the
+        inner solver is no longer monotone and a certified rejection is
+        reachable again.
+        """
+        problem = problem_rosenbrock()
+        kernel = make_kernel(family, 1.0, 2)
+        terminations = set()
+        for seed in range(3):
+            pts = np.random.default_rng(seed).uniform(-1.5, 1.5, (6, 2))
+            vals, grads = map(np.array, zip(*(problem.peek(x) for x in pts)))
+            s = fit(kernel, TrainingSet(pts, vals, grads), norm_bound=float(vals.max()))
+            # the outer loop starts each inner solve at a center; short
+            # backtracking budgets make the line search fail after the AGC
+            for x0 in pts:
+                for delta in (1e-3, 0.1, 2.0):
+                    for j_max in (12, 18, 24):
+                        try:
+                            res = solve(s, x0, delta, SubproblemConfig(j_max=j_max))
+                        except (LineSearchError, AssumptionViolationError):
+                            continue
+                        terminations.add(res.termination)
+                        assert s.value(res.candidate) <= s.value(res.agc)
+        assert Termination.LINE_SEARCH_FAILED in terminations
+        assert Termination.NEAR_BOUNDARY in terminations
