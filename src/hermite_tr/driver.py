@@ -69,19 +69,23 @@ class Branch(enum.Enum):
 class NormSource:
     """Where the norm bound in the error estimate comes from."""
 
-    kind: str                      # "analytic1d" | "estimated" | "fixed"
+    kind: str = "estimated"        # "analytic" | "estimated" | "fixed"
     n_samples: int = 50
     seed: int = 0
     safety: float = 1.0
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("analytic1d", "estimated", "fixed"):
+        if self.kind not in ("analytic", "estimated", "fixed"):
             raise ConfigError(f"unknown norm source {self.kind!r}")
         if self.kind == "fixed" and not self.value > 0:
             raise ConfigError("fixed norm source needs a positive value")
         if self.kind == "estimated" and self.n_samples < 1:
             raise ConfigError("estimated norm source needs n_samples >= 1")
+        if not self.safety >= 1.0:
+            raise ConfigError(f"norm safety factor must be >= 1, got {self.safety}")
+        if self.seed < 0:
+            raise ConfigError(f"norm seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,6 @@ class TRState:
     current_j: float
     delta: float
     surrogate: Surrogate
-    history: TrainingSet
     outer_iter: int = 0
     log: list = field(default_factory=list)
 
@@ -195,12 +198,6 @@ def update_radius(rho_value: float, delta: float, cfg: TRConfig) -> float:
     return cfg.beta_radius * delta
 
 
-def _box_of(problem: Problem):
-    if np.any(np.isfinite(problem.lower)) or np.any(np.isfinite(problem.upper)):
-        return (problem.lower, problem.upper)
-    return None
-
-
 def _eval_with_reuse(problem: Problem, history: TrainingSet, x):
     """Objective data at x, reusing the stored datum for near-duplicate centers."""
     idx = history.find_close(x)
@@ -215,10 +212,13 @@ def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Pro
     """Materialize the norm bound; returns (value, objective evals spent)."""
     if norm_source.kind == "fixed":
         return float(norm_source.value), 0
-    if norm_source.kind == "analytic1d":
+    if norm_source.kind == "analytic":
         if kernel.family != GAUSSIAN or problem.dim != 1:
             raise ConfigError("analytic norm source is only valid for the 1D Gaussian setup")
-        return analytic_norm_1d_gaussian(kernel.shape), 0
+        try:
+            return analytic_norm_1d_gaussian(kernel.shape), 0
+        except ValueError as exc:
+            raise ConfigError(f"analytic norm source: {exc}") from None
     before = problem.counter
     value = estimate_norm(
         kernel, problem, norm_source.n_samples, norm_source.seed,
@@ -244,9 +244,8 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     jhat_cand = s.value(cand)
     eta_cand = s.norm_bound * s.power(cand)
 
-    j_cand, _, new_history, added = _eval_with_reuse(problem, state.history, cand)
+    j_cand, _, new_history, added = _eval_with_reuse(problem, s.training, cand)
     if added:
-        state.history = new_history
         state.surrogate = fit(s.kernel, new_history, s.norm_bound)
 
     record = IterationRecord(
@@ -296,7 +295,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     no new information (a fixed point of the loop, reported as
     stagnation), or i_max accepted iterations.
     """
-    box = _box_of(problem)
+    box = (problem.lower, problem.upper)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
@@ -304,10 +303,8 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     evals_before = problem.counter
 
     j0, g0 = problem.eval(x)
-    history = TrainingSet(x[None, :], np.array([j0]), g0[None, :])
-    surrogate = fit(kernel, history, norm_bound)
-    state = TRState(iterate=x, current_j=j0, delta=cfg.delta0,
-                    surrogate=surrogate, history=history)
+    surrogate = fit(kernel, TrainingSet(x[None, :], np.array([j0]), g0[None, :]), norm_bound)
+    state = TRState(iterate=x, current_j=j0, delta=cfg.delta0, surrogate=surrogate)
 
     termination = "max_iters"
     rejects = 0
@@ -350,7 +347,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
             cause = None
             solver_failed_before = False
             j_before = state.current_j
-            history_size_before = state.history.n
+            history_size_before = state.surrogate.training.n
             try:
                 record = acceptance_step(state, result, problem, cfg)
             except NumericalError as exc:
@@ -371,7 +368,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                 continue
 
             cand = np.asarray(result.candidate, dtype=float)
-            added = state.history.n > history_size_before
+            added = state.surrogate.training.n > history_size_before
             if (
                 last_rejected is not None
                 and not added
@@ -398,10 +395,10 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
 
 def _build_report(state: TRState, problem: Problem, termination: str,
                   evals_before: int) -> RunReport:
-    box = _box_of(problem)
-    idx = state.history.find_close(state.iterate)
-    true_grad = state.history.gradients[idx]
-    final_foc = projected_gradient_norm(state.iterate, true_grad, box)
+    history = state.surrogate.training
+    true_grad = history.gradients[history.find_close(state.iterate)]
+    final_foc = projected_gradient_norm(state.iterate, true_grad,
+                                        (problem.lower, problem.upper))
     audit_failures = sum(
         1 for r in state.log if r.sufficient_check_ok is False
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "results"
     start_box: tuple | None = None   # ((lo...), (hi...)) when problem box is unbounded
-    norm_source: NormSource = field(default_factory=lambda: NormSource(kind="estimated"))
+    norm_source: NormSource = field(default_factory=NormSource)
     tr: TRConfig = field(default_factory=TRConfig)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError("kernel.shape must be a positive number or list of them")
         if self.n_starts < 1:
             raise ConfigError("n_starts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.start_box is not None:
             dim = make_problem(self.problem, grid_n=self.grid_n).dim
             lower, upper = self.start_box
@@ -97,12 +99,44 @@ def _integral(raw):
     return int(raw)
 
 
-def _get(section, key, default, path, cast=float):
-    raw = section.pop(key, default)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: cannot interpret {raw!r}") from None
+# annotation -> cast for the dataclass fields a YAML section sets directly;
+# the config modules postpone annotations, so field.type is the string
+_CASTS = {"int": _integral, "float": float, "str": str}
+
+
+def _build(cls, section, path, keys=None, defaults=None, **given):
+    """cls(**given) plus every scalar field of cls popped from section.
+
+    A field is read under its own name, or under keys[name] when the YAML
+    key differs.  An absent key falls back to defaults[name], else to the
+    dataclass default; a field without either is a required key.  Fields
+    in given are never read.  cls.__post_init__ checks the values.
+    """
+    keys = keys or {}
+    defaults = defaults or {}
+    kwargs = dict(given)
+    for f in fields(cls):
+        cast = _CASTS.get(f.type)
+        if cast is None or f.name in given:
+            continue
+        key = keys.get(f.name, f.name)
+        if key not in section:
+            if f.name in defaults:
+                kwargs[f.name] = defaults[f.name]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path}: missing required key {key!r}")
+            continue
+        raw = section.pop(key)
+        try:
+            kwargs[f.name] = cast(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.{key}: cannot interpret {raw!r}") from None
+    return cls(**kwargs)
+
+
+# NormSource field -> its key under trust_region
+_NORM_KEYS = {"kind": "norm_source", "n_samples": "norm_samples", "seed": "norm_seed",
+              "safety": "norm_safety", "value": "norm_value"}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -120,11 +154,14 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(data, source="<dict>") -> ExperimentConfig:
-    data = copy.deepcopy(dict(data))
-    problem = data.pop("problem", None)
-    if problem is None:
-        raise ConfigError(f"{source}: missing required key 'problem'")
+    """ExperimentConfig from a parsed YAML mapping; unknown keys reject.
 
+    Every default is its dataclass field's default, except three that
+    follow the trust region: subproblem.tau_sub defaults to
+    trust_region.tau_foc / 10, and baseline.tau_foc and baseline.tau_j
+    to the trust region's.
+    """
+    data = copy.deepcopy(dict(data))
     kernel = _pop_section(data, "kernel", source)
     family = kernel.pop("family", None)
     if family is None:
@@ -142,49 +179,14 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
     sub_raw = _pop_section(data, "subproblem", source)
     base_raw = _pop_section(data, "baseline", source)
 
-    tau_foc = _get(tr_raw, "tau_foc", 1e-6, "trust_region")
-    sub = SubproblemConfig(
-        kappa_bt=_get(sub_raw, "kappa_bt", 0.5, "subproblem"),
-        kappa_arm=_get(sub_raw, "kappa_arm", 1e-4, "subproblem"),
-        tau_sub=_get(sub_raw, "tau_sub", tau_foc / 10.0, "subproblem"),
-        beta2=_get(sub_raw, "beta2", 0.95, "subproblem"),
-        l_max=_get(sub_raw, "l_max", 50, "subproblem", cast=_integral),
-        j_max=_get(sub_raw, "j_max", 30, "subproblem", cast=_integral),
-    )
-    _reject_unknown(sub_raw, "subproblem")
-
-    norm_kind = str(tr_raw.pop("norm_source", "estimated"))
-    if norm_kind == "analytic":
-        norm_kind = "analytic1d"
-    norm_source = NormSource(
-        kind=norm_kind,
-        n_samples=_get(tr_raw, "norm_samples", 50, "trust_region", cast=_integral),
-        seed=_get(tr_raw, "norm_seed", 0, "trust_region", cast=_integral),
-        safety=_get(tr_raw, "norm_safety", 1.0, "trust_region"),
-        value=_get(tr_raw, "norm_value", 0.0, "trust_region"),
-    )
-    tr = TRConfig(
-        delta0=_get(tr_raw, "delta0", 0.5, "trust_region"),
-        i_max=_get(tr_raw, "i_max", 50, "trust_region", cast=_integral),
-        tau_foc=tau_foc,
-        tau_j=_get(tr_raw, "tau_j", 1e-14, "trust_region"),
-        xi1=_get(tr_raw, "xi1", 0.1, "trust_region"),
-        xi2=_get(tr_raw, "xi2", 0.9, "trust_region"),
-        beta_radius=_get(tr_raw, "beta_radius", 0.5, "trust_region"),
-        beta1_shrink=_get(tr_raw, "beta1_shrink", 0.5, "trust_region"),
-        max_rejects=_get(tr_raw, "max_rejects", 15, "trust_region", cast=_integral),
-        sub=sub,
-    )
+    norm_source = _build(NormSource, tr_raw, "trust_region", keys=_NORM_KEYS)
+    tr = _build(TRConfig, tr_raw, "trust_region")
     _reject_unknown(tr_raw, "trust_region")
-
-    baseline = BaselineConfig(
-        tau_foc=_get(base_raw, "tau_foc", tau_foc, "baseline"),
-        tau_j=_get(base_raw, "tau_j", tr.tau_j, "baseline"),
-        i_max=_get(base_raw, "i_max", 200, "baseline", cast=_integral),
-        kappa_bt=_get(base_raw, "kappa_bt", 0.5, "baseline"),
-        kappa_arm=_get(base_raw, "kappa_arm", 1e-4, "baseline"),
-        j_max=_get(base_raw, "j_max", 30, "baseline", cast=_integral),
-    )
+    tr = replace(tr, sub=_build(SubproblemConfig, sub_raw, "subproblem",
+                                defaults={"tau_sub": tr.tau_foc / 10.0}))
+    _reject_unknown(sub_raw, "subproblem")
+    baseline = _build(BaselineConfig, base_raw, "baseline",
+                      defaults={"tau_foc": tr.tau_foc, "tau_j": tr.tau_j})
     _reject_unknown(base_raw, "baseline")
 
     start_box = data.pop("start_box", None)
@@ -197,19 +199,8 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
                 f"{source}: start_box must be [[lo, ...], [hi, ...]], got {start_box!r}"
             ) from None
 
-    cfg = ExperimentConfig(
-        problem=str(problem),
-        kernel_family=str(family),
-        shapes=shapes,
-        grid_n=_get(data, "grid_n", 96, source, cast=_integral),
-        n_starts=_get(data, "n_starts", 5, source, cast=_integral),
-        seed=_get(data, "seed", 0, source, cast=_integral),
-        output_dir=str(data.pop("output_dir", "results")),
-        start_box=start_box,
-        norm_source=norm_source,
-        tr=tr,
-        baseline=baseline,
-    )
+    cfg = _build(ExperimentConfig, data, source, kernel_family=str(family), shapes=shapes,
+                 start_box=start_box, norm_source=norm_source, tr=tr, baseline=baseline)
     _reject_unknown(data, source)
     return cfg
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 OMEGA_X = (-2.0 / 3.0, -1.0 / 3.0)
 OMEGA_Y_LOW = (-2.0 / 3.0, -1.0 / 3.0)
@@ -66,7 +66,7 @@ class Pde2dDiscretization:
     @staticmethod
     def build(grid_n: int = 96) -> "Pde2dDiscretization":
         if grid_n < 6:
-            raise ValueError("grid_n must be at least 6")
+            raise ConfigError(f"grid_n must be at least 6, got {grid_n}")
         n = int(grid_n)
         h = 2.0 / n
         centers = -1.0 + (np.arange(n) + 0.5) * h

@@ -94,10 +94,9 @@ def _two_point_state(problem, kernel, mus, delta=0.5):
         v, g = problem.eval(p)
         vals.append(v)
         grads.append(g)
-    history = TrainingSet(pts, np.array(vals), np.array(grads))
-    s = fit(kernel, history, norm_bound=analytic_norm_1d_gaussian(kernel.shape))
-    return TRState(iterate=pts[0].copy(), current_j=vals[0], delta=delta,
-                   surrogate=s, history=history)
+    s = fit(kernel, TrainingSet(pts, np.array(vals), np.array(grads)),
+            norm_bound=analytic_norm_1d_gaussian(kernel.shape))
+    return TRState(iterate=pts[0].copy(), current_j=vals[0], delta=delta, surrogate=s)
 
 
 class TestAcceptanceBranches:
@@ -136,7 +135,7 @@ class TestAcceptanceBranches:
         record = acceptance_step(state, result, self.problem, self.cfg)
         assert record.branch is Branch.REJECTED_BY_DIRECT
         assert self.problem.counter == evals_before  # datum reused, no new call
-        assert record.j_value == state.history.values[1]
+        assert record.j_value == state.surrogate.training.values[1]
         assert state.delta == self.cfg.beta1_shrink * delta_before
         np.testing.assert_array_equal(state.iterate, [0.2])
 
@@ -151,7 +150,7 @@ class TestAcceptanceBranches:
         cand = None
         for probe in np.linspace(-1.9, 1.9, 229):
             x = np.array([probe])
-            if state.history.find_close(x) is not None:
+            if state.surrogate.training.find_close(x) is not None:
                 continue
             jhat_c = s.value(x)
             eta = s.norm_bound * s.power(x)
@@ -167,7 +166,7 @@ class TestAcceptanceBranches:
                     else Branch.REJECTED_BY_DIRECT)
         assert record.branch is expected
         # the evaluated point joins the model either way
-        assert state.history.find_close(cand) is not None
+        assert state.surrogate.training.find_close(cand) is not None
 
 
 class TestRun:
@@ -309,13 +308,16 @@ class TestRun:
     def test_analytic_norm_requires_1d_gaussian(self):
         from hermite_tr.problems import problem_rosenbrock
 
-        analytic = NormSource(kind="analytic1d")
+        analytic = NormSource(kind="analytic")
         with pytest.raises(ConfigError):
             resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 2), problem_rosenbrock())
         with pytest.raises(ConfigError):
             resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d())
         assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d()) \
             == (analytic_norm_1d_gaussian(1.0), 0)
+        # a fixed bound spends no evaluations, whatever the kernel and problem
+        assert resolve_norm_bound(NormSource(kind="fixed", value=3.0),
+                                  make_kernel("gaussian", 1.0, 2), problem_rosenbrock()) == (3.0, 0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -2,13 +2,18 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from hermite_tr.baseline import BaselineConfig
 from hermite_tr.cli import main as cli_main
+from hermite_tr.driver import NormSource, TRConfig
 from hermite_tr.errors import ConfigError
 from hermite_tr.harness import (
     config_from_dict,
@@ -19,10 +24,66 @@ from hermite_tr.harness import (
     sample_starts,
 )
 from hermite_tr.problems import make_problem
+from hermite_tr.subproblem import SubproblemConfig
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIG_DIR = REPO / "scripts" / "configs"
 
 MINIMAL = {
     "problem": "one_d",
     "kernel": {"family": "gaussian", "shape": 0.725},
+}
+
+# Every setting of a config that gives only problem and kernel, spelled
+# out so that a changed dataclass default shows up here.
+DEFAULTS = {
+    "grid_n": 96, "n_starts": 5, "seed": 0, "output_dir": "results", "start_box": None,
+    "norm_source": {"kind": "estimated", "n_samples": 50, "seed": 0, "safety": 1.0,
+                    "value": 0.0},
+    "tr": {"delta0": 0.5, "i_max": 50, "tau_foc": 1e-6, "tau_j": 1e-14, "xi1": 0.1,
+           "xi2": 0.9, "beta_radius": 0.5, "beta1_shrink": 0.5, "max_rejects": 15,
+           "sub": {"kappa_bt": 0.5, "kappa_arm": 1e-4, "tau_sub": 1e-6 / 10, "beta2": 0.95,
+                   "l_max": 50, "j_max": 30}},
+    "baseline": {"tau_foc": 1e-6, "tau_j": 1e-14, "i_max": 200, "kappa_bt": 0.5,
+                 "kappa_arm": 1e-4, "j_max": 30},
+}
+
+
+def _merged(base, over):
+    """base with over's entries replaced, recursing into nested mappings."""
+    out = dict(base)
+    for key, value in over.items():
+        out[key] = _merged(base[key], value) if isinstance(value, dict) else value
+    return out
+
+
+# What each bundled YAML sets beyond DEFAULTS, cross-section defaults included
+BUNDLED = {
+    "one_d": {
+        "problem": "one_d", "kernel_family": "gaussian", "shapes": (0.725,),
+        "output_dir": "results/one_d", "norm_source": {"kind": "analytic"},
+    },
+    "one_d_sweep": {
+        "problem": "one_d", "kernel_family": "gaussian", "shapes": (0.725, 1.0, 2.0, 10.0),
+        "output_dir": "results/one_d_sweep", "norm_source": {"kind": "analytic"},
+        "tr": {"i_max": 80},
+    },
+    "rosenbrock": {
+        "problem": "rosenbrock", "kernel_family": "gaussian", "shapes": (2.0,),
+        "n_starts": 3, "seed": 3, "output_dir": "results/rosenbrock",
+        "start_box": ((-2.0, -1.0), (2.0, 3.0)),
+        "norm_source": {"n_samples": 60, "seed": 11},
+        "tr": {"delta0": 1.0, "tau_foc": 1e-5, "tau_j": 1e-15, "i_max": 150,
+               "max_rejects": 60, "sub": {"tau_sub": 1e-5 / 10}},
+        "baseline": {"tau_foc": 1e-5, "tau_j": 1e-15, "i_max": 400},
+    },
+    "pde2d": {
+        "problem": "pde2d", "kernel_family": "quad_matern", "shapes": (0.4,),
+        "seed": 7, "output_dir": "results/pde2d",
+        "norm_source": {"seed": 1234},
+        "tr": {"tau_foc": 1e-4, "tau_j": 1e-12, "sub": {"tau_sub": 1e-4 / 10}},
+        "baseline": {"tau_foc": 1e-4, "tau_j": 1e-12},
+    },
 }
 
 
@@ -48,6 +109,19 @@ class TestLoadConfig:
         assert cfg.tr.sub.kappa_bt == 0.5
         assert cfg.tr.sub.kappa_arm == 1e-4
         assert cfg.shapes == (0.725,)
+        # each setting defaults to its dataclass field's default, except the
+        # three that follow the trust region
+        tr = TRConfig()
+        assert cfg.tr == TRConfig(sub=SubproblemConfig(tau_sub=tr.tau_foc / 10))
+        assert cfg.baseline == BaselineConfig(tau_foc=tr.tau_foc, tau_j=tr.tau_j)
+        assert cfg.norm_source == NormSource()
+        assert asdict(cfg) == {"problem": "one_d", "kernel_family": "gaussian",
+                               "shapes": (0.725,), **DEFAULTS}
+
+    @pytest.mark.parametrize("name", list(BUNDLED))
+    def test_bundled_configs_load(self, name):
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        assert asdict(cfg) == _merged(DEFAULTS, BUNDLED[name])
 
     def test_negative_shape_rejected(self):
         for shape in (-1.0, "abc"):
@@ -66,6 +140,9 @@ class TestLoadConfig:
             {**MINIMAL, "subproblem": {"kappa_bt": 2.0}},
             {**MINIMAL, "baseline": {"i_max": 0}},
             {**MINIMAL, "baseline": {"kappa_bt": 2.0}},
+            {**MINIMAL, "trust_region": {"norm_safety": 0.5}},
+            {**MINIMAL, "trust_region": {"norm_seed": -3}},
+            {**MINIMAL, "seed": -1},
         ):
             with pytest.raises(ConfigError):
                 config_from_dict(dict(data))
@@ -171,20 +248,18 @@ class TestProtocol:
         assert (target / "summary.csv").exists()
 
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
-
-
 class TestGoldenOutputs:
-    # sha256 of summary.csv from the bundled configs.  rosenbrock and pde2d
-    # are left out: rosenbrock's evaluation counts move with the BLAS
-    # thread count, and pde2d takes too long for this suite.
+    # sha256 of summary.csv from the bundled configs, written by the CLI in
+    # a fresh process with one BLAS thread: rosenbrock's evaluation counts
+    # move with the thread count.  pde2d is left out: it takes about 18 s.
     SUMMARY_SHA256 = {
         "one_d": "1e8e1a9bb60dadf8f7687c961e71ae5fbdefae6c6df6b6166a49d42107939f99",
         "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
+        "rosenbrock": "8c45c6d2a44cfea23fe43b564947f954aba666639ef279b281499d47d35a716a",
     }
 
     @pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
-    def test_bundled_summary_unchanged(self, name, tmp_path, monkeypatch):
+    def test_bundled_summary_unchanged(self, name, tmp_path):
         """The bundled config writes exactly the recorded summary.csv.
 
         Refactors and speed-ups must keep these bytes.  A change that means
@@ -192,10 +267,14 @@ class TestGoldenOutputs:
         updates the hash here and records the change, with its reason, in
         CHANGES.md.
         """
-        monkeypatch.setenv("HERMITE_TR_OUTPUT_DIR", str(tmp_path / "out"))
-        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
-        out = emit_outputs(*run_experiment(cfg), cfg)
-        digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(tmp_path / "out"),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "hermite_tr.cli", "run",
+                        str(CONFIG_DIR / f"{name}.yaml")],
+                       env=env, check=True, capture_output=True)
+        digest = hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest()
         assert digest == self.SUMMARY_SHA256[name]
 
 
@@ -243,11 +322,16 @@ class TestCli:
         for shape in ("-3", "abc"):
             bad.write_text(f"problem: one_d\nkernel:\n  family: gaussian\n  shape: {shape}\n")
             assert cli_main(["run", str(bad)]) == 2
-        bad.write_text(
+        for body in (
             "problem: one_d\nkernel:\n  family: gaussian\n  shape: 1.0\n"
-            "subproblem:\n  kappa_bt: 2.0\n"
-        )
-        assert cli_main(["run", str(bad)]) == 2
+            "subproblem:\n  kappa_bt: 2.0\n",
+            # the closed-form norm diverges for shape^2 <= 1/2
+            "problem: one_d\nkernel:\n  family: gaussian\n  shape: 0.5\n"
+            "trust_region:\n  norm_source: analytic\n",
+            "problem: pde2d\ngrid_n: 3\nkernel:\n  family: quad_matern\n  shape: 0.4\n",
+        ):
+            bad.write_text(body)
+            assert cli_main(["run", str(bad)]) == 2
 
     def test_analytic_norm_on_rosenbrock_is_config_error(self, tmp_path):
         # the closed-form norm exists only for the 1D Gaussian setup; this

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermite_tr.errors import AssumptionViolationError
+from hermite_tr.errors import AssumptionViolationError, ConfigError
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import Problem, make_problem, problem_1d, problem_pde2d, problem_rosenbrock
 
@@ -155,7 +155,7 @@ class TestPde2d:
         assert g[1] < 0
 
     def test_grid_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Pde2dDiscretization.build(4)
 
     def test_make_problem_dispatch(self):
