@@ -127,7 +127,7 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
     return _report(problem, x, fx, grad, box, iters, evals_before, termination, log)
 
 
-def _report(problem, x, fx, grad, box, iters, evals_before, termination, log=None):
+def _report(problem, x, fx, grad, box, iters, evals_before, termination, log):
     return RunReport(
         final_iterate=np.asarray(x).copy(),
         final_j=float(fx),
@@ -136,14 +136,17 @@ def _report(problem, x, fx, grad, box, iters, evals_before, termination, log=Non
         outer_iters=iters,
         termination=termination,
         norm_bound=0.0,
-        log=list(log or []),
+        log=list(log),
         method="baseline_bfgs",
     )
 
 
-def reference_solution(problem: Problem, starts, tau_foc: float = 1e-10,
-                       tau_j: float = 1e-16, i_max: int = 500):
-    """Best minimizer over tight-tolerance baseline runs from each start.
+# tight tolerances and a long budget for the reference solution
+REFERENCE = BaselineConfig(tau_foc=1e-10, tau_j=1e-16, i_max=500)
+
+
+def reference_solution(problem: Problem, starts):
+    """Best minimizer over REFERENCE baseline runs from each start.
 
     At these tolerances the line search routinely runs into floating-point
     resolution before the gradient test fires; such runs still carry their
@@ -153,11 +156,10 @@ def reference_solution(problem: Problem, starts, tau_foc: float = 1e-10,
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
         raise ValueError("need at least one start")
-    cfg = BaselineConfig(tau_foc=tau_foc, tau_j=tau_j, i_max=i_max)
     best = None
     for x0 in starts:
         try:
-            report = minimize(problem, x0, cfg)
+            report = minimize(problem, x0, REFERENCE)
         except StalledError as exc:
             report = exc.report
         if report is None or not np.isfinite(report.final_j):

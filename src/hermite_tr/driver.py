@@ -207,8 +207,7 @@ def _eval_with_reuse(problem: Problem, history: TrainingSet, x):
     return val, grad, history.with_point(x, val, grad), True
 
 
-def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Problem,
-                       box=None):
+def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Problem, box):
     """Materialize the norm bound; returns (value, objective evals spent)."""
     if norm_source.kind == "fixed":
         return float(norm_source.value), 0

@@ -93,15 +93,22 @@ def _reject_unknown(section, path):
 
 
 def _integral(raw):
-    """int(raw), refusing to truncate a non-integral float."""
-    if isinstance(raw, float) and not raw.is_integer():
+    """int(raw), refusing a YAML boolean and a non-integral float."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"{raw!r} is not an integer")
     return int(raw)
 
 
+def _real(raw):
+    """float(raw), refusing a YAML boolean."""
+    if isinstance(raw, bool):
+        raise ValueError(f"{raw!r} is not a number")
+    return float(raw)
+
+
 # annotation -> cast for the dataclass fields a YAML section sets directly;
 # the config modules postpone annotations, so field.type is the string
-_CASTS = {"int": _integral, "float": float, "str": str}
+_CASTS = {"int": _integral, "float": _real, "str": str}
 
 
 def _build(cls, section, path, keys=None, defaults=None, **given):
@@ -170,7 +177,7 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
     if shape_raw is None:
         raise ConfigError(f"{source}: kernel.shape is required")
     try:
-        shapes = tuple(float(s) for s in (shape_raw if isinstance(shape_raw, (list, tuple)) else [shape_raw]))
+        shapes = tuple(_real(s) for s in (shape_raw if isinstance(shape_raw, (list, tuple)) else [shape_raw]))
     except (TypeError, ValueError):
         raise ConfigError(f"{source}: kernel.shape: cannot interpret {shape_raw!r}") from None
     _reject_unknown(kernel, "kernel")
@@ -193,7 +200,7 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
     if start_box is not None:
         try:
             lower, upper = start_box
-            start_box = (tuple(float(v) for v in lower), tuple(float(v) for v in upper))
+            start_box = (tuple(_real(v) for v in lower), tuple(_real(v) for v in upper))
         except (TypeError, ValueError):
             raise ConfigError(
                 f"{source}: start_box must be [[lo, ...], [hi, ...]], got {start_box!r}"
@@ -338,7 +345,7 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
     return out
 
 
-def export_power_field(cfg: ExperimentConfig, grid: int = 101, centers: int = 5) -> Path:
+def export_power_field(cfg: ExperimentConfig, grid: int, centers: int) -> Path:
     """Fit a small seeded surrogate and export its power function on a grid.
 
     Rows are x,power (1D) or x,y,power (2D); power vanishes at the fitted

@@ -64,7 +64,7 @@ class Pde2dDiscretization:
     load: np.ndarray          # midpoint quadrature of l, also the system rhs
 
     @staticmethod
-    def build(grid_n: int = 96) -> "Pde2dDiscretization":
+    def build(grid_n: int) -> "Pde2dDiscretization":
         if grid_n < 6:
             raise ConfigError(f"grid_n must be at least 6, got {grid_n}")
         n = int(grid_n)
@@ -133,11 +133,9 @@ def pde2d_solve(disc: Pde2dDiscretization, mu):
     return u, val, lu
 
 
-def pde2d_gradient(disc: Pde2dDiscretization, mu, u, lu=None):
-    """Gradient of J via one sensitivity solve per parameter component."""
+def pde2d_gradient(disc: Pde2dDiscretization, mu, u, lu):
+    """Gradient of J via one solve with pde2d_solve's factor lu per parameter component."""
     mu = np.asarray(mu, dtype=float)
-    if lu is None:
-        lu = splu(disc.system_matrix(mu))
     tj = theta_j(mu)
     fu = float(disc.load @ u)
     grad = np.zeros(2)

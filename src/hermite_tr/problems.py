@@ -2,8 +2,7 @@
 
 An objective evaluation always returns the value together with its
 gradient and increments the counter by exactly one; the counter is the
-cost metric reported by the experiment harness.  peek() computes the same
-quantities without counting and exists for audits and reference checks.
+cost metric reported by the experiment harness.
 """
 
 from __future__ import annotations
@@ -21,22 +20,18 @@ class Problem:
     """Objective with box bounds and an evaluation counter."""
 
     name: str
-    dim: int
     lower: np.ndarray
     upper: np.ndarray
     fn: Callable[[np.ndarray], tuple]
     counter: int = 0
 
+    @property
+    def dim(self) -> int:
+        return len(self.lower)
+
     def eval(self, x):
         """Counted evaluation of (J, grad J) at x."""
         self.counter += 1
-        return self._compute(x)
-
-    def peek(self, x):
-        """Uncounted evaluation, for audits and reference bookkeeping."""
-        return self._compute(x)
-
-    def _compute(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
@@ -47,10 +42,6 @@ class Problem:
                 "positive; add a larger additive offset"
             )
         return float(val), np.asarray(grad, dtype=float)
-
-    @property
-    def bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
 
 def problem_1d() -> Problem:
@@ -64,7 +55,6 @@ def problem_1d() -> Problem:
 
     return Problem(
         name="one_d",
-        dim=1,
         lower=np.array([-2.0]),
         upper=np.array([2.0]),
         fn=fn,
@@ -84,14 +74,13 @@ def problem_rosenbrock() -> Problem:
 
     return Problem(
         name="rosenbrock",
-        dim=2,
         lower=np.array([-np.inf, -np.inf]),
         upper=np.array([np.inf, np.inf]),
         fn=fn,
     )
 
 
-def problem_pde2d(grid_n: int = 96) -> Problem:
+def problem_pde2d(grid_n: int) -> Problem:
     """Diffusion-control objective driven by the 2D elliptic solver."""
     from .pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve
 
@@ -104,7 +93,6 @@ def problem_pde2d(grid_n: int = 96) -> Problem:
 
     return Problem(
         name="pde2d",
-        dim=2,
         lower=np.array([0.5, 0.5]),
         upper=np.array([np.pi, np.pi]),
         fn=fn,
@@ -119,7 +107,7 @@ PROBLEM_FACTORIES = {
 }
 
 
-def make_problem(name: str, grid_n: int = 96) -> Problem:
+def make_problem(name: str, grid_n: int) -> Problem:
     try:
         factory = PROBLEM_FACTORIES[name]
     except KeyError:

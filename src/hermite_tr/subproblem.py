@@ -65,15 +65,13 @@ class SubproblemResult:
 
 
 def project_box(x, box):
-    """Componentwise clamp onto the box; identity when box is None."""
-    if box is None:
-        return np.asarray(x, dtype=float)
+    """Componentwise clamp onto box = (lower, upper); infinite bounds never clamp."""
     lower, upper = box
     return np.minimum(np.maximum(np.asarray(x, dtype=float), lower), upper)
 
 
 def projected_gradient_norm(x, grad, box) -> float:
-    """Stationarity measure: ||x - P(x - grad)||_inf (plain inf-norm if unboxed)."""
+    """Stationarity measure: ||x - P(x - grad)||_inf (plain inf-norm if unbounded)."""
     return float(np.max(np.abs(x - project_box(x - grad, box))))
 
 
@@ -89,7 +87,7 @@ def constraint_value(s: Surrogate, delta: float, x) -> float:
 
 
 def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemConfig,
-                     box=None, feasible=None):
+                     box, feasible=None):
     """Smallest j with sufficient decrease at x(j) = P(x + kappa_bt^j * direction).
 
     fun maps a point to a scalar objective value; required_decrease maps
@@ -145,7 +143,7 @@ def bfgs_inverse_update(hinv, step, y):
     return hinv
 
 
-def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box=None) -> SubproblemResult:
+def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> SubproblemResult:
     """Minimize the surrogate from x0 subject to the trust-region constraint.
 
     BFGS with identity initialization; the inverse-Hessian update is

@@ -105,11 +105,10 @@ def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
     Block structure (i, j running over centers, l, m over directions):
       [ k(x_i, x_j)          d2_m k(x_i, x_j)      ]
       [ d1_l k(x_i, x_j)     d1_l d2_m k(x_i, x_j) ]
-    Symmetric, and positive definite for pairwise-distinct centers.
+    Symmetric, and positive definite for a TrainingSet's pairwise-distinct points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, p = pts.shape
-    _require_distinct(pts)
 
     diff = pts[:, None, :] - pts[None, :, :]          # (n, n, p)
     r = np.linalg.norm(diff, axis=2)
@@ -296,14 +295,15 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surroga
 
 
 def estimate_norm(kernel: KernelSpec, problem, n_samples: int, sampler_seed: int,
-                  safety: float = 1.0, box=None) -> float:
+                  safety: float, box) -> float:
     """Estimate the target's RKHS norm from a global interpolant.
 
     Fits one interpolant to n_samples seeded points in the problem box
     (see sampled_fit) and returns safety * its norm.  The objective
     evaluations spent here are counted on the problem's counter; callers
-    report them separately from optimization evaluations.  box overrides
-    the sampling region, e.g. for problems without bounds.
+    report them separately from optimization evaluations.  A box other
+    than None overrides the sampling region, e.g. for problems without
+    bounds.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from hermite_tr import baseline
 from hermite_tr.baseline import BaselineConfig, minimize, reference_solution
 from hermite_tr.problems import Problem, problem_1d, problem_rosenbrock
 from hermite_tr.subproblem import projected_gradient_norm
+
+from oracles import peek
 
 
 class TestOneD:
@@ -36,6 +39,25 @@ class TestRosenbrock:
                           BaselineConfig(tau_foc=1e-7, tau_j=1e-16, i_max=500))
         assert report.final_j <= 1.0 + 1e-8
 
+    def test_non_descent_direction_resets_to_steepest_descent(self, monkeypatch):
+        # an update that returns -I turns every quasi-Newton direction
+        # uphill; each line search must then run along the negative gradient
+        monkeypatch.setattr(baseline, "bfgs_inverse_update",
+                            lambda hinv, step, y: -np.eye(step.shape[0]))
+        searches = []
+        backtrack = baseline.armijo_backtrack
+
+        def recording(fun, x, fx, rule, direction, *args, **kwargs):
+            searches.append((x.copy(), direction.copy()))
+            return backtrack(fun, x, fx, rule, direction, *args, **kwargs)
+
+        monkeypatch.setattr(baseline, "armijo_backtrack", recording)
+        p = problem_rosenbrock()
+        minimize(p, np.array([-1.2, 1.0]), BaselineConfig(i_max=3))
+        assert len(searches) == 3
+        for x, direction in searches:
+            np.testing.assert_array_equal(direction, -peek(p, x)[1])
+
 
 class TestBoxConstrained:
     def make_bowl(self):
@@ -45,7 +67,7 @@ class TestBoxConstrained:
             d = x - center
             return float(d @ d + 5.0), 2.0 * d
 
-        return Problem(name="bowl", dim=2,
+        return Problem(name="bowl",
                        lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]), fn=fn)
 
     def test_stops_on_face_with_small_projected_gradient(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermite_tr import driver
 from hermite_tr.driver import (
     Branch,
     NormSource,
@@ -21,6 +22,7 @@ from hermite_tr.driver import (
 from hermite_tr.errors import (
     AssumptionViolationError,
     ConfigError,
+    IllConditionedGramError,
     LineSearchError,
     StalledError,
 )
@@ -28,6 +30,8 @@ from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import problem_1d
 from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
+
+from oracles import peek
 
 
 def cfg_1d(**overrides):
@@ -160,7 +164,7 @@ class TestAcceptanceBranches:
         assert cand is not None, "no inconclusive candidate on the probe grid"
         result = SubproblemResult(candidate=cand, agc=agc, iterates=[agc, cand],
                                   termination=Termination.NEAR_BOUNDARY)
-        j_true = self.problem.peek(cand)[0]
+        j_true = peek(self.problem, cand)[0]
         record = acceptance_step(state, result, self.problem, self.cfg)
         expected = (Branch.ACCEPTED_BY_DIRECT if j_true <= jhat_agc
                     else Branch.REJECTED_BY_DIRECT)
@@ -225,7 +229,7 @@ class TestRun:
     def test_surrogate_true_value_consistency(self):
         problem = problem_1d()
         report = run_1d(problem, 0.725, [1.3])
-        true_j = problem.peek(report.final_iterate)[0]
+        true_j = peek(problem, report.final_iterate)[0]
         assert abs(report.final_j - true_j) <= 1e-8 * (1.0 + abs(true_j))
 
     def test_box_feasibility_of_logged_candidates(self):
@@ -249,7 +253,7 @@ class TestRun:
         def fn(x):
             return float(x[0] ** 2 + 1.0), np.array([-2.0 * x[0]])
 
-        problem = Problem(name="adversarial", dim=1,
+        problem = Problem(name="adversarial",
                           lower=np.array([-2.0]), upper=np.array([2.0]), fn=fn)
         cfg = cfg_1d(max_rejects=1, tau_foc=1e-9, sub=SubproblemConfig(tau_sub=1e-10))
         with pytest.raises(StalledError) as err:
@@ -263,6 +267,38 @@ class TestRun:
             run_1d(problem_1d(), 0.725, [1.5], cfg_1d(max_rejects=1), norm_bound=1e8)
         assert isinstance(err.value.__cause__, (LineSearchError, AssumptionViolationError))
         assert err.value.report.log[-1].branch is Branch.SUBPROBLEM_FAILED
+
+    def test_numerical_error_in_acceptance_carries_partial_report(self, monkeypatch):
+        # the refit after the first candidate's evaluation fails: the error
+        # leaves run with a report that counts the start and the candidate
+        calls = []
+        real_fit = driver.fit
+
+        def failing_second_fit(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise IllConditionedGramError(jitter=1e-10, size=4)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "fit", failing_second_fit)
+        problem = problem_1d()
+        with pytest.raises(IllConditionedGramError) as err:
+            run_1d(problem, 0.725, [1.5])
+        report = err.value.report
+        assert report.termination == "stalled"
+        assert report.fom_evals == problem.counter == 2
+        np.testing.assert_array_equal(report.final_iterate, [1.5])
+
+    def test_small_relative_decrease_exits_as_stagnation(self):
+        # from 1.5 no step can lower J by half of its value (the minimum is
+        # 2), so with tau_j = 0.5 the first accepted step ends the run
+        problem = problem_1d()
+        report = run_1d(problem, 0.725, [1.5], cfg_1d(tau_j=0.5))
+        assert report.termination == "stagnation"
+        assert report.outer_iters == 1
+        assert report.log[-1].branch in (Branch.ACCEPTED_BY_SUFFICIENT,
+                                         Branch.ACCEPTED_BY_DIRECT)
+        assert report.final_j < peek(problem, np.array([1.5]))[0]
 
     def test_conclusive_repeat_failure_exits_as_stagnation(self):
         # an absurd norm bound blocks the very first inner line search; the
@@ -310,14 +346,17 @@ class TestRun:
 
         analytic = NormSource(kind="analytic")
         with pytest.raises(ConfigError):
-            resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 2), problem_rosenbrock())
+            resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 2), problem_rosenbrock(),
+                               box=None)
         with pytest.raises(ConfigError):
-            resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d())
-        assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d()) \
+            resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d(), box=None)
+        assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d(),
+                                  box=None) \
             == (analytic_norm_1d_gaussian(1.0), 0)
         # a fixed bound spends no evaluations, whatever the kernel and problem
         assert resolve_norm_bound(NormSource(kind="fixed", value=3.0),
-                                  make_kernel("gaussian", 1.0, 2), problem_rosenbrock()) == (3.0, 0)
+                                  make_kernel("gaussian", 1.0, 2), problem_rosenbrock(),
+                                  box=None) == (3.0, 0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -143,6 +143,12 @@ class TestLoadConfig:
             {**MINIMAL, "trust_region": {"norm_safety": 0.5}},
             {**MINIMAL, "trust_region": {"norm_seed": -3}},
             {**MINIMAL, "seed": -1},
+            # YAML booleans are not numbers
+            {**MINIMAL, "n_starts": True},
+            {**MINIMAL, "trust_region": {"tau_foc": True}},
+            {**MINIMAL, "trust_region": {"norm_source": "fixed", "norm_value": True}},
+            {"problem": "one_d", "kernel": {"family": "gaussian", "shape": True}},
+            {**MINIMAL, "start_box": [[False], [True]]},
         ):
             with pytest.raises(ConfigError):
                 config_from_dict(dict(data))
@@ -184,8 +190,8 @@ class TestLoadConfig:
 class TestProtocol:
     def test_starts_deterministic_and_shared(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        a = sample_starts(cfg, make_problem(cfg.problem))
-        b = sample_starts(cfg, make_problem(cfg.problem))
+        a = sample_starts(cfg, make_problem(cfg.problem, grid_n=cfg.grid_n))
+        b = sample_starts(cfg, make_problem(cfg.problem, grid_n=cfg.grid_n))
         np.testing.assert_array_equal(a, b)
         assert a.shape == (2, 1)
         assert np.all((-2 <= a) & (a <= 2))
@@ -257,6 +263,32 @@ class TestGoldenOutputs:
         "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
         "rosenbrock": "8c45c6d2a44cfea23fe43b564947f954aba666639ef279b281499d47d35a716a",
     }
+    # sha256 of the file the reference and power-field commands write, with
+    # their default arguments, under the same conditions
+    COMMAND_SHA256 = {
+        ("reference", "one_d"):
+            "b2211197d41c28707845c33d391d7a3e8543e3308307189ac6d473869c9f567b",
+        ("reference", "rosenbrock"):
+            "2f462f661a6afa87c14f45c3991470aca17e4d5bc84567dbff3cbe205f16086a",
+        ("power-field", "one_d"):
+            "f1502458344ed6922325191a3e573d128b79b95dc54f6b2a1c9a5001676a61bb",
+        ("power-field", "rosenbrock"):
+            "fe16f9924d68c023aaf6e328b620c9e73db6abcde44c1cf6806cd5933727e2bf",
+    }
+    OUTPUT_FILE = {"run": "summary.csv", "reference": "reference.json",
+                   "power-field": "power_field.csv"}
+
+    def _cli_digest(self, command, name, tmp_path):
+        """sha256 of the file `hermite-tr <command>` writes for a bundled config."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(tmp_path / "out"),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "hermite_tr.cli", command,
+                        str(CONFIG_DIR / f"{name}.yaml")],
+                       env=env, check=True, capture_output=True)
+        path = tmp_path / "out" / self.OUTPUT_FILE[command]
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
     def test_bundled_summary_unchanged(self, name, tmp_path):
@@ -267,15 +299,12 @@ class TestGoldenOutputs:
         updates the hash here and records the change, with its reason, in
         CHANGES.md.
         """
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(tmp_path / "out"),
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "hermite_tr.cli", "run",
-                        str(CONFIG_DIR / f"{name}.yaml")],
-                       env=env, check=True, capture_output=True)
-        digest = hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest()
-        assert digest == self.SUMMARY_SHA256[name]
+        assert self._cli_digest("run", name, tmp_path) == self.SUMMARY_SHA256[name]
+
+    @pytest.mark.parametrize("command,name", sorted(COMMAND_SHA256))
+    def test_bundled_command_output_unchanged(self, command, name, tmp_path):
+        """reference.json and power_field.csv keep their bytes, as summary.csv does."""
+        assert self._cli_digest(command, name, tmp_path) == self.COMMAND_SHA256[command, name]
 
 
 class TestPowerField:
@@ -329,6 +358,7 @@ class TestCli:
             "problem: one_d\nkernel:\n  family: gaussian\n  shape: 0.5\n"
             "trust_region:\n  norm_source: analytic\n",
             "problem: pde2d\ngrid_n: 3\nkernel:\n  family: quad_matern\n  shape: 0.4\n",
+            "problem: one_d\nn_starts: true\nkernel:\n  family: gaussian\n  shape: 1.0\n",
         ):
             bad.write_text(body)
             assert cli_main(["run", str(bad)]) == 2

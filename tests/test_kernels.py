@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_tr.kernels import KernelSpec, cross_hessian, grad1, make_kernel, radial_profiles, value
+from hermite_tr.kernels import KernelSpec, make_kernel, radial_profiles
 
 from conftest import ALL_FAMILIES, kernel_for
+from oracles import cross_hessian, grad1, value
 
 
 def fd_grad1(kernel, x, y, h=1e-6):

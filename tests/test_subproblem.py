@@ -20,6 +20,13 @@ from hermite_tr.subproblem import (
 )
 from hermite_tr.surrogate import TrainingSet, fit
 
+from oracles import peek
+
+
+def unbounded(dim):
+    """Box with infinite bounds, which project_box leaves every point in."""
+    return (np.full(dim, -np.inf), np.full(dim, np.inf))
+
 
 def quadratic_surrogate(center=0.0, offset=2.0, half_width=2.0, n=21, eps=1.0):
     """Surrogate fitted densely to q(u) = (u - center)^2 + offset on 1D."""
@@ -51,7 +58,7 @@ class TestProjection:
 
     def test_unbounded_identity(self):
         x = np.array([5.0, -7.0])
-        np.testing.assert_array_equal(project_box(x, None), x)
+        np.testing.assert_array_equal(project_box(x, unbounded(2)), x)
 
     def test_projected_gradient_measure(self):
         box = (np.array([0.0]), np.array([1.0]))
@@ -84,7 +91,7 @@ class TestConstraint:
             constraint_value(s, 0.5, np.array([0.0]))
 
 
-def surrogate_backtrack(s, x, direction, cfg, box=None):
+def surrogate_backtrack(s, x, direction, cfg, box):
     """armijo_backtrack on the surrogate with the angle rule solve uses."""
     grad = s.gradient(x)
     grad_norm = float(np.linalg.norm(grad))
@@ -104,7 +111,8 @@ class TestArmijoSearch:
         # minimizer with decrease 1 >= 2e-4
         s = quadratic_surrogate(center=0.0, offset=2.0)
         cfg = SubproblemConfig(kappa_bt=0.5, kappa_arm=1e-4)
-        point, j = surrogate_backtrack(s, np.array([1.0]), np.array([-2.0]), cfg)
+        point, j = surrogate_backtrack(s, np.array([1.0]), np.array([-2.0]), cfg,
+                                       unbounded(1))
         assert j == 1
         assert point[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -112,7 +120,7 @@ class TestArmijoSearch:
         s = quadratic_surrogate()
         cfg = SubproblemConfig()
         box = (np.array([0.0]), np.array([2.0]))
-        point, j = surrogate_backtrack(s, np.array([1.0]), np.array([-4.0]), cfg, box=box)
+        point, j = surrogate_backtrack(s, np.array([1.0]), np.array([-4.0]), cfg, box)
         assert j == 0
         assert point[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -121,7 +129,7 @@ class TestSolve:
     def test_stationary_start(self):
         s = quadratic_surrogate()
         cfg = SubproblemConfig(tau_sub=1e-6)
-        res = solve(s, np.array([0.0]), delta=1.0, cfg=cfg)
+        res = solve(s, np.array([0.0]), delta=1.0, cfg=cfg, box=unbounded(1))
         assert res.termination is Termination.STATIONARY_INNER
         np.testing.assert_array_equal(res.candidate, [0.0])
         np.testing.assert_array_equal(res.agc, [0.0])
@@ -131,7 +139,7 @@ class TestSolve:
         # closed-form oracle: the bowl's minimizer is its center
         s = quadratic_surrogate(center=0.4)
         cfg = SubproblemConfig(tau_sub=1e-7)
-        res = solve(s, np.array([1.3]), delta=1e3, cfg=cfg)
+        res = solve(s, np.array([1.3]), delta=1e3, cfg=cfg, box=unbounded(1))
         assert res.termination is Termination.STATIONARY_INNER
         assert abs(res.candidate[0] - 0.4) <= 1e-4
         g = s.gradient(res.candidate)
@@ -149,14 +157,15 @@ class TestSolve:
                 norm_bound=12.0)
         cfg = SubproblemConfig(tau_sub=1e-8, beta2=0.95)
         delta = 0.5
-        res = solve(s, np.array([mu]), delta=delta, cfg=cfg)
+        res = solve(s, np.array([mu]), delta=delta, cfg=cfg, box=unbounded(1))
         assert res.termination is Termination.NEAR_BOUNDARY
         ratio = s.norm_bound * s.power(res.candidate) / s.value(res.candidate)
         assert cfg.beta2 * delta <= ratio <= delta
 
     def test_inner_values_strictly_decrease(self):
         s = quadratic_surrogate(center=-0.3)
-        res = solve(s, np.array([1.7]), delta=10.0, cfg=SubproblemConfig(tau_sub=1e-7))
+        res = solve(s, np.array([1.7]), delta=10.0, cfg=SubproblemConfig(tau_sub=1e-7),
+                    box=unbounded(1))
         values = [s.value(np.array([1.7]))] + [s.value(p) for p in res.iterates]
         for a, b in zip(values, values[1:]):
             assert b < a
@@ -167,7 +176,7 @@ class TestSolve:
         s = quadratic_surrogate(center=0.2)
         cfg = SubproblemConfig()
         x0 = np.array([1.4])
-        res = solve(s, x0, delta=10.0, cfg=cfg)
+        res = solve(s, x0, delta=10.0, cfg=cfg, box=unbounded(1))
         g0 = s.gradient(x0)
         lhs = s.value(x0) - s.value(res.agc)
         rhs = cfg.kappa_arm * np.linalg.norm(g0) * np.linalg.norm(x0 - res.agc)
@@ -176,7 +185,8 @@ class TestSolve:
     def test_feasibility_at_accepted_iterates(self):
         s = quadratic_surrogate()
         delta = 0.05
-        res = solve(s, np.array([1.2]), delta=delta, cfg=SubproblemConfig(tau_sub=1e-9))
+        res = solve(s, np.array([1.2]), delta=delta, cfg=SubproblemConfig(tau_sub=1e-9),
+                    box=unbounded(1))
         for p in res.iterates:
             assert constraint_value(s, delta, p) >= -1e-12
 
@@ -193,7 +203,7 @@ class TestSolve:
 
     def test_agc_is_first_iterate(self):
         s = quadratic_surrogate(center=0.6)
-        res = solve(s, np.array([1.9]), delta=1e3, cfg=SubproblemConfig())
+        res = solve(s, np.array([1.9]), delta=1e3, cfg=SubproblemConfig(), box=unbounded(1))
         assert res.iterates, "expected at least one accepted inner step"
         np.testing.assert_array_equal(res.agc, res.iterates[0])
 
@@ -202,7 +212,8 @@ class TestSolve:
         # a huge norm bound makes the start violate the ratio constraint
         inflated = fit(s.kernel, s.training, norm_bound=1e12)
         with pytest.raises(AssumptionViolationError):
-            solve(inflated, np.array([1.9]), delta=1e-8, cfg=SubproblemConfig())
+            solve(inflated, np.array([1.9]), delta=1e-8, cfg=SubproblemConfig(),
+                  box=unbounded(1))
 
     def test_trial_below_positivity_floor_is_infeasible(self, monkeypatch):
         # a steep line through the data: the full steepest-descent step
@@ -223,12 +234,33 @@ class TestSolve:
 
         monkeypatch.setattr(subproblem, "armijo_backtrack", recording)
         delta = 0.5
-        res = solve(s, np.array([0.0]), delta=delta, cfg=SubproblemConfig(l_max=1))
+        res = solve(s, np.array([0.0]), delta=delta, cfg=SubproblemConfig(l_max=1),
+                    box=unbounded(1))
         assert s.value(trials[0]) <= POSITIVITY_FLOOR
         np.testing.assert_array_equal(res.agc, trials[-1])
         assert len(trials) > 1
         assert s.value(res.agc) > POSITIVITY_FLOOR
         assert constraint_value(s, delta, res.agc) >= 0.0
+
+    def test_non_descent_direction_resets_to_steepest_descent(self, monkeypatch):
+        # an update that returns -I turns every BFGS direction uphill; each
+        # line search must then run along the negative gradient
+        monkeypatch.setattr(subproblem, "bfgs_inverse_update",
+                            lambda hinv, step, y: -np.eye(step.shape[0]))
+        searches = []
+        backtrack = subproblem.armijo_backtrack
+
+        def recording(fun, x, fx, rule, direction, *args, **kwargs):
+            searches.append((x.copy(), direction.copy()))
+            return backtrack(fun, x, fx, rule, direction, *args, **kwargs)
+
+        monkeypatch.setattr(subproblem, "armijo_backtrack", recording)
+        s = quadratic_surrogate(center=0.4)
+        solve(s, np.array([1.3]), delta=1e3,
+              cfg=SubproblemConfig(kappa_bt=0.3, tau_sub=1e-12, l_max=3), box=unbounded(1))
+        assert len(searches) == 3
+        for x, direction in searches:
+            np.testing.assert_array_equal(direction, -s.gradient(x))
 
     def test_candidate_never_above_agc(self, family):
         """The candidate's surrogate value never exceeds the one at the AGC point.
@@ -245,7 +277,7 @@ class TestSolve:
         terminations = set()
         for seed in range(3):
             pts = np.random.default_rng(seed).uniform(-1.5, 1.5, (6, 2))
-            vals, grads = map(np.array, zip(*(problem.peek(x) for x in pts)))
+            vals, grads = map(np.array, zip(*(peek(problem, x) for x in pts)))
             s = fit(kernel, TrainingSet(pts, vals, grads), norm_bound=float(vals.max()))
             # the outer loop starts each inner solve at a center; short
             # backtracking budgets make the line search fail after the AGC
@@ -253,7 +285,8 @@ class TestSolve:
                 for delta in (1e-3, 0.1, 2.0):
                     for j_max in (12, 18, 24):
                         try:
-                            res = solve(s, x0, delta, SubproblemConfig(j_max=j_max))
+                            res = solve(s, x0, delta, SubproblemConfig(j_max=j_max),
+                                        unbounded(2))
                         except (LineSearchError, AssumptionViolationError):
                             continue
                         terminations.add(res.termination)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from hermite_tr.errors import DuplicatePointsError
-from hermite_tr.kernels import cross_hessian, grad1, make_kernel, value
+from hermite_tr.kernels import make_kernel
 from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit
 
 from conftest import kernel_for
+from oracles import grad1, value
 
 
 def synthetic_member(kernel, centers, coeffs):
@@ -54,9 +55,9 @@ class TestGram:
         assert np.linalg.eigvalsh(M).min() > 0
 
     def test_duplicate_points_named(self):
-        k = make_kernel("gaussian", 1.0, 1)
+        pts = np.array([[0.0], [1.0], [0.0]])
         with pytest.raises(DuplicatePointsError) as err:
-            assemble_gram(k, np.array([[0.0], [1.0], [0.0]]))
+            TrainingSet(pts, np.zeros(3), np.zeros((3, 1)))
         assert set(err.value.indices) == {0, 2}
 
 
@@ -369,7 +370,7 @@ class TestEstimateNorm:
         zs = rng.uniform(-1.5, 1.5, (5, 2))
         cs = rng.normal(size=5)
         problem, exact = _expansion_problem(k, zs, cs)
-        est = estimate_norm(k, problem, n_samples=40, sampler_seed=5)
+        est = estimate_norm(k, problem, n_samples=40, sampler_seed=5, safety=1.0, box=None)
         assert est == pytest.approx(exact, rel=0.05)
         assert problem.counter == 40
 
@@ -378,7 +379,7 @@ class TestEstimateNorm:
         zs = rng.uniform(-1, 1, (4, 2))
         problem, _ = _expansion_problem(k, zs, rng.normal(size=4))
         estimates = [
-            estimate_norm(k, problem, n_samples=n, sampler_seed=17)
+            estimate_norm(k, problem, n_samples=n, sampler_seed=17, safety=1.0, box=None)
             for n in (5, 10, 20, 40)
         ]
         for a, b in zip(estimates, estimates[1:]):
@@ -388,6 +389,6 @@ class TestEstimateNorm:
         k = make_kernel("gaussian", 1.0, 2)
         zs = rng.uniform(-1, 1, (3, 2))
         problem, _ = _expansion_problem(k, zs, rng.normal(size=3))
-        base = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=1.0)
-        doubled = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=2.0)
+        base = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=1.0, box=None)
+        doubled = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=2.0, box=None)
         assert doubled == 2.0 * base
