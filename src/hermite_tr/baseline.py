@@ -58,13 +58,11 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
     fx, grad = problem.eval(x)
     dim = x.shape[0]
     hinv = np.eye(dim)
-    cache = {}
 
     def fun(point):
-        val, g = problem.eval(point)
-        cache["point"] = point
-        cache["grad"] = g
-        return val
+        # rejected trials never need their gradient; the accepted one, the
+        # last trial evaluated, fetches it below
+        return problem.eval(point, gradient=False)[0]
 
     termination = "max_iters"
     iters = 0
@@ -104,7 +102,7 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
                 report=_report(problem, x, fx, grad, box, iters,
                                evals_before, "stalled", log),
             ) from None
-        grad_new = cache["grad"]
+        grad_new = problem.gradient(x_new)
 
         clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
         if clipped and not np.any((x <= problem.lower) | (x >= problem.upper)):

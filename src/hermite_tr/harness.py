@@ -23,7 +23,7 @@ from .baseline import BaselineConfig, minimize, reference_solution
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
 from .errors import ConfigError, HermiteTrError
 from .kernels import FAMILIES, make_kernel
-from .problems import PROBLEM_FACTORIES, bounded_box, make_problem
+from .problems import BOXES, PROBLEM_FACTORIES, bounded_box, make_problem
 from .subproblem import SubproblemConfig
 from .surrogate import sampled_fit
 
@@ -58,7 +58,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.start_box is not None:
-            dim = make_problem(self.problem, grid_n=self.grid_n).dim
+            dim = len(BOXES[self.problem][0])
             lower, upper = self.start_box
             if len(lower) != dim or len(upper) != dim or \
                     not all(lo <= hi for lo, hi in zip(lower, upper)):

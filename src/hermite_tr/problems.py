@@ -1,13 +1,16 @@
 """Benchmark objectives behind a common evaluation-counting interface.
 
-An objective evaluation always returns the value together with its
-gradient and increments the counter by exactly one; the counter is the
-cost metric reported by the experiment harness.
+Every objective evaluation goes through Problem.eval and increments the
+counter by exactly one; the counter is the cost metric reported by the
+experiment harness.  A memo keyed by the exact bytes of the point serves
+a repeated point without calling the objective again, and a caller that
+needs only the value can leave the gradient uncomputed until it asks for
+it.  Both save wall time only: each request still counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,31 +20,81 @@ from .errors import AssumptionViolationError, ConfigError
 
 @dataclass
 class Problem:
-    """Objective with box bounds and an evaluation counter."""
+    """Objective with box bounds, an evaluation counter and a memo of evaluated points.
+
+    fn maps a point to (J, g), where g is a zero-argument callable that
+    computes grad J, so the gradient costs nothing until it is asked for.
+    """
 
     name: str
     lower: np.ndarray
     upper: np.ndarray
     fn: Callable[[np.ndarray], tuple]
     counter: int = 0
+    # x.tobytes() -> [J, grad J, or None while it is deferred]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    # (x.tobytes(), callable) of the one point whose gradient is deferred
+    _deferred: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    def eval(self, x):
-        """Counted evaluation of (J, grad J) at x."""
-        self.counter += 1
-        x = np.asarray(x, dtype=float)
+    def eval(self, x, gradient=True):
+        """Counted evaluation of (J, grad J) at x, or (J, None) with gradient=False.
+
+        Without the gradient, the means to compute it (for pde2d, the
+        factor of A(mu)) stay held until the next new point, and
+        gradient(x) fetches it without counting again.
+        """
+        x = np.array(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        val, grad = self.fn(x)
-        if not val > 0.0:
-            raise AssumptionViolationError(
-                f"{self.name}: objective value {val:.3e} at {x} is not strictly "
-                "positive; add a larger additive offset"
-            )
-        return float(val), np.asarray(grad, dtype=float)
+        self.counter += 1
+        key = x.tobytes()
+        entry = self._memo.get(key)
+        if entry is None:
+            self._deferred = None   # release the held factor before the next one
+            val, grad = self.fn(x)
+            if not val > 0.0:
+                raise AssumptionViolationError(
+                    f"{self.name}: objective value {val:.3e} at {x} is not strictly "
+                    "positive; add a larger additive offset"
+                )
+            entry = self._memo[key] = [float(val), None]
+            self._deferred = (key, grad)
+        return entry[0], self.gradient(x) if gradient else None
+
+    def gradient(self, x):
+        """grad J at a point eval has counted, as a fresh array; counts nothing."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        entry = self._memo.get(key)
+        if entry is None:
+            raise ValueError(f"{self.name}: no counted evaluation at {x}")
+        if entry[1] is None:
+            deferred, self._deferred = self._deferred, None
+            if deferred is not None and deferred[0] == key:
+                grad = deferred[1]
+            else:
+                # its factor is gone: solve again, with the same bits
+                grad = self.fn(x)[1]
+            entry[1] = np.asarray(grad(), dtype=float)
+        return entry[1].copy()
+
+
+# name -> (lower, upper) bounds; a problem's dimension is their length, so
+# it is known without building the problem
+BOXES = {
+    "one_d": ((-2.0,), (2.0,)),
+    "rosenbrock": ((-np.inf, -np.inf), (np.inf, np.inf)),
+    "pde2d": ((0.5, 0.5), (np.pi, np.pi)),
+}
+
+
+def _boxed(name, fn) -> Problem:
+    lower, upper = BOXES[name]
+    return Problem(name=name, lower=np.array(lower), upper=np.array(upper), fn=fn)
 
 
 def problem_1d() -> Problem:
@@ -51,14 +104,9 @@ def problem_1d() -> Problem:
         mu = x[0]
         val = -np.exp(-mu**2) + 3.0 * np.exp(-0.001 * mu**2)
         grad = 2.0 * mu * np.exp(-mu**2) - 0.006 * mu * np.exp(-0.001 * mu**2)
-        return val, np.array([grad])
+        return val, lambda: np.array([grad])
 
-    return Problem(
-        name="one_d",
-        lower=np.array([-2.0]),
-        upper=np.array([2.0]),
-        fn=fn,
-    )
+    return _boxed("one_d", fn)
 
 
 def problem_rosenbrock() -> Problem:
@@ -70,14 +118,9 @@ def problem_rosenbrock() -> Problem:
         grad = np.array(
             [-2.0 * (1.0 - a) - 400.0 * a * (b - a**2), 200.0 * (b - a**2)]
         )
-        return val, grad
+        return val, lambda: grad
 
-    return Problem(
-        name="rosenbrock",
-        lower=np.array([-np.inf, -np.inf]),
-        upper=np.array([np.inf, np.inf]),
-        fn=fn,
-    )
+    return _boxed("rosenbrock", fn)
 
 
 def problem_pde2d(grid_n: int) -> Problem:
@@ -88,15 +131,9 @@ def problem_pde2d(grid_n: int) -> Problem:
 
     def fn(mu):
         u, val, lu = pde2d_solve(disc, mu)
-        grad = pde2d_gradient(disc, mu, u, lu=lu)
-        return val, grad
+        return val, lambda: pde2d_gradient(disc, mu, u, lu=lu)
 
-    return Problem(
-        name="pde2d",
-        lower=np.array([0.5, 0.5]),
-        upper=np.array([np.pi, np.pi]),
-        fn=fn,
-    )
+    return _boxed("pde2d", fn)
 
 
 # name -> factory taking the grid size, which only the PDE problem uses

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import (
     DuplicatePointsError,
@@ -228,7 +229,14 @@ class Surrogate:
             b = self._eval_vector(memo, order=order)
             diag = self.kernel.diag_value if order is None else self.kernel.cross_diag
             bs = b * self._scale
-            q = diag - float(bs @ cho_solve(self._cho, bs))
+            # cho_solve's LAPACK call without its wrapper's overhead
+            if not np.all(np.isfinite(bs)):
+                raise ValueError("array must not contain infs or NaNs")
+            factor, lower = self._cho
+            solved, info = dpotrs(factor, bs, lower=lower)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+            q = diag - float(bs @ solved)
             memo.power[order] = float(np.sqrt(max(q, 0.0)))
         return memo.power[order]
 

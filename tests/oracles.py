@@ -3,12 +3,15 @@
 The package evaluates kernels only in vectorized form (Gram blocks and
 kernel vectors from radial profiles) and counts every objective call.
 These helpers state the same quantities one pair or one point at a time,
-so tests can check the vectorized paths against them.
+so tests can check the vectorized paths against them.  plain_pde2d is
+the PDE solve without the reused column order.
 """
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from hermite_tr.kernels import KernelSpec, radial_profiles
+from hermite_tr.pde2d import theta_derivs, theta_j
 
 
 def _check_pair(kernel, x, y):
@@ -47,4 +50,16 @@ def cross_hessian(kernel: KernelSpec, x, y) -> np.ndarray:
 def peek(problem, x):
     """(J, grad J) at x from the problem's function, leaving its counter alone."""
     val, grad = problem.fn(np.asarray(x, dtype=float))
-    return float(val), np.asarray(grad, dtype=float)
+    return float(val), np.asarray(grad(), dtype=float)
+
+
+def plain_pde2d(disc, mu):
+    """(u, J, grad J) at mu from a fresh splu of A(mu) and its sensitivity solves."""
+    lu = splu(disc.system_matrix(mu))
+    u = lu.solve(disc.load)
+    fu = float(disc.load @ u)
+    grad = np.zeros(2)
+    for m, (dt1, dt2) in enumerate(theta_derivs(mu)):
+        du = lu.solve(-(dt1 * disc.a1 + dt2 * disc.a2) @ u)
+        grad[m] = 0.2 * fu + theta_j(mu) * float(disc.load @ du)
+    return u, theta_j(mu) * fu, grad

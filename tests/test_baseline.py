@@ -65,7 +65,7 @@ class TestBoxConstrained:
 
         def fn(x):
             d = x - center
-            return float(d @ d + 5.0), 2.0 * d
+            return float(d @ d + 5.0), lambda: 2.0 * d
 
         return Problem(name="bowl",
                        lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]), fn=fn)

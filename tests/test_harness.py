@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hermite_tr import harness, pde2d
 from hermite_tr.baseline import BaselineConfig
 from hermite_tr.cli import main as cli_main
 from hermite_tr.driver import NormSource, TRConfig
@@ -23,7 +24,7 @@ from hermite_tr.harness import (
     run_experiment,
     sample_starts,
 )
-from hermite_tr.problems import make_problem
+from hermite_tr.problems import Problem, make_problem
 from hermite_tr.subproblem import SubproblemConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -85,6 +86,12 @@ BUNDLED = {
         "baseline": {"tau_foc": 1e-4, "tau_j": 1e-12},
     },
 }
+
+
+def small_pde2d():
+    """The bundled pde2d config on a 24 x 24 grid with two starts."""
+    data = yaml.safe_load((CONFIG_DIR / "pde2d.yaml").read_text())
+    return {**data, "grid_n": 24, "n_starts": 2}
 
 
 def tiny_config(tmp_path, **extra):
@@ -253,6 +260,51 @@ class TestProtocol:
         assert out == target
         assert (target / "summary.csv").exists()
 
+    def test_start_box_checked_without_building_the_problem(self, monkeypatch):
+        def build(grid_n):
+            raise AssertionError("config check assembled the PDE")
+
+        monkeypatch.setattr(pde2d.Pde2dDiscretization, "build", staticmethod(build))
+        base = {"problem": "pde2d", "kernel": {"family": "quad_matern", "shape": 0.4}}
+        cfg = config_from_dict({**base, "start_box": [[0.5, 0.5], [2.0, 3.0]]})
+        assert cfg.start_box == ((0.5, 0.5), (2.0, 3.0))
+        with pytest.raises(ConfigError):
+            config_from_dict({**base, "start_box": [[0.5], [2.0]]})
+
+    def test_pde2d_solves_once_per_distinct_point(self, monkeypatch):
+        # the small pde2d experiment of TestGoldenOutputs: 191 counted
+        # evaluations, as before the memo, at 170 distinct points
+        solves, gradients, points, problems = [], [], [], []
+        solve, gradient, evaluate = pde2d.pde2d_solve, pde2d.pde2d_gradient, Problem.eval
+
+        def counted_solve(disc, mu):
+            solves.append(1)
+            return solve(disc, mu)
+
+        def counted_gradient(*args, **kwargs):
+            gradients.append(1)
+            return gradient(*args, **kwargs)
+
+        def recorded_eval(self, x, gradient=True):
+            points.append(np.asarray(x, dtype=float).tobytes())
+            return evaluate(self, x, gradient)
+
+        def kept(name, grid_n):
+            problems.append(make_problem(name, grid_n=grid_n))
+            return problems[-1]
+
+        monkeypatch.setattr(pde2d, "pde2d_solve", counted_solve)
+        monkeypatch.setattr(pde2d, "pde2d_gradient", counted_gradient)
+        monkeypatch.setattr(Problem, "eval", recorded_eval)
+        monkeypatch.setattr(harness, "make_problem", kept)
+        run_experiment(config_from_dict(small_pde2d()))
+        [problem] = problems
+        assert problem.counter == len(points) == 191
+        assert len(solves) == len(set(points)) == 170
+        # 83 points are only ever rejected line-search trials of the
+        # reference and baseline runs; their gradients are never computed
+        assert len(gradients) == 87
+
 
 class TestGoldenOutputs:
     # sha256 of summary.csv from the bundled configs, written by the CLI in
@@ -278,14 +330,18 @@ class TestGoldenOutputs:
     OUTPUT_FILE = {"run": "summary.csv", "reference": "reference.json",
                    "power-field": "power_field.csv"}
 
-    def _cli_digest(self, command, name, tmp_path):
-        """sha256 of the file `hermite-tr <command>` writes for a bundled config."""
+    # the same for small_pde2d(), recorded before the memo, the reused
+    # column order and the deferred gradient went in
+    SMALL_PDE2D_SHA256 = "1ea00319ddcc85b3a286ea45bb3c3e2e255b659dbbff6987a42bff946d30af31"
+
+    def _cli_digest(self, command, config, tmp_path):
+        """sha256 of the file `hermite-tr <command>` writes for a config file."""
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(tmp_path / "out"),
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-m", "hermite_tr.cli", command,
-                        str(CONFIG_DIR / f"{name}.yaml")],
+                        str(config)],
                        env=env, check=True, capture_output=True)
         path = tmp_path / "out" / self.OUTPUT_FILE[command]
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -299,12 +355,20 @@ class TestGoldenOutputs:
         updates the hash here and records the change, with its reason, in
         CHANGES.md.
         """
-        assert self._cli_digest("run", name, tmp_path) == self.SUMMARY_SHA256[name]
+        digest = self._cli_digest("run", CONFIG_DIR / f"{name}.yaml", tmp_path)
+        assert digest == self.SUMMARY_SHA256[name]
 
     @pytest.mark.parametrize("command,name", sorted(COMMAND_SHA256))
     def test_bundled_command_output_unchanged(self, command, name, tmp_path):
         """reference.json and power_field.csv keep their bytes, as summary.csv does."""
-        assert self._cli_digest(command, name, tmp_path) == self.COMMAND_SHA256[command, name]
+        digest = self._cli_digest(command, CONFIG_DIR / f"{name}.yaml", tmp_path)
+        assert digest == self.COMMAND_SHA256[command, name]
+
+    def test_small_pde2d_summary_unchanged(self, tmp_path):
+        """The PDE layer keeps its bits: a 24 x 24 pde2d run, about 1 s."""
+        config = tmp_path / "pde2d_small.yaml"
+        config.write_text(yaml.safe_dump(small_pde2d()))
+        assert self._cli_digest("run", config, tmp_path) == self.SMALL_PDE2D_SHA256
 
 
 class TestPowerField:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hermite_tr import pde2d
 from hermite_tr.errors import AssumptionViolationError, ConfigError
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
@@ -14,7 +15,7 @@ from hermite_tr.problems import (
     problem_rosenbrock,
 )
 
-from oracles import peek
+from oracles import peek, plain_pde2d
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -46,6 +47,12 @@ class TestOneD:
         p.eval(np.array([0.5]))
         p.eval(np.array([0.7]))
         assert p.counter == 2
+
+    def test_malformed_point_not_counted(self):
+        p = problem_1d()
+        with pytest.raises(ValueError):
+            p.eval(np.zeros(2))
+        assert p.counter == 0
 
     def test_positive_on_box(self, rng):
         p = problem_1d()
@@ -80,11 +87,93 @@ class TestRosenbrock:
 class TestPositivityGuard:
     def test_guard_raises(self):
         def fn(x):
-            return -1.0, np.zeros(1)
+            return -1.0, lambda: np.zeros(1)
 
         p = Problem(name="neg", lower=np.array([-1.0]), upper=np.array([1.0]), fn=fn)
         with pytest.raises(AssumptionViolationError):
             p.eval(np.array([0.0]))
+
+
+class TestMemo:
+    """Repeated points and deferred gradients save work, never a count or a bit."""
+
+    @staticmethod
+    def counting(problem):
+        """problem with its fn wrapped to count the objective calls it makes."""
+        calls = []
+        fn = problem.fn
+
+        def counted(x):
+            calls.append(x.tobytes())
+            return fn(x)
+
+        problem.fn = counted
+        return problem, calls
+
+    def test_hit_counts_and_returns_equal_bits_in_a_fresh_array(self):
+        p, calls = self.counting(problem_pde2d(grid_n=24))
+        x = np.array([1.3, 2.2])
+        val, grad = p.eval(x)
+        grad_copy = grad.copy()
+        grad[:] = 0.0                       # the caller's array is its own
+        val2, grad2 = p.eval(x.copy())
+        assert p.counter == 2 and len(calls) == 1
+        assert val2 == val
+        assert grad2.tobytes() == grad_copy.tobytes()
+
+    def test_deferred_gradient_has_the_same_bits(self, monkeypatch):
+        x = np.array([0.9, 2.8])
+        full_val, full_grad = problem_pde2d(grid_n=24).eval(x)
+        gradients = []
+        monkeypatch.setattr(pde2d, "pde2d_gradient",
+                            lambda *a, **k: gradients.append(1) or pde2d_gradient(*a, **k))
+        p = problem_pde2d(grid_n=24)
+        val, none = p.eval(x, gradient=False)
+        assert none is None and gradients == []
+        grad = p.gradient(x)
+        assert p.counter == 1 and len(gradients) == 1
+        assert val == full_val and grad.tobytes() == full_grad.tobytes()
+        # later requests take the memoized gradient
+        assert p.eval(x)[1].tobytes() == grad.tobytes() and len(gradients) == 1
+
+    def test_deferred_factor_released_before_the_next_solve(self):
+        p, calls = self.counting(problem_pde2d(grid_n=24))
+        held = []
+        fn = p.fn
+
+        def fn_checking(x):
+            held.append(p._deferred)
+            return fn(x)
+
+        p.fn = fn_checking
+        x1, x2 = np.array([1.0, 1.0]), np.array([2.0, 3.0])
+        p.eval(x1, gradient=False)
+        p.eval(x2, gradient=False)
+        assert held == [None, None]
+        # x1's factor is gone, so its gradient costs one more solve, uncounted
+        grad = p.gradient(x1)
+        assert len(calls) == 3 and p.counter == 2 and held == [None, None, None]
+        assert grad.tobytes() == problem_pde2d(grid_n=24).eval(x1)[1].tobytes()
+
+    def test_gradient_needs_a_counted_point(self):
+        p = problem_1d()
+        p.eval(np.array([0.5]))
+        with pytest.raises(ValueError):
+            p.gradient(np.array([0.25]))
+        assert p.counter == 1
+
+    def test_failed_evaluation_not_memoized(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return -1.0, lambda: np.zeros(1)
+
+        p = Problem(name="neg", lower=np.array([-1.0]), upper=np.array([1.0]), fn=fn)
+        for _ in range(2):
+            with pytest.raises(AssumptionViolationError):
+                p.eval(np.array([0.0]))
+        assert p.counter == 2 and len(calls) == 2
 
 
 MANUFACTURED_J = 1.4 * (np.pi**2 / 2.0) / (1.1 + np.sin(1.0))
@@ -159,6 +248,24 @@ class TestPde2d:
         u, _, lu = pde2d_solve(disc, mu)
         g = pde2d_gradient(disc, mu, u, lu=lu)
         assert g[1] < 0
+
+    @pytest.mark.parametrize("grid_n", [24, 96])
+    def test_same_bits_as_plain_splu(self, grid_n):
+        # every solve after the first reuses the first one's column order;
+        # state, value and gradient keep the bits of a fresh splu
+        disc = Pde2dDiscretization.build(grid_n)
+        problem = problem_pde2d(grid_n=grid_n)
+        rng = np.random.default_rng(grid_n)
+        for _ in range(20):
+            mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
+            u, val, lu = pde2d_solve(disc, mu)
+            assert disc.column_order is not None
+            grad = pde2d_gradient(disc, mu, u, lu=lu)
+            u0, val0, grad0 = plain_pde2d(disc, mu)
+            assert u.tobytes() == u0.tobytes()
+            assert val == val0 and grad.tobytes() == grad0.tobytes()
+            p_val, p_grad = problem.eval(mu)
+            assert p_val == val0 and p_grad.tobytes() == grad0.tobytes()
 
     def test_grid_guard(self):
         with pytest.raises(ConfigError):

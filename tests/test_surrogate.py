@@ -10,7 +10,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from hermite_tr import surrogate
 from hermite_tr.errors import DuplicatePointsError
 from hermite_tr.kernels import make_kernel
 from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit
@@ -197,6 +199,29 @@ class TestPowerFunction:
             residual_sq = value(k, x, x) - proj.rkhs_norm() ** 2
             oracle = np.sqrt(max(residual_sq, 0.0))
             assert s.power(x) == pytest.approx(oracle, rel=1e-6, abs=1e-9)
+
+    def test_same_bits_as_cho_solve(self, monkeypatch, rng):
+        # power calls LAPACK's potrs directly; cho_solve wraps the same call
+        k = make_kernel("gaussian", 1.0, 2)
+        queries = rng.uniform(-2.5, 2.5, (30, 2))
+        for n in (2, 10, 60):                  # Gram sizes 6, 30 and 180
+            pts = rng.uniform(-2, 2, (n, 2))
+            s = fit(k, TrainingSet(pts, rng.normal(size=n), rng.normal(size=(n, 2))), 1.0)
+            direct = [s.power(x, order=o) for x in queries for o in (None, 0, 1)]
+            with monkeypatch.context() as m:
+                # the call power made before: cho_solve on the stored factor
+                m.setattr(surrogate, "dpotrs", lambda c, b, lower: (cho_solve(s._cho, b), 0))
+                fresh = dataclasses.replace(s)      # starts with an empty memo
+                wrapped = [fresh.power(x, order=o) for x in queries for o in (None, 0, 1)]
+            assert np.array(direct).tobytes() == np.array(wrapped).tobytes()
+
+    def test_non_finite_point_rejected(self, rng):
+        k = make_kernel("gaussian", 1.0, 2)
+        pts = rng.uniform(-2, 2, (3, 2))
+        s = fit(k, TrainingSet(pts, rng.normal(size=3), rng.normal(size=(3, 2))), 1.0)
+        for x in ([np.nan, 0.0], [np.inf, 0.0]):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+                s.power(np.array(x))
 
     def test_monotone_under_center_addition(self, rng):
         k = make_kernel("gaussian", 1.0, 2)
