@@ -2,9 +2,9 @@
 
 Runs directly against the (expensive) objective so its evaluation counts
 are comparable head-to-head with the surrogate-driven method: every
-backtracking trial costs one evaluation, through the same line-search
-code path the subproblem uses.  Also provides tight-tolerance reference
-solutions for accuracy reporting.
+backtracking trial costs one evaluation, through the inner solver's line
+search and settings, and it stops by the trust region's tolerances.  Also
+provides tight-tolerance reference solutions for accuracy reporting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import Branch, IterationRecord, RunReport
+from .driver import Branch, IterationRecord, RunReport, TRConfig
 from .errors import ConfigError, LineSearchError, StalledError
 from .problems import Problem
 from .subproblem import (
@@ -23,35 +23,29 @@ from .subproblem import (
     project_box,
     projected_decrease_rule,
     projected_gradient_norm,
+    relative_decrease,
 )
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    tau_foc: float = 1e-6
-    tau_j: float = 1e-14
+    """Stopping rule; config_from_dict sets both tolerances from trust_region."""
+
+    tau_foc: float = TRConfig.tau_foc
+    tau_j: float = TRConfig.tau_j
     i_max: int = 200
-    kappa_bt: float = 0.5
-    kappa_arm: float = 1e-4
-    j_max: int = 30
 
     def __post_init__(self):
         if not (self.tau_foc > 0 and self.tau_j > 0):
             raise ConfigError("tolerances must be positive")
         if self.i_max < 1:
             raise ConfigError("i_max must be positive")
-        self.line_search()   # rejects a bad kappa_bt, kappa_arm or j_max up front
-
-    def line_search(self) -> SubproblemConfig:
-        """Backtracking settings for the shared Armijo line search."""
-        return SubproblemConfig(kappa_bt=self.kappa_bt, kappa_arm=self.kappa_arm,
-                                j_max=self.j_max)
 
 
-def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
-    """Projected BFGS with Armijo backtracking on the objective itself."""
+def minimize(problem: Problem, x0, cfg: BaselineConfig,
+             ls_cfg: SubproblemConfig) -> RunReport:
+    """Projected BFGS with Armijo backtracking by ls_cfg on the objective itself."""
     box = (problem.lower, problem.upper)
-    ls_cfg = cfg.line_search()
     evals_before = problem.counter
 
     x = project_box(np.asarray(x0, dtype=float), box)
@@ -111,7 +105,7 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig) -> RunReport:
         else:
             hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
 
-        j_diff = (fx - f_new) / max(fx, f_new, 1.0)
+        j_diff = relative_decrease(fx, f_new)
         x, fx, grad = x_new, f_new, grad_new
         iters += 1
         log.append(IterationRecord(
@@ -143,8 +137,8 @@ def _report(problem, x, fx, grad, box, iters, evals_before, termination, log):
 REFERENCE = BaselineConfig(tau_foc=1e-10, tau_j=1e-16, i_max=500)
 
 
-def reference_solution(problem: Problem, starts):
-    """Best minimizer over REFERENCE baseline runs from each start.
+def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
+    """Best minimizer over REFERENCE baseline runs from each start, backtracking by ls_cfg.
 
     At these tolerances the line search routinely runs into floating-point
     resolution before the gradient test fires; such runs still carry their
@@ -157,7 +151,7 @@ def reference_solution(problem: Problem, starts):
     best = None
     for x0 in starts:
         try:
-            report = minimize(problem, x0, REFERENCE)
+            report = minimize(problem, x0, REFERENCE, ls_cfg)
         except StalledError as exc:
             report = exc.report
         if report is None or not np.isfinite(report.final_j):

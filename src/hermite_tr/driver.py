@@ -46,6 +46,7 @@ from .subproblem import (
     SubproblemResult,
     project_box,
     projected_gradient_norm,
+    relative_decrease,
     solve,
 )
 from .surrogate import (
@@ -360,8 +361,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                 record.foc_measure = projected_gradient_norm(
                     state.iterate, state.surrogate.gradient(state.iterate), box
                 )
-                j_diff = (j_before - state.current_j) / max(j_before, state.current_j, 1.0)
-                if j_diff <= cfg.tau_j:
+                if relative_decrease(j_before, state.current_j) <= cfg.tau_j:
                     termination = "stagnation"
                     break
                 continue

@@ -58,13 +58,17 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.start_box is not None:
-            dim = len(BOXES[self.problem][0])
+            # starts and norm samples are drawn from it unprojected
+            box_lower, box_upper = BOXES[self.problem]
+            dim = len(box_lower)
             lower, upper = self.start_box
             if len(lower) != dim or len(upper) != dim or \
-                    not all(lo <= hi for lo, hi in zip(lower, upper)):
+                    not all(blo <= lo <= hi <= bhi for blo, lo, hi, bhi
+                            in zip(box_lower, lower, upper, box_upper)):
                 raise ConfigError(
                     f"start_box must hold {dim} lower bounds, each at or below its "
-                    f"upper bound, got {self.start_box}"
+                    f"upper bound, inside the {self.problem} box "
+                    f"{[list(box_lower), list(box_upper)]}, got {self.start_box}"
                 )
 
 
@@ -163,10 +167,9 @@ def load_config(path) -> ExperimentConfig:
 def config_from_dict(data, source="<dict>") -> ExperimentConfig:
     """ExperimentConfig from a parsed YAML mapping; unknown keys reject.
 
-    Every default is its dataclass field's default, except three that
-    follow the trust region: subproblem.tau_sub defaults to
-    trust_region.tau_foc / 10, and baseline.tau_foc and baseline.tau_j
-    to the trust region's.
+    Every default is its dataclass field's default, except that
+    subproblem.tau_sub defaults to trust_region.tau_foc / 10.  The baseline
+    takes tau_foc and tau_j from trust_region, never from baseline:.
     """
     data = copy.deepcopy(dict(data))
     kernel = _pop_section(data, "kernel", source)
@@ -193,7 +196,7 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
                                 defaults={"tau_sub": tr.tau_foc / 10.0}))
     _reject_unknown(sub_raw, "subproblem")
     baseline = _build(BaselineConfig, base_raw, "baseline",
-                      defaults={"tau_foc": tr.tau_foc, "tau_j": tr.tau_j})
+                      tau_foc=tr.tau_foc, tau_j=tr.tau_j)
     _reject_unknown(base_raw, "baseline")
 
     start_box = data.pop("start_box", None)
@@ -235,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig):
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
     starts = sample_starts(cfg, problem)
     evals_before = problem.counter
-    ref_x, ref_j = reference_solution(problem, starts)
+    ref_x, ref_j = reference_solution(problem, starts, cfg.tr.sub)
     ref_evals = problem.counter - evals_before
 
     rows = []
@@ -265,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig):
     baseline_group = []
     for k, x0 in enumerate(starts):
         try:
-            baseline_group.append((k, minimize(problem, x0, cfg.baseline)))
+            baseline_group.append((k, minimize(problem, x0, cfg.baseline, cfg.tr.sub)))
         except HermiteTrError as exc:
             baseline_group.append((k, f"{type(exc).__name__}: {exc}"))
     reports["baseline"] = baseline_group

@@ -16,6 +16,7 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class KernelSpec:
     """A kernel family with shape parameter and ambient dimension.
 
     Immutable; all evaluation helpers are pure functions, so instances are
-    safe to share across threads.
+    safe to share across threads.  The two diagonal constants are computed
+    from radial_profiles once, on first use.
     """
 
     family: str
@@ -50,27 +52,15 @@ class KernelSpec:
         """Smoothness index, fixed by the ambient dimension."""
         return self.dim // 2 + 3
 
-    @property
+    @cached_property
     def diag_value(self) -> float:
-        """k(x, x), constant for radial kernels."""
-        if self.family == GAUSSIAN:
-            return 1.0
-        if self.family == QUAD_MATERN:
-            return 3.0
-        l = self.wendland_l
-        return 3.0 * (l + 1) * (l + 2) * (l + 3) * (l + 4)
+        """k(x, x) = phi(0), constant for radial kernels."""
+        return float(radial_profiles(self, 0.0)[0])
 
-    @property
+    @cached_property
     def cross_diag(self) -> float:
-        """[d1_l d2_l k](x, x), the same for every direction l."""
-        eps = self.shape
-        if self.family == GAUSSIAN:
-            return 2.0 * eps**2
-        if self.family == QUAD_MATERN:
-            return eps**2
-        l = self.wendland_l
-        c = (l + 1) * (l + 2) * (l + 3) * (l + 4)
-        return c * eps**2 * (l + 3) * (l + 4)
+        """[d1_l d2_l k](x, x) = -g1(0), the same for every direction l."""
+        return -float(radial_profiles(self, 0.0)[1])
 
 
 def make_kernel(family: str, shape: float, dim: int) -> KernelSpec:

@@ -128,6 +128,11 @@ def projected_decrease_rule(kappa_arm, grad):
     return rule
 
 
+def relative_decrease(j_old, j_new) -> float:
+    """Drop from j_old to j_new relative to the larger value, or to 1 below it."""
+    return (j_old - j_new) / max(j_old, j_new, 1.0)
+
+
 def bfgs_inverse_update(hinv, step, y):
     """BFGS update of the inverse Hessian from the pair (step, y = grad change).
 

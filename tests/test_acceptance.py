@@ -40,7 +40,6 @@ def one_d_config(shapes, tmp_path, tau_foc=1.0e-6):
             "delta0": 0.5, "tau_foc": tau_foc, "tau_j": 1.0e-14,
             "i_max": 80, "norm_source": "analytic",
         },
-        "baseline": {"tau_foc": tau_foc, "tau_j": 1.0e-14},
     })
 
 
@@ -120,7 +119,6 @@ def test_criterion_4_pde_benchmark(tmp_path, capsys):
             "delta0": 0.5, "tau_foc": 1.0e-4, "tau_j": 1.0e-12,
             "norm_source": "estimated", "norm_samples": 50, "norm_seed": 1234,
         },
-        "baseline": {"tau_foc": 1.0e-4, "tau_j": 1.0e-12},
     })
     rows, reports, meta = run_experiment(cfg)
     tr_row = next(r for r in rows if r.label == "eps=0.4")

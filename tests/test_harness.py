@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hermite_tr import harness, pde2d
+from hermite_tr import baseline, driver, harness, pde2d, subproblem
 from hermite_tr.baseline import BaselineConfig
 from hermite_tr.cli import main as cli_main
 from hermite_tr.driver import NormSource, TRConfig
@@ -45,8 +45,7 @@ DEFAULTS = {
            "xi2": 0.9, "beta_radius": 0.5, "beta1_shrink": 0.5, "max_rejects": 15,
            "sub": {"kappa_bt": 0.5, "kappa_arm": 1e-4, "tau_sub": 1e-6 / 10, "beta2": 0.95,
                    "l_max": 50, "j_max": 30}},
-    "baseline": {"tau_foc": 1e-6, "tau_j": 1e-14, "i_max": 200, "kappa_bt": 0.5,
-                 "kappa_arm": 1e-4, "j_max": 30},
+    "baseline": {"tau_foc": 1e-6, "tau_j": 1e-14, "i_max": 200},
 }
 
 
@@ -58,7 +57,8 @@ def _merged(base, over):
     return out
 
 
-# What each bundled YAML sets beyond DEFAULTS, cross-section defaults included
+# What each bundled YAML sets beyond DEFAULTS, the values that follow the
+# trust region included
 BUNDLED = {
     "one_d": {
         "problem": "one_d", "kernel_family": "gaussian", "shapes": (0.725,),
@@ -116,8 +116,9 @@ class TestLoadConfig:
         assert cfg.tr.sub.kappa_bt == 0.5
         assert cfg.tr.sub.kappa_arm == 1e-4
         assert cfg.shapes == (0.725,)
-        # each setting defaults to its dataclass field's default, except the
-        # three that follow the trust region
+        # each setting defaults to its dataclass field's default, except
+        # tau_sub, which follows the trust region; the baseline's tolerances
+        # are the trust region's
         tr = TRConfig()
         assert cfg.tr == TRConfig(sub=SubproblemConfig(tau_sub=tr.tau_foc / 10))
         assert cfg.baseline == BaselineConfig(tau_foc=tr.tau_foc, tau_j=tr.tau_j)
@@ -160,6 +161,21 @@ class TestLoadConfig:
             with pytest.raises(ConfigError):
                 config_from_dict(dict(data))
         assert config_from_dict({**MINIMAL, "n_starts": 3.0}).n_starts == 3
+
+    @pytest.mark.parametrize("key", ["tau_foc", "tau_j", "kappa_bt", "kappa_arm", "j_max"])
+    def test_baseline_takes_no_tolerance_or_line_search_key(self, key, tmp_path):
+        # the baseline stops by the trust region's tolerances and backtracks
+        # with subproblem's settings; a copy under baseline: is refused,
+        # even with the value the trust region has
+        value = asdict(TRConfig())[key] if key.startswith("tau") \
+            else asdict(SubproblemConfig())[key]
+        data = {**MINIMAL, "baseline": {key: value}}
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(data)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump({**data, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_creates_groups(self, tmp_path):
         cfg = tiny_config(tmp_path, kernel={"family": "gaussian", "shape": [0.725, 1.0, 2.0]})
@@ -271,6 +287,61 @@ class TestProtocol:
         with pytest.raises(ConfigError):
             config_from_dict({**base, "start_box": [[0.5], [2.0]]})
 
+    @pytest.mark.parametrize("start_box", [
+        [[-2.0, -2.0], [3.0, 3.0]],
+        [[0.5, 0.5], [3.2, 3.0]],      # one upper bound above pi
+        [[0.4, 1.0], [1.0, 2.0]],      # one lower bound below 0.5
+    ])
+    def test_start_box_outside_problem_box_rejected(self, start_box, tmp_path, monkeypatch):
+        # starts and norm samples come from start_box unprojected, and the
+        # pde2d objective is not positive everywhere outside its box
+        def build(grid_n):
+            raise AssertionError("config check assembled the PDE")
+
+        data = {**small_pde2d(), "start_box": start_box,
+                "output_dir": str(tmp_path / "out")}
+        monkeypatch.setattr(pde2d.Pde2dDiscretization, "build", staticmethod(build))
+        with pytest.raises(ConfigError, match="inside the pde2d box"):
+            config_from_dict(data)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_baseline_and_reference_backtrack_like_the_inner_solver(self, monkeypatch):
+        # solve, minimize and reference_solution all get cfg.tr.sub, and
+        # every line search of the experiment runs on that one object
+        cfg = config_from_dict({**MINIMAL, "n_starts": 2,
+                                "trust_region": {"norm_source": "analytic"},
+                                "subproblem": {"kappa_bt": 0.3}})
+        received = {"solve": [], "minimize": [], "reference_solution": [], "backtrack": []}
+
+        def recording(module, name, position):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                received[name].append(args[position])
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(driver, "solve", 3)
+        recording(harness, "minimize", 3)
+        recording(harness, "reference_solution", 2)
+        backtrack = subproblem.armijo_backtrack
+
+        def recording_backtrack(fun, x, fx, rule, direction, ls_cfg, **kwargs):
+            received["backtrack"].append(ls_cfg)
+            return backtrack(fun, x, fx, rule, direction, ls_cfg, **kwargs)
+
+        monkeypatch.setattr(subproblem, "armijo_backtrack", recording_backtrack)
+        monkeypatch.setattr(baseline, "armijo_backtrack", recording_backtrack)
+        run_experiment(cfg)
+        assert [len(received[name]) for name in ("minimize", "reference_solution")] == [2, 1]
+        assert received["solve"] and received["backtrack"]
+        for name, seen in received.items():
+            assert all(c is cfg.tr.sub for c in seen), name
+
     def test_pde2d_solves_once_per_distinct_point(self, monkeypatch):
         # the small pde2d experiment of TestGoldenOutputs: 191 counted
         # evaluations, as before the memo, at 170 distinct points
@@ -309,10 +380,11 @@ class TestProtocol:
 class TestGoldenOutputs:
     # sha256 of summary.csv from the bundled configs, written by the CLI in
     # a fresh process with one BLAS thread: rosenbrock's evaluation counts
-    # move with the thread count.  pde2d is left out: it takes about 18 s.
+    # move with the thread count.  pde2d takes about 10 s.
     SUMMARY_SHA256 = {
         "one_d": "1e8e1a9bb60dadf8f7687c961e71ae5fbdefae6c6df6b6166a49d42107939f99",
         "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
+        "pde2d": "f03116e509a9109fe03552ae0c33e4f02c5b55a2b82e0f7e30a2f71ed6545706",
         "rosenbrock": "8c45c6d2a44cfea23fe43b564947f954aba666639ef279b281499d47d35a716a",
     }
     # sha256 of the file the reference and power-field commands write, with

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_tr.kernels import KernelSpec, make_kernel, radial_profiles
+from hermite_tr import kernels
+from hermite_tr.kernels import KernelSpec, make_kernel
 
 from conftest import ALL_FAMILIES, kernel_for
 from oracles import cross_hessian, grad1, value
@@ -162,10 +163,38 @@ class TestDerivatives:
             worst = max(worst, np.max(np.abs(exact - approx)) / (1.0 + np.max(np.abs(exact))))
         assert worst <= 1e-4
 
-    def test_cross_diag_matches_profile(self, family):
+    def test_cross_diag_matches_profile(self, family, rng):
+        # the constants the Jacobi scaling and the power function read are
+        # the diagonals of the pointwise kernel and cross Hessian
+        for dim in (1, 2, 3, 5):
+            for shape in (0.4, 0.9, 2.0):
+                k = kernel_for(family, dim, shape)
+                x = rng.uniform(-1.5, 1.5, dim)
+                assert k.diag_value == value(k, x, x)
+                assert np.all(np.diag(cross_hessian(k, x, x)) == k.cross_diag)
+                # closed forms at r = 0
+                eps, l = shape, dim // 2 + 3
+                c = (l + 1) * (l + 2) * (l + 3) * (l + 4)
+                diag, cross = {"gaussian": (1.0, 2.0 * eps**2),
+                               "quad_matern": (3.0, eps**2),
+                               "wendland2": (3.0 * c, c * eps**2 * (l + 3) * (l + 4))}[family]
+                assert k.diag_value == pytest.approx(diag, rel=1e-15)
+                assert k.cross_diag == pytest.approx(cross, rel=1e-14)
+
+    def test_diagonal_constants_computed_once(self, family, monkeypatch):
+        calls = []
+        profiles = kernels.radial_profiles
+
+        def counted(kernel, r):
+            calls.append(r)
+            return profiles(kernel, r)
+
+        monkeypatch.setattr(kernels, "radial_profiles", counted)
         k = kernel_for(family, 2)
-        _, g1, _ = radial_profiles(k, 0.0)
-        assert k.cross_diag == pytest.approx(-float(g1), rel=1e-14)
+        first = (k.diag_value, k.cross_diag)
+        for _ in range(3):
+            assert (k.diag_value, k.cross_diag) == first
+        assert len(calls) == 2
 
 
 class TestPositiveDefiniteness:
