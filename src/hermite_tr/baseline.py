@@ -5,6 +5,12 @@ are comparable head-to-head with the surrogate-driven method: every
 backtracking trial costs one evaluation, through the inner solver's line
 search and settings, and it stops by the trust region's tolerances.  Also
 provides tight-tolerance reference solutions for accuracy reporting.
+
+A line search here ends, without evaluating the trial, once the decrease
+a trial predicts, grad @ (x - trial), is at most one rounding unit of
+J(x), eps * |J(x)| with eps the float64 machine epsilon: below that the
+Armijo test could pass only by rounding.  The inner solver's searches on
+the surrogate carry no such stop.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .subproblem import (
     projected_gradient_norm,
     relative_decrease,
 )
+
+# float64 machine epsilon: one rounding unit of J(x) is EPS * |J(x)|
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -79,17 +88,20 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
         # projected-step decrease reference: stays satisfiable when bound
         # clipping kills the dominant gradient component
         rule = projected_decrease_rule(ls_cfg.kappa_arm, grad)
+        # the rule requires kappa_arm * grad @ step, so the rounding level
+        # of fx enters scaled by kappa_arm too
+        resolution = ls_cfg.kappa_arm * EPS * abs(fx)
         try:
             try:
-                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, direction,
-                                                   ls_cfg, box=box)
+                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, direction, ls_cfg,
+                                                   box=box, resolution=resolution)
             except LineSearchError:
                 if np.array_equal(direction, -g_eff):
                     raise
                 # retry once from a fresh steepest-descent direction
                 hinv = np.eye(dim)
-                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, -g_eff,
-                                                   ls_cfg, box=box)
+                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, -g_eff, ls_cfg,
+                                                   box=box, resolution=resolution)
         except LineSearchError:
             raise StalledError(
                 "line search failed along steepest descent",
@@ -140,24 +152,30 @@ REFERENCE = BaselineConfig(tau_foc=1e-10, tau_j=1e-16, i_max=500)
 def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
     """Best minimizer over REFERENCE baseline runs from each start, backtracking by ls_cfg.
 
-    At these tolerances the line search routinely runs into floating-point
-    resolution before the gradient test fires; such runs still carry their
-    best iterate, so a stalled run contributes its partial result and only
-    a start that produced no iterate at all counts as fully failed.
+    Returns (iterate, J, runs), with one {start, fom_evals, termination}
+    per start; termination is foc, stagnation, max_iters or stalled.  At
+    these tolerances a run usually ends when its line searches reach the
+    objective's rounding level before the gradient test fires: a stalled
+    run still carries its best iterate, so it contributes that partial
+    result, and only a start that produced no iterate at all counts as
+    fully failed.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
         raise ValueError("need at least one start")
     best = None
-    for x0 in starts:
+    runs = []
+    for k, x0 in enumerate(starts):
         try:
             report = minimize(problem, x0, REFERENCE, ls_cfg)
         except StalledError as exc:
             report = exc.report
-        if report is None or not np.isfinite(report.final_j):
+        runs.append({"start": k, "fom_evals": report.fom_evals,
+                     "termination": report.termination})
+        if not np.isfinite(report.final_j):
             continue
         if best is None or report.final_j < best.final_j:
             best = report
     if best is None:
         raise StalledError("all reference runs stalled without a usable iterate")
-    return best.final_iterate, best.final_j
+    return best.final_iterate, best.final_j, runs

@@ -56,11 +56,12 @@ def _cmd_run(args):
 def _cmd_reference(args):
     cfg = load_config(args.config)
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-    x_ref, j_ref = reference_solution(problem, sample_starts(cfg, problem), cfg.tr.sub)
+    x_ref, j_ref, runs = reference_solution(problem, sample_starts(cfg, problem), cfg.tr.sub)
     payload = {
         "reference_iterate": np.asarray(x_ref).tolist(),
         "reference_j": float(j_ref),
         "fom_evals": problem.counter,
+        "reference_runs": runs,
     }
     out = output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)

@@ -153,7 +153,7 @@ class RunReport:
     final_foc: float              # projected inf-norm of the true gradient
     fom_evals: int
     outer_iters: int
-    termination: str              # "foc" | "stagnation" | "max_iters"
+    termination: str              # "foc" | "stagnation" | "max_iters" | "stalled"
     norm_bound: float
     log: list = field(default_factory=list)
     audit_failures: int = 0

@@ -238,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig):
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
     starts = sample_starts(cfg, problem)
     evals_before = problem.counter
-    ref_x, ref_j = reference_solution(problem, starts, cfg.tr.sub)
+    ref_x, ref_j, ref_runs = reference_solution(problem, starts, cfg.tr.sub)
     ref_evals = problem.counter - evals_before
 
     rows = []
@@ -278,6 +278,7 @@ def run_experiment(cfg: ExperimentConfig):
         "reference_iterate": np.asarray(ref_x).tolist(),
         "reference_j": float(ref_j),
         "reference_fom_evals": ref_evals,
+        "reference_runs": ref_runs,
         "starts": starts.tolist(),
         "norm_estimation": norm_info,
     }

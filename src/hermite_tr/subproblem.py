@@ -13,6 +13,7 @@ yardstick the outer loop measures sufficient decrease against.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ def constraint_value(s: Surrogate, delta: float, x) -> float:
 
 
 def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemConfig,
-                     box, feasible=None):
+                     box, feasible=None, resolution=None):
     """Smallest j with sufficient decrease at x(j) = P(x + kappa_bt^j * direction).
 
     fun maps a point to a scalar objective value; required_decrease maps
@@ -96,6 +97,11 @@ def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemCo
     (accepted point, its value, j).  Shared by the surrogate subproblem
     and the direct baseline so both pay for trials through the same code
     path.
+
+    resolution (optional) is the smallest drop fun can resolve at x: the
+    search raises LineSearchError at the first trial that requires no
+    more than that, without evaluating it, since only rounding could pass
+    its test ("step too small", Nocedal & Wright, sec. 3.5).
     """
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -104,8 +110,13 @@ def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemCo
         step_vec = x - trial
         if not np.any(step_vec):
             continue
+        required = required_decrease(step_vec)
+        if resolution is not None and required <= resolution:
+            raise LineSearchError(
+                f"line search stopped at the objective's rounding level after {j} trials"
+            )
         f_trial = fun(trial)
-        if fx - f_trial >= required_decrease(step_vec):
+        if fx - f_trial >= required:
             if feasible is None or feasible(trial):
                 return trial, f_trial, j
     raise LineSearchError(
@@ -113,10 +124,15 @@ def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemCo
     )
 
 
+def _norm(v) -> float:
+    """np.linalg.norm(v) of a contiguous float vector, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def angle_decrease_rule(kappa_arm, grad_norm, cos_phi):
     """Decrease proportional to step length, gradient norm, and descent angle."""
     def rule(step_vec):
-        return kappa_arm * grad_norm * float(np.linalg.norm(step_vec)) * cos_phi
+        return kappa_arm * grad_norm * _norm(step_vec) * cos_phi
     return rule
 
 
@@ -140,7 +156,7 @@ def bfgs_inverse_update(hinv, step, y):
     safely positive, which keeps the update positive definite.
     """
     sy = float(step @ y)
-    if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(y):
+    if sy > 1e-10 * _norm(step) * _norm(y):
         rho = 1.0 / sy
         eye = np.eye(step.shape[0])
         return (eye - rho * np.outer(step, y)) @ hinv @ (eye - rho * np.outer(y, step)) \
@@ -172,10 +188,11 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
 
     # a trial at or below the positivity floor counts as infeasible (the
     # constraint ratio diverges there), so backtracking continues past it;
-    # the floor is tested first, so constraint_value is reached only above
-    # it and its typed error is never built and discarded here
+    # the slack is constraint_value's, on the one value read, and no typed
+    # error is built and discarded here
     def feasible(trial):
-        return s.value(trial) > POSITIVITY_FLOOR and constraint_value(s, delta, trial) >= 0.0
+        val = s.value(trial)
+        return val > POSITIVITY_FLOOR and delta - s.norm_bound * s.power(trial) / val >= 0.0
 
     hinv = np.eye(dim)
     iterates: list = []
@@ -183,8 +200,8 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
     termination = Termination.MAX_INNER_ITERS
     for _ in range(cfg.l_max):
         direction = -hinv @ grad
-        grad_norm = float(np.linalg.norm(grad))
-        dir_norm = float(np.linalg.norm(direction))
+        grad_norm = _norm(grad)
+        dir_norm = _norm(direction)
         cos_phi = (-float(grad @ direction) / (grad_norm * dir_norm)
                    if grad_norm * dir_norm > 0.0 else 0.0)
         if not cos_phi >= COS_FLOOR:

@@ -177,7 +177,7 @@ class Surrogate:
         memo = self._memo
         if memo is None or memo.key != key:
             d = x[None, :] - self.training.points          # (n, p): x - x_j
-            r = np.linalg.norm(d, axis=1)
+            r = np.sqrt(np.add.reduce(d * d, axis=1))     # np.linalg.norm's sequence
             memo = self._memo = _PointMemo(key, d, *radial_profiles(self.kernel, r))
         return memo
 

@@ -1,6 +1,7 @@
 """Config loading, experiment protocol, file outputs, CLI."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -268,6 +269,16 @@ class TestProtocol:
         assert (out / "experiment.json").exists()
         assert sorted(p.name for p in (out / "runs").iterdir())
 
+    def test_reference_runs_account_for_the_reference_evaluations(self, tmp_path):
+        cfg = tiny_config(tmp_path, n_starts=3)
+        out = emit_outputs(*run_experiment(cfg), cfg)
+        meta = json.loads((out / "experiment.json").read_text())
+        runs = meta["reference_runs"]
+        assert [r["start"] for r in runs] == [0, 1, 2]
+        assert sum(r["fom_evals"] for r in runs) == meta["reference_fom_evals"]
+        assert {r["termination"] for r in runs} <= {"foc", "stagnation", "max_iters",
+                                                     "stalled"}
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
         target = tmp_path / "elsewhere"
@@ -343,8 +354,9 @@ class TestProtocol:
             assert all(c is cfg.tr.sub for c in seen), name
 
     def test_pde2d_solves_once_per_distinct_point(self, monkeypatch):
-        # the small pde2d experiment of TestGoldenOutputs: 191 counted
-        # evaluations, as before the memo, at 170 distinct points
+        # the small pde2d experiment of TestGoldenOutputs: 103 counted
+        # evaluations at 86 distinct points (191 at 170 before the reference's
+        # line searches stopped at the objective's rounding level)
         solves, gradients, points, problems = [], [], [], []
         solve, gradient, evaluate = pde2d.pde2d_solve, pde2d.pde2d_gradient, Problem.eval
 
@@ -370,11 +382,11 @@ class TestProtocol:
         monkeypatch.setattr(harness, "make_problem", kept)
         run_experiment(config_from_dict(small_pde2d()))
         [problem] = problems
-        assert problem.counter == len(points) == 191
-        assert len(solves) == len(set(points)) == 170
-        # 83 points are only ever rejected line-search trials of the
+        assert problem.counter == len(points) == 103
+        assert len(solves) == len(set(points)) == 86
+        # 2 points are only ever rejected line-search trials of the
         # reference and baseline runs; their gradients are never computed
-        assert len(gradients) == 87
+        assert len(gradients) == 84
 
 
 class TestGoldenOutputs:
@@ -384,16 +396,16 @@ class TestGoldenOutputs:
     SUMMARY_SHA256 = {
         "one_d": "1e8e1a9bb60dadf8f7687c961e71ae5fbdefae6c6df6b6166a49d42107939f99",
         "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
-        "pde2d": "f03116e509a9109fe03552ae0c33e4f02c5b55a2b82e0f7e30a2f71ed6545706",
+        "pde2d": "85106d1aad846ff876afc932adc87be7c35daa110317e5b46c1e0bb200ac3bd4",
         "rosenbrock": "8c45c6d2a44cfea23fe43b564947f954aba666639ef279b281499d47d35a716a",
     }
     # sha256 of the file the reference and power-field commands write, with
     # their default arguments, under the same conditions
     COMMAND_SHA256 = {
         ("reference", "one_d"):
-            "b2211197d41c28707845c33d391d7a3e8543e3308307189ac6d473869c9f567b",
+            "53f69c4f8acdb7eb6a06ee5c691675245f464680b020470103fcb6874b2bc63e",
         ("reference", "rosenbrock"):
-            "2f462f661a6afa87c14f45c3991470aca17e4d5bc84567dbff3cbe205f16086a",
+            "c4efb53d36835d900b7e739be9151dfc75f7adc2ea3df6f5114828dbe2669cfa",
         ("power-field", "one_d"):
             "f1502458344ed6922325191a3e573d128b79b95dc54f6b2a1c9a5001676a61bb",
         ("power-field", "rosenbrock"):
@@ -402,9 +414,10 @@ class TestGoldenOutputs:
     OUTPUT_FILE = {"run": "summary.csv", "reference": "reference.json",
                    "power-field": "power_field.csv"}
 
-    # the same for small_pde2d(), recorded before the memo, the reused
-    # column order and the deferred gradient went in
-    SMALL_PDE2D_SHA256 = "1ea00319ddcc85b3a286ea45bb3c3e2e255b659dbbff6987a42bff946d30af31"
+    # the same for small_pde2d(); the memo, the reused column order and
+    # the deferred gradient kept its bytes, the reference's rounding-level
+    # line-search stop moved its avg_rel_err_J digits
+    SMALL_PDE2D_SHA256 = "b438565f39b8ad9238ee6f8ef678cd8e9263d16c154a1f4e953baa33dca3acde"
 
     def _cli_digest(self, command, config, tmp_path):
         """sha256 of the file `hermite-tr <command>` writes for a config file."""
@@ -571,5 +584,10 @@ class TestCli:
             f"output_dir: {tmp_path / 'out'}\n"
         )
         assert cli_main(["reference", str(cfg_path)]) == 0
-        assert (tmp_path / "out" / "reference.json").exists()
-        assert '"reference_j": 2' in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert '"reference_j": 2' in printed
+        written = json.loads((tmp_path / "out" / "reference.json").read_text())
+        assert json.loads(printed) == written
+        runs = written["reference_runs"]
+        assert [r["start"] for r in runs] == [0, 1]
+        assert sum(r["fom_evals"] for r in runs) == written["fom_evals"]

@@ -124,6 +124,41 @@ class TestArmijoSearch:
         assert j == 0
         assert point[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("resolution,evaluated,message", [
+        (2.0, [], "rounding level after 0 trials"),
+        (1.0, [], "rounding level after 0 trials"),
+        (0.3, [1.0, 0.5], "rounding level after 2 trials"),
+        (0.125, [1.0, 0.5, 0.25], "rounding level after 3 trials"),
+        (None, [0.5**j for j in range(31)], "within 30 backtracking steps"),
+    ])
+    def test_resolution_stops_before_evaluating(self, resolution, evaluated, message):
+        # trial j sits at 0.5^j and requires a drop of 0.5^j (exact); fun
+        # never drops, so only the resolution or j_max ends the search, and
+        # no trial requiring at most the resolution is evaluated
+        seen = []
+
+        def flat(point):
+            seen.append(point[0])
+            return 1.0
+
+        with pytest.raises(LineSearchError, match=message):
+            armijo_backtrack(flat, np.array([0.0]), 1.0, lambda step: abs(step[0]),
+                             np.array([1.0]), SubproblemConfig(kappa_bt=0.5, j_max=30),
+                             box=unbounded(1), resolution=resolution)
+        assert seen == evaluated
+
+    def test_resolution_below_every_requirement_changes_nothing(self):
+        s = quadratic_surrogate(center=0.0, offset=2.0)
+        cfg = SubproblemConfig(kappa_bt=0.5, kappa_arm=1e-4)
+        x, direction = np.array([1.0]), np.array([-2.0])
+        rule = angle_decrease_rule(cfg.kappa_arm, float(abs(s.gradient(x)[0])), 1.0)
+        plain = armijo_backtrack(s.value, x, s.value(x), rule, direction, cfg,
+                                 box=unbounded(1))
+        stopped = armijo_backtrack(s.value, x, s.value(x), rule, direction, cfg,
+                                   box=unbounded(1), resolution=1e-300)
+        np.testing.assert_array_equal(stopped[0], plain[0])
+        assert stopped[1:] == plain[1:]
+
 
 class TestSolve:
     def test_stationary_start(self):
