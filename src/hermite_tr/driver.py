@@ -5,19 +5,30 @@ candidate's fate using the error bound eta = norm_bound * power:
 
   1. surrogate value + eta at the candidate already beats the surrogate
      value at the first inner (Cauchy-like) point: accept, certified by
-     the bound;
+     the bound, unless the objective evaluated there refutes the
+     certificate (an audit failure), which rejects the step;
   2. otherwise compare the objective at the candidate with that value
      directly: accept if it is no larger, else reject.
 
 The objective is evaluated at every candidate (or its stored datum
 reused when it is a known center), because an acceptance needs the data
 for the refit and the decrease ratio and a rejection keeps the new point
-in the model.  So the bound decides which branch accepts, but never
-whether the objective is evaluated.  There is no certified rejection: it
-would need surrogate value - eta at the candidate above the value at the
-first inner point, but the inner solver takes only Armijo descent steps
-from that point, so the candidate's surrogate value never exceeds it
-(test_subproblem's test_candidate_never_above_agc guards this).
+in the model.  So the bound never decides whether the objective is
+evaluated, and it does not decide alone that a step is accepted: a
+certified step is accepted only if J at the candidate is within the
+surrogate's exactness tolerance of the value at the first inner point,
+and the certificate then labels the acceptance.  There is no certified
+rejection: it would need surrogate value - eta at the candidate above
+the value at the first inner point, but the inner solver takes only
+Armijo descent steps from that point, so the candidate's surrogate
+value never exceeds it (test_subproblem's test_candidate_never_above_agc
+guards this).
+
+A run's first model interpolates the start's datum and, when the norm
+bound was estimated, every sample the estimate evaluated, as ORBIT
+builds its models from every evaluated point (Wild, Regis & Shoemaker,
+SIAM J. Sci. Comput. 30(6), 2008): those samples are already paid for,
+and the start reuses a sample's datum when it coincides with one.
 
 The radius update follows the classic three-interval rule on the
 realized/predicted decrease ratio; rejections shrink by a separate factor.
@@ -208,23 +219,42 @@ def _eval_with_reuse(problem: Problem, history: TrainingSet, x):
     return val, grad, history.with_point(x, val, grad), True
 
 
+def _initial_data(problem: Problem, x, samples: TrainingSet | None) -> TrainingSet:
+    """The start's datum first, then the samples; a coinciding sample lends its datum."""
+    idx = None if samples is None else samples.find_close(x)
+    if idx is None:
+        j0, g0 = problem.eval(x)
+    else:
+        j0, g0 = samples.values[idx], samples.gradients[idx]
+    if samples is None:
+        return TrainingSet(x[None, :], np.array([j0]), g0[None, :])
+    rest = [i for i in range(samples.n) if i != idx]
+    return TrainingSet(np.vstack([x, samples.points[rest]]),
+                       np.append(j0, samples.values[rest]),
+                       np.vstack([g0, samples.gradients[rest]]))
+
+
 def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Problem, box):
-    """Materialize the norm bound; returns (value, objective evals spent)."""
+    """Materialize the norm bound; returns (value, objective evals spent, samples).
+
+    samples is the TrainingSet an estimated bound was fitted to, in draw
+    order, and None for a fixed or analytic bound.
+    """
     if norm_source.kind == "fixed":
-        return float(norm_source.value), 0
+        return float(norm_source.value), 0, None
     if norm_source.kind == "analytic":
         if kernel.family != GAUSSIAN or problem.dim != 1:
             raise ConfigError("analytic norm source is only valid for the 1D Gaussian setup")
         try:
-            return analytic_norm_1d_gaussian(kernel.shape), 0
+            return analytic_norm_1d_gaussian(kernel.shape), 0, None
         except ValueError as exc:
             raise ConfigError(f"analytic norm source: {exc}") from None
     before = problem.counter
-    value = estimate_norm(
+    value, samples = estimate_norm(
         kernel, problem, norm_source.n_samples, norm_source.seed,
         norm_source.safety, box=box,
     )
-    return value, problem.counter - before
+    return value, problem.counter - before, samples
 
 
 def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
@@ -263,6 +293,8 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
         # only be asserted at that resolution.
         slack = 1e-8 * (1.0 + abs(jhat_agc))
         record.sufficient_check_ok = bool(j_cand <= jhat_agc + slack)
+        if not record.sufficient_check_ok:
+            record.branch = Branch.REJECTED_BY_DIRECT
     elif j_cand <= jhat_agc:
         record.branch = Branch.ACCEPTED_BY_DIRECT
 
@@ -285,10 +317,14 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
 
 
 def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
-        norm_bound: float) -> RunReport:
+        norm_bound: float, samples: TrainingSet | None = None) -> RunReport:
     """Full optimization run; see the module docstring for the loop shape.
 
-    norm_bound is the resolved RKHS norm bound (see resolve_norm_bound).
+    norm_bound is the resolved RKHS norm bound and samples the data it was
+    estimated from, if any (see resolve_norm_bound).  The first model
+    holds the start's datum, then the samples in their order; a start
+    within DISTINCT_TOL of a sample takes that sample's datum without an
+    evaluation.
     Termination: projected surrogate-gradient measure at the current
     iterate below tau_foc, relative objective decrease at an accepted step
     below tau_j (stagnation), a rejected candidate repeating itself with
@@ -302,8 +338,8 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     x = project_box(x0, box)
     evals_before = problem.counter
 
-    j0, g0 = problem.eval(x)
-    surrogate = fit(kernel, TrainingSet(x[None, :], np.array([j0]), g0[None, :]), norm_bound)
+    surrogate = fit(kernel, _initial_data(problem, x, samples), norm_bound)
+    j0 = float(surrogate.training.values[0])
     state = TRState(iterate=x, current_j=j0, delta=cfg.delta0, surrogate=surrogate)
 
     termination = "max_iters"

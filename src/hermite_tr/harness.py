@@ -248,9 +248,10 @@ def run_experiment(cfg: ExperimentConfig):
     for shape in cfg.shapes:
         label = f"eps={shape:g}"
         kernel = make_kernel(cfg.kernel_family, shape, problem.dim)
-        # one bound per shape, shared by all starts (deterministic by seed);
-        # a norm source that does not fit the problem is a config error
-        norm_bound, norm_evals = resolve_norm_bound(
+        # one bound per shape, shared by all starts (deterministic by seed),
+        # whose samples, if any, every start's first model reuses; a norm
+        # source that does not fit the problem is a config error
+        norm_bound, norm_evals, samples = resolve_norm_bound(
             cfg.norm_source, kernel, problem, box=cfg.start_box
         )
         if cfg.norm_source.kind == "estimated":
@@ -259,7 +260,7 @@ def run_experiment(cfg: ExperimentConfig):
         group = []
         for k, x0 in enumerate(starts):
             try:
-                group.append((k, run(problem, kernel, x0, cfg.tr, norm_bound)))
+                group.append((k, run(problem, kernel, x0, cfg.tr, norm_bound, samples)))
             except HermiteTrError as exc:
                 group.append((k, f"{type(exc).__name__}: {exc}"))
         reports[label] = group

@@ -44,8 +44,8 @@ class Problem:
         """Counted evaluation of (J, grad J) at x, or (J, None) with gradient=False.
 
         Without the gradient, the means to compute it (for pde2d, the
-        factor of A(mu)) stay held until the next new point, and
-        gradient(x) fetches it without counting again.
+        interface state of the solve) stay held until the next new point,
+        and gradient(x) fetches it without counting again.
         """
         x = np.array(x, dtype=float)
         if x.shape != (self.dim,):
@@ -54,7 +54,7 @@ class Problem:
         key = x.tobytes()
         entry = self._memo.get(key)
         if entry is None:
-            self._deferred = None   # release the held factor before the next one
+            self._deferred = None   # release the held state before the next one
             val, grad = self.fn(x)
             if not val > 0.0:
                 raise AssumptionViolationError(
@@ -77,7 +77,7 @@ class Problem:
             if deferred is not None and deferred[0] == key:
                 grad = deferred[1]
             else:
-                # its factor is gone: solve again, with the same bits
+                # its state is gone: solve again, with the same bits
                 grad = self.fn(x)[1]
             entry[1] = np.asarray(grad(), dtype=float)
         return entry[1].copy()
@@ -130,8 +130,8 @@ def problem_pde2d(grid_n: int) -> Problem:
     disc = Pde2dDiscretization.build(grid_n)
 
     def fn(mu):
-        u, val, lu = pde2d_solve(disc, mu)
-        return val, lambda: pde2d_gradient(disc, mu, u, lu=lu)
+        w, val, f = pde2d_solve(disc, mu)
+        return val, lambda: pde2d_gradient(disc, mu, w, f)
 
     return _boxed("pde2d", fn)
 

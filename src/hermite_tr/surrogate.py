@@ -16,7 +16,7 @@ trust region used by the outer optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -43,8 +43,9 @@ class TrainingSet:
     points: np.ndarray    # (n, p)
     values: np.ndarray    # (n,)
     gradients: np.ndarray  # (n, p)
+    distinct: InitVar[bool] = False   # the caller has checked the points
 
-    def __post_init__(self):
+    def __post_init__(self, distinct):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         vals = np.asarray(self.values, dtype=float).ravel()
         grads = np.atleast_2d(np.asarray(self.gradients, dtype=float))
@@ -59,7 +60,8 @@ class TrainingSet:
                 f"inconsistent training data: {n} points of dim {p}, "
                 f"{vals.shape} values, {grads.shape} gradients"
             )
-        _require_distinct(pts)
+        if not distinct:
+            _require_distinct(pts)
 
     @property
     def n(self) -> int:
@@ -79,12 +81,20 @@ class TrainingSet:
         return None
 
     def with_point(self, x, value, gradient) -> "TrainingSet":
-        """New training set extended by one point (rejects near-duplicates)."""
+        """New training set extended by one point (rejects near-duplicates).
+
+        Only the new point is checked: the existing ones are already
+        pairwise distinct.
+        """
         x = np.asarray(x, dtype=float)
+        idx = self.find_close(x)
+        if idx is not None:
+            raise DuplicatePointsError(idx, self.n, float(np.linalg.norm(self.points[idx] - x)))
         return TrainingSet(
             np.vstack([self.points, x[None, :]]),
             np.append(self.values, float(value)),
             np.vstack([self.gradients, np.asarray(gradient, dtype=float)[None, :]]),
+            distinct=True,
         )
 
 
@@ -269,12 +279,15 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surroga
 
     scale = 1.0 / np.sqrt(np.diag(M))
     Ms = M * scale[:, None] * scale[None, :]
-    eye = np.eye(len(M))
     cho = None
     jitter_used = JITTERS[-1]
     for jitter in JITTERS:
+        # a fresh copy per attempt, jittered on its diagonal; adding 0.0
+        # turns -0.0 entries into +0.0, as adding jitter * identity did
+        a = Ms + 0.0
+        a.flat[:: len(M) + 1] += jitter
         try:
-            cho = cho_factor(Ms + jitter * eye, lower=True)
+            cho = cho_factor(a, lower=True, overwrite_a=True)
             jitter_used = jitter
             break
         except np.linalg.LinAlgError:
@@ -303,11 +316,12 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surroga
 
 
 def estimate_norm(kernel: KernelSpec, problem, n_samples: int, sampler_seed: int,
-                  safety: float, box) -> float:
+                  safety: float, box) -> tuple[float, TrainingSet]:
     """Estimate the target's RKHS norm from a global interpolant.
 
     Fits one interpolant to n_samples seeded points in the problem box
-    (see sampled_fit) and returns safety * its norm.  The objective
+    (see sampled_fit) and returns safety * its norm, with the samples it
+    was fitted to, so callers can reuse the paid-for data.  The objective
     evaluations spent here are counted on the problem's counter; callers
     report them separately from optimization evaluations.  A box other
     than None overrides the sampling region, e.g. for problems without
@@ -318,7 +332,7 @@ def estimate_norm(kernel: KernelSpec, problem, n_samples: int, sampler_seed: int
     if safety < 1.0:
         raise ValueError("safety factor must be >= 1")
     s = sampled_fit(kernel, problem, bounded_box(problem, box), n_samples, sampler_seed)
-    return float(safety) * s.rkhs_norm()
+    return float(safety) * s.rkhs_norm(), s.training
 
 
 def sampled_fit(kernel: KernelSpec, problem, box, n_samples: int, seed: int) -> Surrogate:

@@ -4,7 +4,8 @@ The package evaluates kernels only in vectorized form (Gram blocks and
 kernel vectors from radial profiles) and counts every objective call.
 These helpers state the same quantities one pair or one point at a time,
 so tests can check the vectorized paths against them.  plain_pde2d is
-the PDE solve without the reused column order.
+the PDE solve as a sparse LU of the whole grid, without the condensation
+onto the material interface.
 """
 
 import numpy as np

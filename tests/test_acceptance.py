@@ -427,8 +427,8 @@ def test_criterion_6f_finite_difference_oracles(capsys, rng):
     w = 0.0
     for _ in range(10):
         mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
-        u, _, lu = pde2d_solve(disc, mu)
-        g = pde2d_gradient(disc, mu, u, lu=lu)
+        w_gamma, _, f = pde2d_solve(disc, mu)
+        g = pde2d_gradient(disc, mu, w_gamma, f)
         h = 1e-5
         for m in range(2):
             e = np.zeros(2)

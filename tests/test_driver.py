@@ -90,7 +90,7 @@ class TestRadiusLaw:
             assert out == cfg.beta_radius * d
 
 
-def _two_point_state(problem, kernel, mus, delta=0.5):
+def _two_point_state(problem, kernel, mus, delta=0.5, norm_bound=None):
     """State fitted on the given abscissae, current iterate = first of them."""
     pts = np.array([[m] for m in mus])
     vals, grads = [], []
@@ -98,8 +98,9 @@ def _two_point_state(problem, kernel, mus, delta=0.5):
         v, g = problem.eval(p)
         vals.append(v)
         grads.append(g)
-    s = fit(kernel, TrainingSet(pts, np.array(vals), np.array(grads)),
-            norm_bound=analytic_norm_1d_gaussian(kernel.shape))
+    if norm_bound is None:
+        norm_bound = analytic_norm_1d_gaussian(kernel.shape)
+    s = fit(kernel, TrainingSet(pts, np.array(vals), np.array(grads)), norm_bound=norm_bound)
     return TRState(iterate=pts[0].copy(), current_j=vals[0], delta=delta, surrogate=s)
 
 
@@ -171,6 +172,143 @@ class TestAcceptanceBranches:
         assert record.branch is expected
         # the evaluated point joins the model either way
         assert state.surrogate.training.find_close(cand) is not None
+
+    def test_refuted_certificate_rejects(self):
+        # a fixed norm bound far below the objective's certifies candidates
+        # whose evaluated J exceeds the value at the inner point (found by
+        # scanning a grid with the uncounted oracle): the audit fails and
+        # the step is rejected, not accepted
+        state = _two_point_state(self.problem, self.kernel, [0.95, 1.5], norm_bound=1e-2)
+        s = state.surrogate
+        agc = np.array([0.7])
+        jhat_agc = s.value(agc)
+        cand = next(
+            x for x in (np.array([c]) for c in np.linspace(-1.9, 1.9, 229))
+            if s.value(x) + s.norm_bound * s.power(x) <= jhat_agc
+            and peek(self.problem, x)[0] > jhat_agc + 1e-8 * (1.0 + abs(jhat_agc))
+        )
+        result = SubproblemResult(candidate=cand, agc=agc, iterates=[agc, cand],
+                                  termination=Termination.NEAR_BOUNDARY)
+        delta_before = state.delta
+        record = acceptance_step(state, result, self.problem, self.cfg)
+        assert record.branch is Branch.REJECTED_BY_DIRECT
+        assert record.sufficient_check_ok is False
+        assert record.j_value == peek(self.problem, cand)[0]
+        assert state.delta == self.cfg.beta1_shrink * delta_before
+        np.testing.assert_array_equal(state.iterate, [0.95])
+        assert state.surrogate.training.find_close(cand) is not None
+
+    @pytest.mark.parametrize("x0", [-1.9, -0.95, 0.475, 1.425])
+    def test_too_small_norm_bound_accepts_no_refuted_step(self, x0):
+        problem = problem_1d()
+        report = run_1d(problem, 0.725, [x0], norm_bound=1e-2)
+        refuted = [r for r in report.log if r.sufficient_check_ok is False]
+        assert refuted and report.audit_failures == len(refuted)
+        assert all(r.branch is Branch.REJECTED_BY_DIRECT for r in refuted)
+        # every accepted step decreased J, and the run still converges
+        accepted = [r.j_value for r in report.log if r.branch in
+                    (Branch.ACCEPTED_BY_SUFFICIENT, Branch.ACCEPTED_BY_DIRECT)]
+        assert accepted == sorted(accepted, reverse=True)
+        assert abs(report.final_j - 2.0) <= 1e-10
+
+
+class TestWarmStart:
+    """A run's first model holds the norm-estimate samples next to the start."""
+
+    def samples(self, problem, n=12, seed=4):
+        kernel = make_kernel("gaussian", 0.725, 1)
+        source = NormSource(kind="estimated", n_samples=n, seed=seed)
+        norm_bound, evals, samples = resolve_norm_bound(source, kernel, problem, box=None)
+        assert evals == n and samples.n == n
+        return kernel, norm_bound, samples
+
+    @staticmethod
+    def first_fit(monkeypatch, problem):
+        """Record (training set, problem counter) at every fit driver makes."""
+        fits = []
+        original = driver.fit
+
+        def recording(kernel, training, norm_bound):
+            fits.append((training, problem.counter))
+            return original(kernel, training, norm_bound)
+
+        monkeypatch.setattr(driver, "fit", recording)
+        return fits
+
+    def test_first_fit_holds_start_then_samples(self, monkeypatch):
+        problem = problem_1d()
+        kernel, norm_bound, samples = self.samples(problem)
+        fits = self.first_fit(monkeypatch, problem)
+        x0 = np.array([1.3])
+        before = problem.counter
+        report = run(problem, kernel, x0, cfg_1d(), norm_bound, samples)
+        first, counter = fits[0]
+        assert counter == before + 1      # the start's own evaluation
+        assert first.n == samples.n + 1
+        np.testing.assert_array_equal(first.points[0], x0)
+        assert first.values[0] == peek(problem, x0)[0]
+        np.testing.assert_array_equal(first.points[1:], samples.points)
+        np.testing.assert_array_equal(first.values[1:], samples.values)
+        np.testing.assert_array_equal(first.gradients[1:], samples.gradients)
+        # the samples are not charged to the run
+        assert report.fom_evals == problem.counter - before
+        assert abs(report.final_j - 2.0) <= 1e-10
+
+    def test_start_at_a_sample_costs_no_evaluation(self, monkeypatch):
+        problem = problem_1d()
+        kernel, norm_bound, samples = self.samples(problem)
+        fits = self.first_fit(monkeypatch, problem)
+        k = 5
+        before = problem.counter
+        run(problem, kernel, samples.points[k], cfg_1d(), norm_bound, samples)
+        first, counter = fits[0]
+        assert counter == before
+        assert first.n == samples.n
+        rest = [i for i in range(samples.n) if i != k]
+        np.testing.assert_array_equal(first.points, samples.points[[k] + rest])
+        np.testing.assert_array_equal(first.values, samples.values[[k] + rest])
+        np.testing.assert_array_equal(first.gradients, samples.gradients[[k] + rest])
+
+    @pytest.mark.parametrize("trust_region", [
+        {"norm_source": "analytic"},
+        {"norm_source": "fixed", "norm_value": 3.0},
+        {"norm_source": "estimated", "norm_samples": 12, "norm_seed": 4},
+    ])
+    def test_experiment_runs_start_from_the_norm_samples(self, monkeypatch, trust_region):
+        from hermite_tr import harness
+
+        cfg = harness.config_from_dict({
+            "problem": "one_d", "n_starts": 3,
+            "kernel": {"family": "gaussian", "shape": 0.725},
+            "trust_region": trust_region,
+        })
+        resolved, given, first_sizes = [], [], []
+        resolve, solve_run, fit_ = harness.resolve_norm_bound, harness.run, driver.fit
+
+        def recording_resolve(*args, **kwargs):
+            resolved.append(resolve(*args, **kwargs))
+            return resolved[-1]
+
+        def recording_run(problem, kernel, x0, tr, norm_bound, samples):
+            given.append(samples)
+            first_sizes.append(None)
+            return solve_run(problem, kernel, x0, tr, norm_bound, samples)
+
+        def recording_fit(kernel, training, norm_bound):
+            if first_sizes[-1] is None:
+                first_sizes[-1] = training.n
+            return fit_(kernel, training, norm_bound)
+
+        monkeypatch.setattr(harness, "resolve_norm_bound", recording_resolve)
+        monkeypatch.setattr(harness, "run", recording_run)
+        monkeypatch.setattr(driver, "fit", recording_fit)
+        harness.run_experiment(cfg)
+        [(_, _, samples)] = resolved
+        assert len(given) == 3 and all(s is samples for s in given)
+        if trust_region["norm_source"] == "estimated":
+            assert first_sizes == [13, 13, 13]
+        else:
+            assert samples is None and first_sizes == [1, 1, 1]
 
 
 class TestRun:
@@ -352,11 +490,11 @@ class TestRun:
             resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d(), box=None)
         assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d(),
                                   box=None) \
-            == (analytic_norm_1d_gaussian(1.0), 0)
+            == (analytic_norm_1d_gaussian(1.0), 0, None)
         # a fixed bound spends no evaluations, whatever the kernel and problem
         assert resolve_norm_bound(NormSource(kind="fixed", value=3.0),
                                   make_kernel("gaussian", 1.0, 2), problem_rosenbrock(),
-                                  box=None) == (3.0, 0)
+                                  box=None) == (3.0, 0, None)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

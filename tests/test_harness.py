@@ -354,9 +354,11 @@ class TestProtocol:
             assert all(c is cfg.tr.sub for c in seen), name
 
     def test_pde2d_solves_once_per_distinct_point(self, monkeypatch):
-        # the small pde2d experiment of TestGoldenOutputs: 103 counted
-        # evaluations at 86 distinct points (191 at 170 before the reference's
-        # line searches stopped at the objective's rounding level)
+        # the small pde2d experiment of TestGoldenOutputs: 95 counted
+        # evaluations at 78 distinct points (103 at 86 before the condensed
+        # solve and the warm start from the norm samples, 191 at 170 before
+        # the reference's line searches stopped at the objective's rounding
+        # level)
         solves, gradients, points, problems = [], [], [], []
         solve, gradient, evaluate = pde2d.pde2d_solve, pde2d.pde2d_gradient, Problem.eval
 
@@ -382,22 +384,22 @@ class TestProtocol:
         monkeypatch.setattr(harness, "make_problem", kept)
         run_experiment(config_from_dict(small_pde2d()))
         [problem] = problems
-        assert problem.counter == len(points) == 103
-        assert len(solves) == len(set(points)) == 86
+        assert problem.counter == len(points) == 95
+        assert len(solves) == len(set(points)) == 78
         # 2 points are only ever rejected line-search trials of the
         # reference and baseline runs; their gradients are never computed
-        assert len(gradients) == 84
+        assert len(gradients) == 76
 
 
 class TestGoldenOutputs:
     # sha256 of summary.csv from the bundled configs, written by the CLI in
     # a fresh process with one BLAS thread: rosenbrock's evaluation counts
-    # move with the thread count.  pde2d takes about 10 s.
+    # move with the thread count.  pde2d takes about 1 s.
     SUMMARY_SHA256 = {
         "one_d": "1e8e1a9bb60dadf8f7687c961e71ae5fbdefae6c6df6b6166a49d42107939f99",
         "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
-        "pde2d": "85106d1aad846ff876afc932adc87be7c35daa110317e5b46c1e0bb200ac3bd4",
-        "rosenbrock": "8c45c6d2a44cfea23fe43b564947f954aba666639ef279b281499d47d35a716a",
+        "pde2d": "d79b5f0b7f14eeb13901af9cee0063b1bb0f3a8915fe83d12d23816c6851d27b",
+        "rosenbrock": "42acede53c7447727fe0c79ed969ec61b16169da71e84d838e7c51c1e1fd0440",
     }
     # sha256 of the file the reference and power-field commands write, with
     # their default arguments, under the same conditions
@@ -414,10 +416,9 @@ class TestGoldenOutputs:
     OUTPUT_FILE = {"run": "summary.csv", "reference": "reference.json",
                    "power-field": "power_field.csv"}
 
-    # the same for small_pde2d(); the memo, the reused column order and
-    # the deferred gradient kept its bytes, the reference's rounding-level
-    # line-search stop moved its avg_rel_err_J digits
-    SMALL_PDE2D_SHA256 = "b438565f39b8ad9238ee6f8ef678cd8e9263d16c154a1f4e953baa33dca3acde"
+    # the same for small_pde2d(); the condensed PDE solve moved its last
+    # bits and the warm start from the norm samples its method counts
+    SMALL_PDE2D_SHA256 = "6db1117efd3c4e29c29ca041af0340b572f8b319dccfa3edc71dbe4cfd9c4671"
 
     def _cli_digest(self, command, config, tmp_path):
         """sha256 of the file `hermite-tr <command>` writes for a config file."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermite_tr import pde2d
-from hermite_tr.errors import AssumptionViolationError, ConfigError
+from hermite_tr.errors import AssumptionViolationError, ConfigError, NumericalError
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
     Problem,
@@ -150,7 +150,7 @@ class TestMemo:
         p.eval(x1, gradient=False)
         p.eval(x2, gradient=False)
         assert held == [None, None]
-        # x1's factor is gone, so its gradient costs one more solve, uncounted
+        # x1's state is gone, so its gradient costs one more solve, uncounted
         grad = p.gradient(x1)
         assert len(calls) == 3 and p.counter == 2 and held == [None, None, None]
         assert grad.tobytes() == problem_pde2d(grid_n=24).eval(x1)[1].tobytes()
@@ -216,8 +216,8 @@ class TestPde2d:
         worst = 0.0
         for _ in range(10):
             mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
-            u, _, lu = pde2d_solve(disc, mu)
-            g = pde2d_gradient(disc, mu, u, lu=lu)
+            w, _, f = pde2d_solve(disc, mu)
+            g = pde2d_gradient(disc, mu, w, f)
             h = 1e-5
             g_fd = np.zeros(2)
             for m in range(2):
@@ -245,27 +245,63 @@ class TestPde2d:
         # with the optimizer sitting on the upper edge of the box
         disc = Pde2dDiscretization.build(96)
         mu = np.array([1.42, 3.0])
-        u, _, lu = pde2d_solve(disc, mu)
-        g = pde2d_gradient(disc, mu, u, lu=lu)
+        w, _, f = pde2d_solve(disc, mu)
+        g = pde2d_gradient(disc, mu, w, f)
         assert g[1] < 0
 
-    @pytest.mark.parametrize("grid_n", [24, 96])
-    def test_same_bits_as_plain_splu(self, grid_n):
-        # every solve after the first reuses the first one's column order;
-        # state, value and gradient keep the bits of a fresh splu
+    # at grid 12 each inclusion is a 2 x 2 block of interface cells, so
+    # no cell sees A2 alone
+    @pytest.mark.parametrize("grid_n", [12, 24, 96, 100])
+    def test_agrees_with_plain_splu(self, grid_n):
+        # the condensed solve is exact up to rounding, not bit-identical to
+        # a sparse LU of the whole grid: state on the interface, value and
+        # gradient agree with a fresh splu and its sensitivity solves
         disc = Pde2dDiscretization.build(grid_n)
         problem = problem_pde2d(grid_n=grid_n)
+        gamma = disc.interface.gamma
         rng = np.random.default_rng(grid_n)
         for _ in range(20):
             mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
-            u, val, lu = pde2d_solve(disc, mu)
-            assert disc.column_order is not None
-            grad = pde2d_gradient(disc, mu, u, lu=lu)
+            w, val, f = pde2d_solve(disc, mu)
+            grad = pde2d_gradient(disc, mu, w, f)
             u0, val0, grad0 = plain_pde2d(disc, mu)
-            assert u.tobytes() == u0.tobytes()
-            assert val == val0 and grad.tobytes() == grad0.tobytes()
+            assert np.max(np.abs(w - u0[gamma])) <= 1e-12 * np.max(np.abs(u0[gamma]))
+            assert abs(val - val0) <= 1e-12 * abs(val0)
+            assert np.max(np.abs(grad - grad0)) <= 1e-12 * np.max(np.abs(grad0))
             p_val, p_grad = problem.eval(mu)
-            assert p_val == val0 and p_grad.tobytes() == grad0.tobytes()
+            assert p_val == val and p_grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("grid_n", [12, 24, 96, 100])
+    def test_interface_condensation_structure(self, grid_n):
+        disc = Pde2dDiscretization.build(grid_n)
+        face = disc.interface
+        cells = np.concatenate([face.gamma, face.exterior, face.inclusions])
+        assert np.array_equal(np.sort(cells), np.arange(grid_n**2))
+        a = disc.system_matrix(np.array([1.3, 2.1])).tocsr()
+        # the exterior and the inclusion interiors never couple, and each
+        # sees one block only
+        assert abs(a[face.exterior][:, face.inclusions]).sum() == 0.0
+        assert abs(disc.a2.tocsr()[face.exterior]).sum() == 0.0
+        assert abs(disc.a1.tocsr()[face.inclusions]).sum() == 0.0
+        if grid_n == 96:
+            # two 16 x 16 inclusions: a 60-cell inner and a 64-cell outer ring each
+            assert face.gamma.size == 248
+        if grid_n == 12:
+            assert face.inclusions.size == 0
+        for s in (face.s1, face.s2):
+            assert s.shape == (face.gamma.size,) * 2
+            assert np.array_equal(s, s.T)
+        # the offline step runs once per discretization
+        assert disc.interface is face
+
+    def test_indefinite_operator_is_a_numerical_error(self):
+        # outside the problem box theta1 can turn negative; the interface
+        # Cholesky then fails, which must surface as a typed error
+        disc = Pde2dDiscretization.build(24)
+        mu = np.array([-np.pi / 2.0, 5.0])
+        assert theta1(mu) < 0
+        with pytest.raises(NumericalError, match="linear solve failed"):
+            pde2d_solve(disc, mu)
 
     def test_grid_guard(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from hermite_tr import surrogate
 from hermite_tr.errors import DuplicatePointsError
@@ -79,8 +79,37 @@ class TestTrainingSet:
         ts2 = ts.with_point(np.array([0.5]), 3.0, np.array([0.1]))
         assert ts2.n == 3 and ts.n == 2
 
+    def test_with_point_checks_only_the_new_point(self, monkeypatch):
+        ts = TrainingSet(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), np.zeros((2, 1)))
+        with pytest.raises(DuplicatePointsError) as err:
+            ts.with_point(np.array([1.0 + 1e-12]), 3.0, np.zeros(1))
+        assert err.value.indices == (1, 2)
+        pair_checks = []
+        monkeypatch.setattr(surrogate, "_require_distinct",
+                            lambda pts: pair_checks.append(len(pts)))
+        ts3 = ts.with_point(np.array([0.5]), 3.0, np.array([0.1]))
+        assert pair_checks == []
+        np.testing.assert_array_equal(ts3.points[:, 0], [0.0, 1.0, 0.5])
+        # a training set built directly still checks every pair
+        TrainingSet(ts3.points, ts3.values, ts3.gradients)
+        assert pair_checks == [3]
+
 
 class TestFitAndEvaluate:
+    @pytest.mark.parametrize("spacing", [0.5, 1e-2, 1e-3])
+    def test_factor_has_the_bits_of_the_jittered_copy(self, spacing):
+        # fit jitters the diagonal of one copy of the scaled Gram in place;
+        # its factor equals that of the scaled Gram plus jitter * identity
+        k = make_kernel("gaussian", 1.0, 1)
+        pts = np.arange(8)[:, None] * spacing
+        s = fit(k, TrainingSet(pts, np.sin(pts[:, 0]), np.cos(pts)), norm_bound=1.0)
+        M = assemble_gram(k, pts)
+        Ms = M * s._scale[:, None] * s._scale[None, :]
+        factor, _ = cho_factor(Ms + s.jitter_used * np.eye(len(M)), lower=True)
+        assert s._cho[0].tobytes() == factor.tobytes()
+        if spacing < 0.1:
+            assert s.jitter_used > 0
+
     def test_single_point_interpolation(self, family):
         k = kernel_for(family, 2)
         ts = TrainingSet(np.array([[0.2, -0.3]]), np.array([4.5]), np.zeros((1, 2)))
@@ -395,16 +424,21 @@ class TestEstimateNorm:
         zs = rng.uniform(-1.5, 1.5, (5, 2))
         cs = rng.normal(size=5)
         problem, exact = _expansion_problem(k, zs, cs)
-        est = estimate_norm(k, problem, n_samples=40, sampler_seed=5, safety=1.0, box=None)
+        est, samples = estimate_norm(k, problem, n_samples=40, sampler_seed=5, safety=1.0,
+                                     box=None)
         assert est == pytest.approx(exact, rel=0.05)
         assert problem.counter == 40
+        # the samples come back with their data, in draw order
+        expected = np.random.default_rng(5).uniform(problem.lower, problem.upper, (40, 2))
+        assert np.array_equal(samples.points, expected)
+        assert np.array_equal(samples.values, [problem.f(x) for x in expected])
 
     def test_nested_sample_monotonicity(self, rng):
         k = make_kernel("gaussian", 1.0, 2)
         zs = rng.uniform(-1, 1, (4, 2))
         problem, _ = _expansion_problem(k, zs, rng.normal(size=4))
         estimates = [
-            estimate_norm(k, problem, n_samples=n, sampler_seed=17, safety=1.0, box=None)
+            estimate_norm(k, problem, n_samples=n, sampler_seed=17, safety=1.0, box=None)[0]
             for n in (5, 10, 20, 40)
         ]
         for a, b in zip(estimates, estimates[1:]):
@@ -414,6 +448,7 @@ class TestEstimateNorm:
         k = make_kernel("gaussian", 1.0, 2)
         zs = rng.uniform(-1, 1, (3, 2))
         problem, _ = _expansion_problem(k, zs, rng.normal(size=3))
-        base = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=1.0, box=None)
-        doubled = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=2.0, box=None)
+        base, _ = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=1.0, box=None)
+        doubled, _ = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=2.0,
+                                   box=None)
         assert doubled == 2.0 * base
