@@ -63,9 +63,9 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
     hinv = np.eye(dim)
 
     def fun(point):
-        # rejected trials never need their gradient; the accepted one, the
-        # last trial evaluated, fetches it below
-        return problem.eval(point, gradient=False)[0]
+        # the accepted trial, the last one evaluated, takes its gradient
+        # from the problem's memo below
+        return problem.eval(point)[0]
 
     termination = "max_iters"
     iters = 0

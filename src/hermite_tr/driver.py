@@ -269,10 +269,11 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     """
     s = state.surrogate
     cand = np.asarray(result.candidate, dtype=float)
-    jhat_x = s.value(state.iterate)
-    jhat_agc = s.value(result.agc)
+    # the candidate first: the inner solve leaves it in the surrogate's memo
     jhat_cand = s.value(cand)
     eta_cand = s.norm_bound * s.power(cand)
+    jhat_x = s.value(state.iterate)
+    jhat_agc = s.value(result.agc)
 
     j_cand, _, new_history, added = _eval_with_reuse(problem, s.training, cand)
     if added:

@@ -28,6 +28,9 @@ from .subproblem import SubproblemConfig
 from .surrogate import sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
+# grid points the power-field export scores per block (one distance pass
+# and one triangular solve each)
+POWER_FIELD_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -368,22 +371,25 @@ def export_power_field(cfg: ExperimentConfig, grid: int, centers: int) -> Path:
     pts = surrogate.training.points
 
     axes = [np.linspace(lower[d], upper[d], grid) for d in range(problem.dim)]
+    if problem.dim == 1:
+        # fold the fitted centers into the grid so their (vanishing)
+        # power values appear in the export
+        points = np.unique(np.concatenate([axes[0], pts[:, 0]]))[:, None]
+        header = "x,power"
+    else:
+        # the grid row by row in x, then the centers
+        grid_points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        points = np.vstack([grid_points, pts])
+        header = "x,y,power"
+
     out = output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "power_field.csv"
     with open(path, "w") as fh:
-        if problem.dim == 1:
-            # fold the fitted centers into the grid so their (vanishing)
-            # power values appear in the export
-            xs = np.unique(np.concatenate([axes[0], pts[:, 0]]))
-            fh.write("x,power\n")
-            for x in xs:
-                fh.write(f"{x:.12g},{surrogate.power(np.array([x])):.12g}\n")
-        else:
-            fh.write("x,y,power\n")
-            for x in axes[0]:
-                for y in axes[1]:
-                    fh.write(f"{x:.12g},{y:.12g},{surrogate.power(np.array([x, y])):.12g}\n")
-            for c in pts:
-                fh.write(f"{c[0]:.12g},{c[1]:.12g},{surrogate.power(c):.12g}\n")
+        fh.write(header + "\n")
+        for start in range(0, len(points), POWER_FIELD_BLOCK):
+            block = surrogate.block(points[start : start + POWER_FIELD_BLOCK])
+            for i, x in enumerate(block.points):
+                coords = ",".join(f"{c:.12g}" for c in x)
+                fh.write(f"{coords},{block.power(i):.12g}\n")
     return path

@@ -3,9 +3,8 @@
 Every objective evaluation goes through Problem.eval and increments the
 counter by exactly one; the counter is the cost metric reported by the
 experiment harness.  A memo keyed by the exact bytes of the point serves
-a repeated point without calling the objective again, and a caller that
-needs only the value can leave the gradient uncomputed until it asks for
-it.  Both save wall time only: each request still counts.
+a repeated point without calling the objective again; it saves wall time
+only, since each request still counts.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from .errors import AssumptionViolationError, ConfigError
 class Problem:
     """Objective with box bounds, an evaluation counter and a memo of evaluated points.
 
-    fn maps a point to (J, g), where g is a zero-argument callable that
-    computes grad J, so the gradient costs nothing until it is asked for.
+    fn maps a point to (J, grad J).
     """
 
     name: str
@@ -31,22 +29,15 @@ class Problem:
     upper: np.ndarray
     fn: Callable[[np.ndarray], tuple]
     counter: int = 0
-    # x.tobytes() -> [J, grad J, or None while it is deferred]
+    # x.tobytes() -> (J, grad J)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    # (x.tobytes(), callable) of the one point whose gradient is deferred
-    _deferred: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    def eval(self, x, gradient=True):
-        """Counted evaluation of (J, grad J) at x, or (J, None) with gradient=False.
-
-        Without the gradient, the means to compute it (for pde2d, the
-        interface state of the solve) stay held until the next new point,
-        and gradient(x) fetches it without counting again.
-        """
+    def eval(self, x):
+        """Counted evaluation of (J, grad J) at x; the gradient is a fresh array."""
         x = np.array(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
@@ -54,32 +45,21 @@ class Problem:
         key = x.tobytes()
         entry = self._memo.get(key)
         if entry is None:
-            self._deferred = None   # release the held state before the next one
             val, grad = self.fn(x)
             if not val > 0.0:
                 raise AssumptionViolationError(
                     f"{self.name}: objective value {val:.3e} at {x} is not strictly "
                     "positive; add a larger additive offset"
                 )
-            entry = self._memo[key] = [float(val), None]
-            self._deferred = (key, grad)
-        return entry[0], self.gradient(x) if gradient else None
+            entry = self._memo[key] = (float(val), np.asarray(grad, dtype=float))
+        return entry[0], entry[1].copy()
 
     def gradient(self, x):
         """grad J at a point eval has counted, as a fresh array; counts nothing."""
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        entry = self._memo.get(key)
+        entry = self._memo.get(x.tobytes())
         if entry is None:
             raise ValueError(f"{self.name}: no counted evaluation at {x}")
-        if entry[1] is None:
-            deferred, self._deferred = self._deferred, None
-            if deferred is not None and deferred[0] == key:
-                grad = deferred[1]
-            else:
-                # its state is gone: solve again, with the same bits
-                grad = self.fn(x)[1]
-            entry[1] = np.asarray(grad(), dtype=float)
         return entry[1].copy()
 
 
@@ -104,7 +84,7 @@ def problem_1d() -> Problem:
         mu = x[0]
         val = -np.exp(-mu**2) + 3.0 * np.exp(-0.001 * mu**2)
         grad = 2.0 * mu * np.exp(-mu**2) - 0.006 * mu * np.exp(-0.001 * mu**2)
-        return val, lambda: np.array([grad])
+        return val, np.array([grad])
 
     return _boxed("one_d", fn)
 
@@ -118,7 +98,7 @@ def problem_rosenbrock() -> Problem:
         grad = np.array(
             [-2.0 * (1.0 - a) - 400.0 * a * (b - a**2), 200.0 * (b - a**2)]
         )
-        return val, lambda: grad
+        return val, grad
 
     return _boxed("rosenbrock", fn)
 
@@ -131,7 +111,7 @@ def problem_pde2d(grid_n: int) -> Problem:
 
     def fn(mu):
         w, val, f = pde2d_solve(disc, mu)
-        return val, lambda: pde2d_gradient(disc, mu, w, f)
+        return val, pde2d_gradient(disc, mu, w, f)
 
     return _boxed("pde2d", fn)
 

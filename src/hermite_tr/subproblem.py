@@ -8,6 +8,12 @@ error-bound ratio stays below the current radius,
 Steps come from BFGS directions with Armijo backtracking; the first
 accepted inner point (the approximate generalized Cauchy point) is the
 yardstick the outer loop measures sufficient decrease against.
+
+Each line search forms its backtracking ladder, the trial points
+P(x + kappa_bt^j * d) for j = 0..j_max, once, as one array.  The surrogate
+scores the trials the search reaches CHUNK at a time, each chunk with one
+distance pass and one triangular solve (Surrogate.block); the values and
+power-function values have the bits of one-point queries.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +33,8 @@ from .surrogate import Surrogate
 POSITIVITY_FLOOR = 1e-12
 # Descent-angle floor; directions with smaller cos(angle) are reset.
 COS_FLOOR = 1e-8
+# Ladder trials the surrogate scores per block in the inner line search.
+CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,13 @@ class SubproblemConfig:
             raise ConfigError(f"beta2 must be in (0,1), got {self.beta2}")
         if self.l_max < 1 or self.j_max < 1:
             raise ConfigError("l_max and j_max must be positive")
+
+    @cached_property
+    def step_factors(self) -> np.ndarray:
+        """kappa_bt**j for j = 0..j_max, each a Python float power (read-only)."""
+        factors = np.array([self.kappa_bt**j for j in range(self.j_max + 1)])
+        factors.flags.writeable = False
+        return factors
 
 
 class Termination(enum.Enum):
@@ -87,8 +103,19 @@ def constraint_value(s: Surrogate, delta: float, x) -> float:
     return delta - s.norm_bound * s.power(x) / val
 
 
+def backtracking_ladder(x, direction, cfg: SubproblemConfig, box) -> np.ndarray:
+    """Trial points P(x + kappa_bt^j * direction), j = 0..j_max, one per row.
+
+    Each entry is the arithmetic of one trial: kappa_bt**j as a Python
+    float, times the direction, added to x, then clamped onto the box.
+    """
+    x = np.asarray(x, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    return project_box(x + cfg.step_factors[:, None] * direction, box)
+
+
 def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemConfig,
-                     box, feasible=None, resolution=None):
+                     box, feasible=None, resolution=None, ladder=None):
     """Smallest j with sufficient decrease at x(j) = P(x + kappa_bt^j * direction).
 
     fun maps a point to a scalar objective value; required_decrease maps
@@ -96,7 +123,11 @@ def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemCo
     fun; feasible (optional) is an extra acceptance predicate.  Returns
     (accepted point, its value, j).  Shared by the surrogate subproblem
     and the direct baseline so both pay for trials through the same code
-    path.
+    path: the trials are the rows of backtracking_ladder(x, direction,
+    cfg, box), formed once per search, and fun is called once per trial
+    the search evaluates, in ladder order, with feasible (if any) on the
+    same trial right after.  A caller that has formed the ladder already
+    (to score it ahead of the search) passes it as ladder.
 
     resolution (optional) is the smallest drop fun can resolve at x: the
     search raises LineSearchError at the first trial that requires no
@@ -104,13 +135,14 @@ def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemCo
     its test ("step too small", Nocedal & Wright, sec. 3.5).
     """
     x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    for j in range(cfg.j_max + 1):
-        trial = project_box(x + cfg.kappa_bt**j * direction, box)
-        step_vec = x - trial
-        if not np.any(step_vec):
+    if ladder is None:
+        ladder = backtracking_ladder(x, direction, cfg, box)
+    steps = x - ladder
+    moves = np.any(steps, axis=1).tolist()
+    for j, trial in enumerate(ladder):
+        if not moves[j]:
             continue
-        required = required_decrease(step_vec)
+        required = required_decrease(steps[j])
         if resolution is not None and required <= resolution:
             raise LineSearchError(
                 f"line search stopped at the objective's rounding level after {j} trials"
@@ -118,10 +150,55 @@ def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemCo
         f_trial = fun(trial)
         if fx - f_trial >= required:
             if feasible is None or feasible(trial):
-                return trial, f_trial, j
+                return trial.copy(), f_trial, j
     raise LineSearchError(
         f"no acceptable point within {cfg.j_max} backtracking steps"
     )
+
+
+class _LadderScores:
+    """The surrogate's value and trust-region test along one ladder, CHUNK trials a block.
+
+    The search asks for trials in ladder order, so a cursor finds each
+    one by its bytes; a trial past the scored rows gets the next CHUNK
+    rows from there scored as one PointBlock.  A trial at or below the
+    positivity floor counts as infeasible (the constraint ratio diverges
+    there), so backtracking continues past it; the slack is
+    constraint_value's, on the one value read.
+    """
+
+    def __init__(self, s: Surrogate, delta: float, ladder):
+        self.s, self.delta, self.ladder = s, delta, ladder
+        self.cursor = 0
+        self.trial = None                      # the trial the cursor is at
+        self.scored = [None] * len(ladder)    # j -> (block, row of j in it)
+
+    def _at(self, trial):
+        if trial is not self.trial:
+            key = trial.tobytes()
+            j = self.cursor
+            while self.ladder[j].tobytes() != key:
+                j += 1
+            self.cursor, self.trial = j, trial
+            if self.scored[j] is None:
+                block = self.s.block(self.ladder[j : j + CHUNK])
+                for i in range(len(block)):
+                    self.scored[j + i] = (block, i)
+        return self.scored[self.cursor]
+
+    def value(self, trial) -> float:
+        block, i = self._at(trial)
+        return block.values[i]
+
+    def feasible(self, trial) -> bool:
+        block, i = self._at(trial)
+        val = block.values[i]
+        return (val > POSITIVITY_FLOOR
+                and self.delta - self.s.norm_bound * block.power(i) / val >= 0.0)
+
+    def remember_last(self) -> None:
+        """Seed the surrogate's memo with the last trial asked for (the accepted one)."""
+        self.s.remember(*self.scored[self.cursor])
 
 
 def _norm(v) -> float:
@@ -186,14 +263,6 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
         return SubproblemResult(candidate=x, agc=x.copy(), iterates=[],
                                 termination=Termination.STATIONARY_INNER)
 
-    # a trial at or below the positivity floor counts as infeasible (the
-    # constraint ratio diverges there), so backtracking continues past it;
-    # the slack is constraint_value's, on the one value read, and no typed
-    # error is built and discarded here
-    def feasible(trial):
-        val = s.value(trial)
-        return val > POSITIVITY_FLOOR and delta - s.norm_bound * s.power(trial) / val >= 0.0
-
     hinv = np.eye(dim)
     iterates: list = []
     agc = None
@@ -212,11 +281,13 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             # second reset while the gradient is nonzero
             assert float(grad @ direction) < 0.0
 
+        ladder = backtracking_ladder(x, direction, cfg, box)
+        scores = _LadderScores(s, delta, ladder)
         try:
             x_new, _, _ = armijo_backtrack(
-                s.value, x, s.value(x),
+                scores.value, x, s.value(x),
                 angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi),
-                direction, cfg, box=box, feasible=feasible,
+                direction, cfg, box=box, feasible=scores.feasible, ladder=ladder,
             )
         except LineSearchError:
             if agc is None:
@@ -224,6 +295,7 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             termination = Termination.LINE_SEARCH_FAILED
             break
 
+        scores.remember_last()
         iterates.append(x_new.copy())
         if agc is None:
             agc = x_new.copy()

@@ -16,7 +16,9 @@ trust region used by the outer optimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -139,17 +141,103 @@ def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
     return M
 
 
+def _kernel_rows(dt, k_vals, g1, g2, order=None):
+    """Generalized kernel rows of d1^a k(x, .) against all functionals.
+
+    dt holds x - x_j by direction for one point, shape (p, n), or for a
+    block of points, shape (c, p, n), and k_vals, g1, g2 the radial
+    profiles at the matching distances; the result has shape (n(1+p),)
+    or (c, n(1+p)).  Both cases run the same elementwise arithmetic, so a
+    block's row has the bits of the one-point row.
+    """
+    *lead, p, n = dt.shape
+    b = np.empty((*lead, n * (1 + p)))
+    # the derivative functionals, grouped by center, viewed by direction:
+    # entry (m, j) is b's entry n + j*p + m
+    deriv = b[..., n:].reshape(*lead, n, p).swapaxes(-1, -2)
+    if order is None:
+        b[..., :n] = k_vals
+        np.multiply(-g1[..., None, :], dt, out=deriv)             # d2_m k(x, x_j)
+    else:
+        b[..., :n] = g1 * dt[..., order, :]                         # d1_l k(x, x_j)
+        unit = np.zeros((p, 1))                                     # column l of I
+        unit[order] = 1.0
+        np.subtract(-g1[..., None, :] * unit,
+                    g2[..., None, :] * dt[..., order : order + 1, :] * dt, out=deriv)
+    return b
+
+
+def _residual(solved, diag) -> float:
+    """Power function value from (scaled row, its solve), or cho_solve's error for None.
+
+    The quadratic form is clamped at zero before the square root since
+    roundoff can push it slightly negative near centers; sqrt is
+    correctly rounded, so math's gives numpy's bits.
+    """
+    if solved is None:
+        raise ValueError("array must not contain infs or NaNs")
+    bs, x = solved
+    return math.sqrt(max(diag - float(bs.dot(x)), 0.0))
+
+
 class _PointMemo:
     """Distance pass, kernel vectors and finished queries at one point."""
 
-    __slots__ = ("key", "d", "k_vals", "g1", "g2", "vectors", "value", "gradient", "power")
+    __slots__ = ("key", "dt", "k_vals", "g1", "g2", "vectors", "value", "gradient", "power")
 
-    def __init__(self, key, d, k_vals, g1, g2):
-        self.key, self.d, self.k_vals, self.g1, self.g2 = key, d, k_vals, g1, g2
+    def __init__(self, key, dt, k_vals, g1, g2):
+        self.key, self.dt, self.k_vals, self.g1, self.g2 = key, dt, k_vals, g1, g2
         self.vectors = {}     # order -> generalized kernel vector
         self.value = None
         self.gradient = None
         self.power = {}       # order -> power function value
+
+
+class PointBlock:
+    """Surrogate values and power-function values at the rows of a (c, p) block.
+
+    One distance-and-profile pass and one block of kernel rows serve
+    every row, and each value is its row's dot product with the
+    coefficients.  The first power asked for solves, in one triangular
+    solve, for every row from there to the block's end: a line search
+    that needs the power at one trial tends to need it at the next.
+    Each entry has the bits value(x) and power(x) give at its row x.  A
+    row whose scaled kernel row is not finite raises Surrogate.power's
+    ValueError, and only when its power is asked for.
+    """
+
+    __slots__ = ("_s", "points", "dt", "k_vals", "g1", "g2", "rows", "values", "_solved",
+                 "_powers")
+
+    def __init__(self, s: "Surrogate", points):
+        self._s = s
+        self.points = np.asarray(points, dtype=float)
+        self.dt, self.k_vals, self.g1, self.g2 = s._profiles(self.points)
+        self.rows = _kernel_rows(self.dt, self.k_vals, self.g1, self.g2)
+        self.values = [float(row.dot(s._coeffs)) for row in self.rows]
+        self._solved = {}     # row -> (scaled row, its solve), None where not finite
+        self._powers = {}     # row -> power
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def power(self, i) -> float:
+        p = self._powers.get(i)
+        if p is None:
+            if i not in self._solved:
+                self._solved.update(zip(range(i, len(self)), self._s._solve_rows(self.rows[i:])))
+            p = self._powers[i] = _residual(self._solved[i], self._s.kernel.diag_value)
+        return p
+
+    def memo(self, i) -> _PointMemo:
+        """The per-point memo of row i, with what the block has computed there."""
+        memo = _PointMemo(self.points[i].tobytes(), self.dt[i], self.k_vals[i],
+                          self.g1[i], self.g2[i])
+        memo.vectors[None] = self.rows[i]
+        memo.value = self.values[i]
+        if i in self._powers:
+            memo.power[None] = self._powers[i]
+        return memo
 
 
 @dataclass
@@ -165,7 +253,9 @@ class Surrogate:
     radial profiles, kernel vectors and finished results.  The memo is
     keyed by the exact float64 bytes of x (no tolerance), holds one point,
     stores nothing scaled by norm_bound, and is not an init field, so
-    dataclasses.replace starts with an empty one.
+    dataclasses.replace starts with an empty one.  block(points) scores
+    many points in one pass, as a PointBlock; remember(block, i) makes its
+    row i the memo's point, so the queries that follow at that point hit.
     """
 
     kernel: KernelSpec
@@ -180,34 +270,48 @@ class Surrogate:
 
     # -- evaluation ----------------------------------------------------
 
+    @cached_property
+    def _points_t(self) -> np.ndarray:
+        """The centers as a contiguous (p, n) array, one row per direction."""
+        return np.ascontiguousarray(self.training.points.T)
+
+    def _profiles(self, x):
+        """Distance pass at a point (p,) or a block (c, p): (x - x_j by direction, phi, g1, g2).
+
+        The squared distance sums the directions left to right, as
+        np.linalg.norm's reduction over fewer than eight directions does.
+        """
+        dt = x[..., :, None] - self._points_t            # (..., p, n)
+        sq = dt * dt
+        r2 = sq[..., 0, :]
+        for l in range(1, sq.shape[-2]):
+            r2 = r2 + sq[..., l, :]
+        return (dt, *radial_profiles(self.kernel, np.sqrt(r2)))
+
     def _memo_at(self, x) -> _PointMemo:
         """Memo of x, after one distance-and-profile pass if x is new."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         memo = self._memo
         if memo is None or memo.key != key:
-            d = x[None, :] - self.training.points          # (n, p): x - x_j
-            r = np.sqrt(np.add.reduce(d * d, axis=1))     # np.linalg.norm's sequence
-            memo = self._memo = _PointMemo(key, d, *radial_profiles(self.kernel, r))
+            memo = self._memo = _PointMemo(key, *self._profiles(x))
         return memo
 
     def _eval_vector(self, memo: _PointMemo, order=None):
         """Generalized kernel vector of d1^a k(x, .) against all functionals."""
         b = memo.vectors.get(order)
-        if b is not None:
-            return b
-        n, p = memo.d.shape
-        d, g1, g2 = memo.d, memo.g1, memo.g2
-        b = np.empty(n * (1 + p))
-        if order is None:
-            b[:n] = memo.k_vals
-            b[n:] = (-g1[:, None] * d).ravel()          # d2_m k(x, x_j)
-        else:
-            b[:n] = g1 * d[:, order]                    # d1_l k(x, x_j)
-            row = -g1[:, None] * np.eye(p)[order] - g2[:, None] * d[:, order : order + 1] * d
-            b[n:] = row.ravel()
-        memo.vectors[order] = b
+        if b is None:
+            b = memo.vectors[order] = _kernel_rows(memo.dt, memo.k_vals, memo.g1, memo.g2,
+                                                   order)
         return b
+
+    def block(self, points) -> PointBlock:
+        """Values and power-function values at the rows of points, in one pass."""
+        return PointBlock(self, points)
+
+    def remember(self, block: PointBlock, i) -> None:
+        """Make row i of block the memo's point."""
+        self._memo = block.memo(i)
 
     def value(self, x) -> float:
         memo = self._memo_at(x)
@@ -226,28 +330,41 @@ class Surrogate:
 
     # -- error machinery -----------------------------------------------
 
+    def _solve_rows(self, rows) -> list:
+        """(scaled row, its solve against the factor) for each row of a (c, m) block.
+
+        A row whose scaled entries are not all finite gets None; the
+        others share one triangular solve.
+        """
+        bs = rows * self._scale
+        if math.isfinite(bs.sum()):      # a sum with an inf or a NaN is not finite
+            finite, rhs = range(len(bs)), bs
+        else:
+            finite = np.flatnonzero(np.isfinite(bs).all(axis=1))
+            rhs = bs[finite]
+        out = [None] * len(bs)
+        if len(rhs):
+            # cho_solve's LAPACK call without its wrapper's overhead
+            factor, lower = self._cho
+            solved, info = dpotrs(factor, rhs.T, lower=lower)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+            for i, b, x in zip(finite, rhs, solved.T):
+                out[i] = (b, x)
+        return out
+
     def power(self, x, order=None) -> float:
         """Projection-residual norm of d1^a k(x, .) onto the data subspace.
 
         order=None is the plain (value) case; an integer selects the unit
-        derivative direction.  The quadratic form is clamped at zero
-        before the square root since roundoff can push it slightly
-        negative near centers.
+        derivative direction.
         """
         memo = self._memo_at(x)
         if order not in memo.power:
             b = self._eval_vector(memo, order=order)
             diag = self.kernel.diag_value if order is None else self.kernel.cross_diag
-            bs = b * self._scale
-            # cho_solve's LAPACK call without its wrapper's overhead
-            if not np.all(np.isfinite(bs)):
-                raise ValueError("array must not contain infs or NaNs")
-            factor, lower = self._cho
-            solved, info = dpotrs(factor, bs, lower=lower)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-            q = diag - float(bs @ solved)
-            memo.power[order] = float(np.sqrt(max(q, 0.0)))
+            [solved] = self._solve_rows(b[None, :])
+            memo.power[order] = _residual(solved, diag)
         return memo.power[order]
 
     def error_bounds(self, x):

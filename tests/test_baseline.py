@@ -76,7 +76,7 @@ class TestBoxConstrained:
 
         def fn(x):
             d = x - center
-            return float(d @ d + 5.0), lambda: 2.0 * d
+            return float(d @ d + 5.0), 2.0 * d
 
         return Problem(name="bowl",
                        lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]), fn=fn)
@@ -154,7 +154,7 @@ def noisy_bowl():
     def fn(x):
         seen.append(exact(x))
         noise = np.random.default_rng(np.frombuffer(x.tobytes(), dtype=np.uint32)).uniform(-1, 1)
-        return exact(x) * (1.0 + 1e-13 * noise), lambda: hessian @ (x - center)
+        return exact(x) * (1.0 + 1e-13 * noise), hessian @ (x - center)
 
     problem = Problem(name="noisy_bowl", lower=np.full(2, -2.0), upper=np.full(2, 2.0), fn=fn)
     return problem, seen

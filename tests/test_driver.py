@@ -389,7 +389,7 @@ class TestRun:
         from hermite_tr.problems import Problem
 
         def fn(x):
-            return float(x[0] ** 2 + 1.0), lambda: np.array([-2.0 * x[0]])
+            return float(x[0] ** 2 + 1.0), np.array([-2.0 * x[0]])
 
         problem = Problem(name="adversarial",
                           lower=np.array([-2.0]), upper=np.array([2.0]), fn=fn)

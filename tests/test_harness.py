@@ -370,9 +370,9 @@ class TestProtocol:
             gradients.append(1)
             return gradient(*args, **kwargs)
 
-        def recorded_eval(self, x, gradient=True):
+        def recorded_eval(self, x):
             points.append(np.asarray(x, dtype=float).tobytes())
-            return evaluate(self, x, gradient)
+            return evaluate(self, x)
 
         def kept(name, grid_n):
             problems.append(make_problem(name, grid_n=grid_n))
@@ -385,16 +385,53 @@ class TestProtocol:
         run_experiment(config_from_dict(small_pde2d()))
         [problem] = problems
         assert problem.counter == len(points) == 95
-        assert len(solves) == len(set(points)) == 78
-        # 2 points are only ever rejected line-search trials of the
-        # reference and baseline runs; their gradients are never computed
-        assert len(gradients) == 76
+        # every solve computes its gradient with the value, the rejected
+        # line-search trials of the reference and baseline runs too
+        assert len(solves) == len(set(points)) == len(gradients) == 78
+
+
+def tree_digest(out):
+    """sha256 over summary.csv, experiment.json and runs/*.json, in sorted order.
+
+    Each file enters with its path relative to out, so a renamed or
+    missing run record changes the digest too.
+    """
+    digest = hashlib.sha256()
+    for path in [out / "summary.csv", out / "experiment.json",
+                 *sorted((out / "runs").glob("*.json"))]:
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="class")
+def cli_output(tmp_path_factory):
+    """Output directory of `hermite-tr <command> <config>`, run once per class.
+
+    The run happens in a fresh process with one BLAS thread: rosenbrock's
+    evaluation counts move with the thread count.
+    """
+    done = {}
+
+    def run(command, config):
+        key = (command, str(config))
+        if key not in done:
+            out = tmp_path_factory.mktemp("cli") / "out"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(out),
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "hermite_tr.cli", command, str(config)],
+                           env=env, check=True, capture_output=True)
+            done[key] = out
+        return done[key]
+
+    return run
 
 
 class TestGoldenOutputs:
     # sha256 of summary.csv from the bundled configs, written by the CLI in
-    # a fresh process with one BLAS thread: rosenbrock's evaluation counts
-    # move with the thread count.  pde2d takes about 1 s.
+    # a fresh process with one BLAS thread.  pde2d takes about 1 s.
     SUMMARY_SHA256 = {
         "one_d": "1e8e1a9bb60dadf8f7687c961e71ae5fbdefae6c6df6b6166a49d42107939f99",
         "one_d_sweep": "8f5764ebf11aa22e87f1d49df3af97effc0db4ca01e3f2cf7fce8d658fdb49c8",
@@ -420,20 +457,30 @@ class TestGoldenOutputs:
     # bits and the warm start from the norm samples its method counts
     SMALL_PDE2D_SHA256 = "6db1117efd3c4e29c29ca041af0340b572f8b319dccfa3edc71dbe4cfd9c4671"
 
-    def _cli_digest(self, command, config, tmp_path):
+    # tree_digest of the whole output of `hermite-tr run`: summary.csv
+    # rounds to 12 significant digits, the run records keep every bit
+    TREE_SHA256 = {
+        "one_d": "eab28b05a10b10cb64ec050cc1ab41b0be871818886278d1a3f140294bedb3fa",
+        "one_d_sweep": "b6a6a36586f37495eec7c1b8ecac3e4191f688a1224c2fa830c1f3dfe41ae8f8",
+        "pde2d": "88b3aa3782916edc0cb66431e5d6ae0ad492eee377f694d9edb4955cf02c4b36",
+        "rosenbrock": "143947804a80cd50e583d7cb3408cfd48a4df229bdde59effb9e4f152b7e88dd",
+        "small_pde2d": "1f7d3c63c61c27d0a6bb22e629035fddf6b9795a73bb7d18e261546a4e537a3a",
+    }
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        """Path of a bundled config, or of small_pde2d() written to a file."""
+        small = tmp_path_factory.mktemp("config") / "pde2d_small.yaml"
+        small.write_text(yaml.safe_dump(small_pde2d()))
+        return lambda name: small if name == "small_pde2d" else CONFIG_DIR / f"{name}.yaml"
+
+    def _digest(self, cli_output, command, config):
         """sha256 of the file `hermite-tr <command>` writes for a config file."""
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(tmp_path / "out"),
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "hermite_tr.cli", command,
-                        str(config)],
-                       env=env, check=True, capture_output=True)
-        path = tmp_path / "out" / self.OUTPUT_FILE[command]
+        path = cli_output(command, config) / self.OUTPUT_FILE[command]
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
-    def test_bundled_summary_unchanged(self, name, tmp_path):
+    def test_bundled_summary_unchanged(self, name, cli_output, config_path):
         """The bundled config writes exactly the recorded summary.csv.
 
         Refactors and speed-ups must keep these bytes.  A change that means
@@ -441,20 +488,26 @@ class TestGoldenOutputs:
         updates the hash here and records the change, with its reason, in
         CHANGES.md.
         """
-        digest = self._cli_digest("run", CONFIG_DIR / f"{name}.yaml", tmp_path)
-        assert digest == self.SUMMARY_SHA256[name]
+        assert self._digest(cli_output, "run", config_path(name)) == self.SUMMARY_SHA256[name]
 
     @pytest.mark.parametrize("command,name", sorted(COMMAND_SHA256))
-    def test_bundled_command_output_unchanged(self, command, name, tmp_path):
+    def test_bundled_command_output_unchanged(self, command, name, cli_output, config_path):
         """reference.json and power_field.csv keep their bytes, as summary.csv does."""
-        digest = self._cli_digest(command, CONFIG_DIR / f"{name}.yaml", tmp_path)
+        digest = self._digest(cli_output, command, config_path(name))
         assert digest == self.COMMAND_SHA256[command, name]
 
-    def test_small_pde2d_summary_unchanged(self, tmp_path):
+    def test_small_pde2d_summary_unchanged(self, cli_output, config_path):
         """The PDE layer keeps its bits: a 24 x 24 pde2d run, about 1 s."""
-        config = tmp_path / "pde2d_small.yaml"
-        config.write_text(yaml.safe_dump(small_pde2d()))
-        assert self._cli_digest("run", config, tmp_path) == self.SMALL_PDE2D_SHA256
+        digest = self._digest(cli_output, "run", config_path("small_pde2d"))
+        assert digest == self.SMALL_PDE2D_SHA256
+
+    @pytest.mark.parametrize("name", sorted(TREE_SHA256))
+    def test_output_tree_unchanged(self, name, cli_output, config_path):
+        """Every run record keeps its bits, not only the rounded summary.
+
+        Shares its run of the CLI with the summary test of the same config.
+        """
+        assert tree_digest(cli_output("run", config_path(name))) == self.TREE_SHA256[name]
 
 
 class TestPowerField:

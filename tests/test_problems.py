@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from hermite_tr import pde2d
 from hermite_tr.errors import AssumptionViolationError, ConfigError, NumericalError
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
@@ -87,7 +86,7 @@ class TestRosenbrock:
 class TestPositivityGuard:
     def test_guard_raises(self):
         def fn(x):
-            return -1.0, lambda: np.zeros(1)
+            return -1.0, np.zeros(1)
 
         p = Problem(name="neg", lower=np.array([-1.0]), upper=np.array([1.0]), fn=fn)
         with pytest.raises(AssumptionViolationError):
@@ -95,7 +94,7 @@ class TestPositivityGuard:
 
 
 class TestMemo:
-    """Repeated points and deferred gradients save work, never a count or a bit."""
+    """Repeated points save work, never a count or a bit."""
 
     @staticmethod
     def counting(problem):
@@ -121,39 +120,14 @@ class TestMemo:
         assert val2 == val
         assert grad2.tobytes() == grad_copy.tobytes()
 
-    def test_deferred_gradient_has_the_same_bits(self, monkeypatch):
-        x = np.array([0.9, 2.8])
-        full_val, full_grad = problem_pde2d(grid_n=24).eval(x)
-        gradients = []
-        monkeypatch.setattr(pde2d, "pde2d_gradient",
-                            lambda *a, **k: gradients.append(1) or pde2d_gradient(*a, **k))
-        p = problem_pde2d(grid_n=24)
-        val, none = p.eval(x, gradient=False)
-        assert none is None and gradients == []
-        grad = p.gradient(x)
-        assert p.counter == 1 and len(gradients) == 1
-        assert val == full_val and grad.tobytes() == full_grad.tobytes()
-        # later requests take the memoized gradient
-        assert p.eval(x)[1].tobytes() == grad.tobytes() and len(gradients) == 1
-
-    def test_deferred_factor_released_before_the_next_solve(self):
+    def test_gradient_reads_the_memo(self):
         p, calls = self.counting(problem_pde2d(grid_n=24))
-        held = []
-        fn = p.fn
-
-        def fn_checking(x):
-            held.append(p._deferred)
-            return fn(x)
-
-        p.fn = fn_checking
-        x1, x2 = np.array([1.0, 1.0]), np.array([2.0, 3.0])
-        p.eval(x1, gradient=False)
-        p.eval(x2, gradient=False)
-        assert held == [None, None]
-        # x1's state is gone, so its gradient costs one more solve, uncounted
-        grad = p.gradient(x1)
-        assert len(calls) == 3 and p.counter == 2 and held == [None, None, None]
-        assert grad.tobytes() == problem_pde2d(grid_n=24).eval(x1)[1].tobytes()
+        x = np.array([0.9, 2.8])
+        _, grad = p.eval(x)
+        again = p.gradient(x.copy())
+        again[:] = 0.0                      # a fresh array each time
+        assert p.gradient(x).tobytes() == grad.tobytes()
+        assert p.counter == 1 and len(calls) == 1
 
     def test_gradient_needs_a_counted_point(self):
         p = problem_1d()
@@ -167,7 +141,7 @@ class TestMemo:
 
         def fn(x):
             calls.append(1)
-            return -1.0, lambda: np.zeros(1)
+            return -1.0, np.zeros(1)
 
         p = Problem(name="neg", lower=np.array([-1.0]), upper=np.array([1.0]), fn=fn)
         for _ in range(2):

@@ -1,5 +1,7 @@
 """Inner solver: constraint, line search, and BFGS descent on the surrogate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,23 @@ from hermite_tr.errors import AssumptionViolationError, ConfigError, LineSearchE
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import problem_rosenbrock
 from hermite_tr.subproblem import (
+    CHUNK,
     POSITIVITY_FLOOR,
     SubproblemConfig,
     Termination,
     angle_decrease_rule,
     armijo_backtrack,
+    backtracking_ladder,
     constraint_value,
     project_box,
+    projected_decrease_rule,
     projected_gradient_norm,
     solve,
 )
 from hermite_tr.surrogate import TrainingSet, fit
 
-from oracles import peek
+from conftest import kernel_for
+from oracles import peek, per_trial_backtrack, per_trial_solve
 
 
 def unbounded(dim):
@@ -328,3 +334,183 @@ class TestSolve:
                         assert s.value(res.candidate) <= s.value(res.agc)
         assert Termination.LINE_SEARCH_FAILED in terminations
         assert Termination.NEAR_BOUNDARY in terminations
+
+
+def outcome(run, *args):
+    """A solve's result as bytes, or its error's type and message."""
+    try:
+        res = run(*args)
+    except (LineSearchError, AssumptionViolationError) as exc:
+        return type(exc).__name__, str(exc)
+    return (res.candidate.tobytes(), res.agc.tobytes(),
+            [p.tobytes() for p in res.iterates], res.termination)
+
+
+class TestChunkedSearch:
+    """The ladder scored a chunk at a time decides as the per-trial loop does, bit for bit."""
+
+    def test_ladder_rows_are_the_per_trial_points(self, rng):
+        for dim in (1, 2, 3):
+            for box in (unbounded(dim), (np.full(dim, -1.0), np.full(dim, 0.5))):
+                x = project_box(rng.uniform(-1.5, 1.5, dim), box)
+                direction = rng.normal(size=dim) * 10.0 ** rng.integers(-12, 3)
+                direction[0] = 0.0 if dim > 1 else direction[0]
+                cfg = SubproblemConfig(kappa_bt=float(rng.uniform(0.1, 0.9)), j_max=60)
+                ladder = backtracking_ladder(x, direction, cfg, box)
+                assert ladder.shape == (cfg.j_max + 1, dim)
+                for j, row in enumerate(ladder):
+                    trial = project_box(x + cfg.kappa_bt**j * direction, box)
+                    assert row.tobytes() == trial.tobytes(), (dim, j)
+
+    @pytest.mark.parametrize("resolution", [None, 1e-9])
+    def test_backtrack_matches_per_trial_loop(self, resolution, rng):
+        # the direct baseline's use: no feasibility test, a rounding stop
+        box = (np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+        for _ in range(60):
+            # some starts on a bound, some directions short enough that the
+            # ladder ends in steps that round to zero
+            x = project_box(rng.uniform(-1.3, 1.3, 2), box)
+            grad = rng.normal(size=2)
+            direction = -grad * 10.0 ** rng.integers(-12, 3)
+            offset = rng.uniform(-1, 1, 2)
+
+            def fun(point):
+                return float((point - offset) @ (point - offset)) + 1.0
+
+            rule = projected_decrease_rule(1e-4, grad)
+            args = (x, fun(x), rule, direction, SubproblemConfig(j_max=int(rng.integers(3, 60))),
+                    box)
+            results = []
+            for search in (armijo_backtrack, per_trial_backtrack):
+                try:
+                    point, value, j = search(fun, *args, resolution=resolution)
+                    results.append((point.tobytes(), value, j))
+                except LineSearchError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_solve_matches_per_trial_oracle(self, family, dim, rng):
+        kernel = kernel_for(family, dim, 0.8)
+        box = (np.full(dim, -1.0), np.full(dim, 1.2))
+        seen = set()
+        for _ in range(2):
+            pts = rng.uniform(-1.5, 1.5, (6, dim))
+            vals = (pts**2).sum(axis=1) + 1.0 + 0.3 * pts[:, 0]
+            grads = 2.0 * pts + 0.3 * np.eye(dim)[0]
+            s = fit(kernel, TrainingSet(pts, vals, grads), norm_bound=float(vals.max()))
+            starts = [*pts[:3], project_box(pts[3], box), rng.uniform(-1.0, 1.2, dim)]
+            for x0 in starts:
+                for delta in (1e-3, 0.1, 2.0):
+                    for sub_box in (unbounded(dim), box):
+                        for cfg in (SubproblemConfig(), SubproblemConfig(j_max=5, l_max=4)):
+                            args = (x0, delta, cfg, sub_box)
+                            got = outcome(solve, s, *args)
+                            assert got == outcome(per_trial_solve, dataclasses.replace(s), *args)
+                            seen.add(got[-1] if len(got) == 4 else got[0])
+        # the runs reach more than one way of stopping and of failing
+        assert len(seen) >= 3
+
+    def test_trials_below_positivity_floor_match_oracle(self):
+        # the steep line of test_trial_below_positivity_floor_is_infeasible
+        k = make_kernel("gaussian", 1.0, 1)
+        pts = np.linspace(-2.0, 2.0, 21)[:, None]
+        s = fit(k, TrainingSet(pts, 3.0 * pts[:, 0] + 1.0, np.full((21, 1), 3.0)),
+                norm_bound=1.0)
+        for l_max in (1, 3, 50):
+            args = (np.array([0.0]), 0.5, SubproblemConfig(l_max=l_max), unbounded(1))
+            got = outcome(solve, s, *args)
+            assert got == outcome(per_trial_solve, dataclasses.replace(s), *args)
+
+    def test_clamped_onto_a_center_matches_oracle(self):
+        # the bowl's minimizer lies left of the box, whose lower bound is
+        # a center: long trials clamp onto it, where the power is ~0
+        s = quadratic_surrogate(center=-3.0, half_width=5.0, n=51)
+        assert -2.0 in s.training.points[:, 0]
+        box = (np.array([-2.0]), np.array([2.0]))
+        for x0 in (-1.5, 0.3, 1.9):
+            for delta in (1e-4, 0.05, 1.0):
+                args = (np.array([x0]), delta, SubproblemConfig(), box)
+                got = outcome(solve, s, *args)
+                assert got == outcome(per_trial_solve, dataclasses.replace(s), *args)
+
+    def test_deep_search_matches_oracle(self, family):
+        # from a center with a radius below any power away from it, every
+        # trial is infeasible until the power rounds to zero: the search
+        # runs through several chunks, or fails after a short j_max
+        kernel = kernel_for(family, 2, 0.8)
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2))
+        s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
+        outcomes = set()
+        for j_max in (5, 2 * CHUNK + 3, 80):
+            for delta in (1e-300, 1e-9):
+                args = (pts[0], delta, SubproblemConfig(j_max=j_max, l_max=2), unbounded(2))
+                got = outcome(solve, s, *args)
+                assert got == outcome(per_trial_solve, dataclasses.replace(s), *args)
+                outcomes.add(got[0] if len(got) == 2 else "solved")
+        assert outcomes == {"LineSearchError", "solved"}
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0])
+    def test_scored_search_through_zero_steps_matches_per_trial_loop(self, family, scale):
+        # the search as solve runs it, by hand: uphill, every trial fails
+        # the Armijo test, down to the steps that round to zero and are
+        # skipped; downhill, it accepts or meets the trust region
+        kernel = kernel_for(family, 2, 0.8)
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 2))
+        s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
+        cfg = SubproblemConfig(j_max=70)
+        x = pts[1]
+        grad = s.gradient(x)
+        for direction, delta in ((grad * scale, 1.0), (-grad * scale, 1e-3), (-grad, 1e-9)):
+            rule = angle_decrease_rule(cfg.kappa_arm, float(np.linalg.norm(grad)), 1.0)
+            ladder = backtracking_ladder(x, direction, cfg, unbounded(2))
+            assert not np.any(x - ladder[-1])           # the ladder ends in zero steps
+            results = []
+            for search, fun, feasible, kwargs in (
+                (armijo_backtrack, *self._scored(s, delta, ladder), {"ladder": ladder}),
+                (per_trial_backtrack, *self._per_point(dataclasses.replace(s), delta), {}),
+            ):
+                asked = []
+
+                def recorded(point, fun=fun):
+                    asked.append(point.tobytes())
+                    return fun(point)
+
+                try:
+                    point, value, j = search(recorded, x, s.value(x), rule, direction, cfg,
+                                             unbounded(2), feasible=feasible, **kwargs)
+                    results.append((point.tobytes(), value, j, asked))
+                except LineSearchError as exc:
+                    results.append((str(exc), asked))
+            assert results[0] == results[1]
+
+    def test_accepted_trials_need_no_second_distance_pass(self, family, monkeypatch):
+        # the memo takes each accepted trial from its block, so the
+        # gradient and trust-region reads there pass over no distances:
+        # the only one-point pass is the start's
+        kernel = kernel_for(family, 2, 0.8)
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
+        s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
+        shapes = []
+        profiles = s._profiles
+
+        def recorded(x):
+            shapes.append(np.shape(x))
+            return profiles(x)
+
+        monkeypatch.setattr(s, "_profiles", recorded)
+        res = solve(s, pts[0], 0.5, SubproblemConfig(), unbounded(2))
+        assert len(res.iterates) >= 2
+        assert [shape for shape in shapes if len(shape) == 1] == [(2,)]
+
+    @staticmethod
+    def _scored(s, delta, ladder):
+        scores = subproblem._LadderScores(s, delta, ladder)
+        return scores.value, scores.feasible
+
+    @staticmethod
+    def _per_point(s, delta):
+        def feasible(trial):
+            val = s.value(trial)
+            return val > POSITIVITY_FLOOR and delta - s.norm_bound * s.power(trial) / val >= 0.0
+        return s.value, feasible

@@ -334,6 +334,124 @@ class TestPointMemo:
         assert other.error_bounds(x1)[0] == 7.0 * s.power(x1)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestPointBlock:
+    """A block of points scores with the bits of one-point queries on a fresh twin."""
+
+    @staticmethod
+    def _surrogate(family, dim, rng, n=7, shape=0.9):
+        k = kernel_for(family, dim, shape)
+        pts = rng.uniform(-1.5, 1.5, (n, dim))
+        ts = TrainingSet(pts, rng.normal(size=n) + 4.0, rng.normal(size=(n, dim)))
+        return fit(k, ts, norm_bound=2.0)
+
+    @staticmethod
+    def _awkward_points(s, rng, count=20):
+        """Random points, the centers themselves, points on and beside the
+        Wendland support edge and a repeated point."""
+        pts, dim = s.training.points, s.training.dim
+        edge = pts[0] + np.eye(dim)[0] / s.kernel.shape           # r = 1/shape
+        return np.vstack([
+            rng.uniform(-2.5, 2.5, (count, dim)),
+            pts,
+            edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+            pts[1], pts[1],
+        ])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_values_and_powers_match_one_point_queries(self, family, dim, rng):
+        s = self._surrogate(family, dim, rng)
+        points = self._awkward_points(s, rng)
+        block = s.block(points)
+        assert len(block) == len(points)
+        for i, x in enumerate(points):
+            twin = dataclasses.replace(s)       # starts with an empty memo
+            assert _bits(block.values[i]) == _bits(twin.value(x)), (i, x)
+            assert _bits(block.power(i)) == _bits(twin.power(x)), (i, x)
+        # on a center the quadratic form is zero up to rounding, of either
+        # sign; both paths clamp the negative ones to a power of 0
+        at_centers = [block.power(20 + i) for i in range(len(s.training.points))]
+        assert 0.0 in at_centers and max(at_centers) < 1e-5
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 9, 300])
+    def test_block_size_does_not_move_a_bit(self, family, size, rng):
+        s = self._surrogate(family, 2, rng, n=30)
+        points = rng.uniform(-2, 2, (size, 2))
+        block = s.block(points)
+        # powers asked for from the middle on, then the rows before
+        order = list(range(size // 2, size)) + list(range(size // 2))
+        for i in order:
+            twin = dataclasses.replace(s)
+            assert _bits(block.power(i)) == _bits(twin.power(points[i]))
+            assert _bits(block.values[i]) == _bits(twin.value(points[i]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_remembered_row_serves_every_query(self, family, dim, rng, monkeypatch):
+        s = self._surrogate(family, dim, rng)
+        points = self._awkward_points(s, rng, count=5)
+        block = s.block(points)
+        for i, x in enumerate(points):
+            block.power(i)
+            s.remember(block, i)
+            twin = dataclasses.replace(s)
+            profiles, radial_profiles = [], surrogate.radial_profiles
+            with monkeypatch.context() as m:
+                m.setattr(surrogate, "radial_profiles",
+                          lambda *a: profiles.append(1) or radial_profiles(*a))
+                queries = [_query(s, x.copy(), what) for what in ("value", ("power", None))]
+            assert profiles == []      # no second distance pass at x
+            assert queries == [_query(twin, x, what) for what in ("value", ("power", None))]
+            for what in ("gradient",) + tuple(("power", l) for l in range(dim)):
+                assert _query(s, x, what) == _query(dataclasses.replace(s), x, what)
+
+    def test_kernel_rows_of_a_block_are_the_one_point_rows(self, family, rng):
+        s = self._surrogate(family, 3, rng)
+        points = self._awkward_points(s, rng, count=6)
+        dt, k_vals, g1, g2 = s._profiles(points)
+        for order in (None, 0, 1, 2):
+            rows = surrogate._kernel_rows(dt, k_vals, g1, g2, order)
+            for i, x in enumerate(points):
+                one = surrogate._kernel_rows(*s._profiles(x), order)
+                assert rows[i].tobytes() == one.tobytes(), (order, i)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+    def test_one_point_pass_keeps_the_plain_arithmetic(self, family, dim, rng):
+        # distances as np.linalg.norm takes them, the value as one dot
+        # product, the power's quadratic form as cho_solve's solve and one
+        # dot product: the bits the surrogate had before blocks existed
+        s = self._surrogate(family, dim, rng)
+        for x in self._awkward_points(s, rng, count=5):
+            r = np.linalg.norm(x - s.training.points, axis=1)
+            b = s._eval_vector(s._memo_at(x))
+            assert b[: s.training.n].tobytes() == surrogate.radial_profiles(s.kernel, r)[0].tobytes()
+            bs = b * s._scale
+            q = s.kernel.diag_value - float(bs @ cho_solve(s._cho, bs))
+            twin = dataclasses.replace(s)
+            assert _bits(twin.value(x)) == _bits(float(b @ s._coeffs))
+            assert _bits(twin.power(x)) == _bits(float(np.sqrt(max(q, 0.0))))
+
+    def test_non_finite_row_raises_power_error_only_when_asked(self, rng):
+        # far enough out, the quadratic Matern profile is inf * 0 = nan
+        s = self._surrogate("quad_matern", 2, rng)
+        points = np.array([[0.3, -0.2], [1e200, 0.0], [-0.7, 1.1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = s.block(points)
+            with pytest.raises(ValueError, match="infs or NaNs") as from_block:
+                block.power(1)
+            with pytest.raises(ValueError, match="infs or NaNs") as from_point:
+                dataclasses.replace(s).power(points[1])
+        assert str(from_block.value) == str(from_point.value)
+        assert np.isnan(block.values[1])
+        for i in (0, 2):
+            assert _bits(block.power(i)) == _bits(dataclasses.replace(s).power(points[i]))
+        s.remember(block, 1)                          # no power to carry over
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            s.power(points[1])
+
+
 class TestErrorBounds:
     def test_bound_vanishes_at_centers(self, rng):
         k = make_kernel("quad_matern", 0.7, 2)
