@@ -262,7 +262,8 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     """Decide the candidate's fate and update the state in place.
 
     The objective is evaluated at the candidate (unless it duplicates a
-    history point) and the refit model is kept whatever the outcome.  An
+    history point) and the refit model, its Gram grown from the current
+    one's, is kept whatever the outcome.  An
     accepted step moves the iterate and the radius follows the ratio law;
     a rejection shrinks the radius by the rejection factor.  Returns the
     log record; record.branch tells which case decided.
@@ -277,7 +278,7 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
 
     j_cand, _, new_history, added = _eval_with_reuse(problem, s.training, cand)
     if added:
-        state.surrogate = fit(s.kernel, new_history, s.norm_bound)
+        state.surrogate = fit(s.kernel, new_history, s.norm_bound, previous=s)
 
     record = IterationRecord(
         outer_iter=state.outer_iter,

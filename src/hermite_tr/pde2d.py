@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, NumericalError
@@ -206,10 +206,16 @@ def pde2d_solve(disc: Pde2dDiscretization, mu):
     mu = np.asarray(mu, dtype=float)
     face = disc.interface
     t1, t2 = theta1(mu), theta2(mu)
-    try:
-        w = cho_solve(cho_factor(t1 * face.s1 + t2 * face.s2, lower=True), face.load)
-    except ValueError as exc:   # LinAlgError (S not positive definite) is one
-        raise NumericalError(f"linear solve failed at mu={mu}: {exc}") from exc
+    # S is exactly symmetric (s1 and s2 are), so its transpose is the same
+    # matrix in Fortran order, which LAPACK factors in place.  A NaN in S
+    # can pass the factorization; it then shows in the state.
+    schur = t1 * face.s1
+    schur += t2 * face.s2     # in place: cheaper than numpy's reuse of a large temporary
+    factor, info = dpotrf(schur.T, lower=True, clean=False, overwrite_a=True)
+    if info == 0:
+        w, info = dpotrs(factor, face.load, lower=True)
+    if info != 0:
+        raise NumericalError(f"linear solve failed at mu={mu}: LAPACK info {info}")
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite state at mu={mu}")
     f = face.c1 / t1 + face.c2 / t2 + float(face.load @ w)

@@ -21,8 +21,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DuplicatePointsError,
@@ -36,6 +35,8 @@ from .problems import bounded_box
 DISTINCT_TOL = 1e-10
 # Jitter ladder for the regularized factorization, scaled by mean(diag).
 JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
+# scipy.linalg's message for a non-finite input, kept as the contract
+NOT_FINITE = "array must not contain infs or NaNs"
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,38 @@ def _require_distinct(pts):
         raise DuplicatePointsError(i, j, float(d[i, j]))
 
 
+def _distances(diff):
+    """Euclidean lengths of difference vectors stored by direction, shape (p, ...).
+
+    The squares are summed left to right, whatever p.  Every distance
+    behind a kernel value comes from here (the Gram, its grown form and
+    evaluation), so they agree to the bit at every dimension;
+    np.linalg.norm sums pairwise from eight directions on.
+    """
+    sq = diff * diff
+    r2 = sq[0]
+    for s in sq[1:]:
+        r2 = r2 + s
+    return np.sqrt(r2)
+
+
+def _derivative_blocks(diff, g1, g2):
+    """Derivative Gram entries between the centers along diff's two leading axes.
+
+    diff holds x_i - x_j (row center minus column center), shape (a, b, p),
+    and g1, g2 the radial profiles at its distances, shape (a, b).
+    Returns the derivative-by-value block (a*p, b), rows (i, l), and the
+    derivative block (a*p, b*p).
+    """
+    a, b, p = diff.shape
+    # d1_l k(x_i, x_j) = g1(r_ij) * (x_i - x_j)_l, row (i, l), column j
+    dv = (g1[:, :, None] * diff).transpose(0, 2, 1).reshape(a * p, b)
+    cross = -g1[:, :, None, None] * np.eye(p) - g2[:, :, None, None] * (
+        diff[:, :, :, None] * diff[:, :, None, :]
+    )
+    return dv, cross.transpose(0, 2, 1, 3).reshape(a * p, b * p)
+
+
 def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
     """Generalized Gram matrix coupling value and gradient functionals.
 
@@ -124,20 +157,54 @@ def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
     n, p = pts.shape
 
     diff = pts[:, None, :] - pts[None, :, :]          # (n, n, p)
-    r = np.linalg.norm(diff, axis=2)
-    k_vals, g1, g2 = radial_profiles(kernel, r)
+    k_vals, g1, g2 = radial_profiles(kernel, _distances(np.moveaxis(diff, -1, 0)))
+    dv, dd = _derivative_blocks(diff, g1, g2)
 
     m = n * (1 + p)
     M = np.empty((m, m))
     M[:n, :n] = k_vals
-    # d1_l k(x_i, x_j) = g1(r_ij) * (x_i - x_j)_l, row block (i, l), column j
-    g1d = g1[:, :, None] * diff                        # (n, n, p)
-    M[n:, :n] = g1d.transpose(0, 2, 1).reshape(n * p, n)
-    M[:n, n:] = M[n:, :n].T
-    cross = -g1[:, :, None, None] * np.eye(p) - g2[:, :, None, None] * (
-        diff[:, :, :, None] * diff[:, :, None, :]
-    )
-    M[n:, n:] = cross.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+    M[n:, :n] = dv
+    M[:n, n:] = dv.T
+    M[n:, n:] = dd
+    return M
+
+
+def grow_gram(kernel: KernelSpec, gram, points) -> np.ndarray:
+    """assemble_gram(kernel, points) from gram, the Gram of all points but the last.
+
+    The old blocks move to their places in the larger layout, and only
+    the last center's 1+p rows and 1+p columns are evaluated.  The rows
+    take x_new - x_j and the columns x_i - x_new, the orientation
+    assemble_gram gives each entry, so every entry has its bits, signed
+    zeros included.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n1, p = pts.shape
+    n = n1 - 1
+    rows = pts[-1] - pts                              # (n1, p): x_new - x_j
+    cols = pts - pts[-1]                              # x_i - x_new
+    # (-d)**2 == d**2 exactly, so both orientations share the distances
+    k_vals, g1, g2 = radial_profiles(kernel, _distances(rows.T))
+    r_dv, r_dd = _derivative_blocks(rows[None], g1[None], g2[None])
+    c_dv, c_dd = _derivative_blocks(cols[:, None], g1[:, None], g2[:, None])
+
+    m = n1 * (1 + p)
+    d = n1 + n * p                                    # first derivative row of x_new
+    M = np.empty((m, m))
+    M[:n, :n] = gram[:n, :n]
+    M[:n, n1:d] = gram[:n, n:]
+    M[n1:d, :n] = gram[n:, :n]
+    M[n1:d, n1:d] = gram[n:, n:]
+    # the new center's rows, then its columns; the (new, new) entries
+    # agree between the two, both orientations being +0.0 there
+    M[n, :n1] = k_vals
+    M[n, n1:] = c_dv[:, 0]
+    M[d:, :n1] = r_dv
+    M[d:, n1:] = r_dd
+    M[:n1, n] = k_vals
+    M[n1:, n] = c_dv[:, 0]
+    M[:n1, d:] = r_dv.T
+    M[n1:, d:] = c_dd
     return M
 
 
@@ -167,6 +234,14 @@ def _kernel_rows(dt, k_vals, g1, g2, order=None):
     return b
 
 
+def _potrs(factor, b):
+    """Solve against a lower Cholesky factor: cho_solve's LAPACK call without its wrapper."""
+    x, info = dpotrs(factor, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
 def _residual(solved, diag) -> float:
     """Power function value from (scaled row, its solve), or cho_solve's error for None.
 
@@ -175,7 +250,7 @@ def _residual(solved, diag) -> float:
     correctly rounded, so math's gives numpy's bits.
     """
     if solved is None:
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValueError(NOT_FINITE)
     bs, x = solved
     return math.sqrt(max(diag - float(bs.dot(x)), 0.0))
 
@@ -246,7 +321,9 @@ class Surrogate:
 
     norm_bound is the caller-supplied upper bound on the RKHS norm of the
     target function; value/gradient error bounds scale linearly with it.
-    Immutable in practice: nothing mutates the arrays after fit.
+    Immutable in practice: nothing mutates the arrays after fit.  gram is
+    the unregularized Gram: rkhs_norm's quadratic form, and the base that
+    fit grows when this surrogate is the previous one of a refit.
 
     value, gradient and power at the same x share one distance-and-profile
     pass: a memo of the most recently queried point keeps its distances,
@@ -276,17 +353,9 @@ class Surrogate:
         return np.ascontiguousarray(self.training.points.T)
 
     def _profiles(self, x):
-        """Distance pass at a point (p,) or a block (c, p): (x - x_j by direction, phi, g1, g2).
-
-        The squared distance sums the directions left to right, as
-        np.linalg.norm's reduction over fewer than eight directions does.
-        """
+        """Distance pass at a point (p,) or a block (c, p): (x - x_j by direction, phi, g1, g2)."""
         dt = x[..., :, None] - self._points_t            # (..., p, n)
-        sq = dt * dt
-        r2 = sq[..., 0, :]
-        for l in range(1, sq.shape[-2]):
-            r2 = r2 + sq[..., l, :]
-        return (dt, *radial_profiles(self.kernel, np.sqrt(r2)))
+        return (dt, *radial_profiles(self.kernel, _distances(dt.swapaxes(0, -2))))
 
     def _memo_at(self, x) -> _PointMemo:
         """Memo of x, after one distance-and-profile pass if x is new."""
@@ -344,11 +413,7 @@ class Surrogate:
             rhs = bs[finite]
         out = [None] * len(bs)
         if len(rhs):
-            # cho_solve's LAPACK call without its wrapper's overhead
-            factor, lower = self._cho
-            solved, info = dpotrs(factor, rhs.T, lower=lower)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+            solved = _potrs(self._cho[0], rhs.T)
             for i, b, x in zip(finite, rhs, solved.T):
                 out[i] = (b, x)
         return out
@@ -382,51 +447,70 @@ class Surrogate:
         return float(np.sqrt(max(q, 0.0)))
 
 
-def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float) -> Surrogate:
+def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float,
+        previous: Surrogate | None = None) -> Surrogate:
     """Solve the generalized Gram system for the interpolation coefficients.
 
+    previous, if given, is a surrogate of the same kernel fitted to all
+    of training's points but the last; its Gram is then grown by that
+    point (grow_gram) instead of assembled anew, with the same bits.
     The system is symmetrically Jacobi-scaled (value and derivative rows
     live on different scales), factorized with an escalating jitter
-    ladder, and polished with two iterative-refinement sweeps.
+    ladder, and polished with two iterative-refinement sweeps.  A value,
+    gradient or point that is not finite raises ValueError, as
+    scipy.linalg.cho_factor and cho_solve do.
     """
     if not norm_bound > 0:
         raise ValueError(f"norm_bound must be positive, got {norm_bound}")
-    M = assemble_gram(kernel, training.points)
+    if previous is None:
+        M = assemble_gram(kernel, training.points)
+    elif previous.kernel == kernel and np.array_equal(previous.training.points,
+                                                      training.points[:-1]):
+        M = grow_gram(kernel, previous.gram, training.points)
+    else:
+        raise ValueError("previous must share the kernel and all points but the last")
     y = np.concatenate([training.values, training.gradients.ravel()])
 
     scale = 1.0 / np.sqrt(np.diag(M))
-    Ms = M * scale[:, None] * scale[None, :]
-    cho = None
-    jitter_used = JITTERS[-1]
-    for jitter in JITTERS:
-        # a fresh copy per attempt, jittered on its diagonal; adding 0.0
-        # turns -0.0 entries into +0.0, as adding jitter * identity did
-        a = Ms + 0.0
-        a.flat[:: len(M) + 1] += jitter
-        try:
-            cho = cho_factor(a, lower=True, overwrite_a=True)
-            jitter_used = jitter
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if cho is None:
-        raise IllConditionedGramError(jitter=JITTERS[-1], size=len(M))
-
+    # in place: numpy's check before reusing a large temporary costs more
+    # than the product it would save
+    Ms = M * scale[:, None]
+    Ms *= scale[None, :]
     ys = y * scale
-    cs = cho_solve(cho, ys)
+
+    def failed(jitter):
+        # potrf does not check its input, and a NaN can pass it, so a
+        # failed fit looks for a non-finite entry before blaming the jitter
+        if not (np.isfinite(Ms).all() and np.isfinite(ys).all()):
+            return ValueError(NOT_FINITE)
+        return IllConditionedGramError(jitter=jitter, size=len(M))
+
+    for jitter in JITTERS:
+        # a fresh Fortran-ordered copy per attempt, which dpotrf factors in
+        # place, jittered on its diagonal; adding 0.0 turns -0.0 entries
+        # into +0.0, as adding jitter * identity did
+        a = np.add(Ms, 0.0, order="F")
+        a.flat[:: len(M) + 1] += jitter
+        factor, info = dpotrf(a, lower=True, clean=False, overwrite_a=True)
+        if info == 0:
+            break
+    else:
+        raise failed(jitter)
+
+    cs = _potrs(factor, ys)
     for _ in range(2):
-        cs = cs + cho_solve(cho, ys - Ms @ cs)
+        cs = cs + _potrs(factor, ys - Ms @ cs)
     coeffs = cs * scale
     if not np.all(np.isfinite(coeffs)):
-        raise IllConditionedGramError(jitter=jitter_used, size=len(M))
+        raise failed(jitter)
 
     return Surrogate(
         kernel=kernel,
         training=training,
         norm_bound=float(norm_bound),
-        jitter_used=jitter_used,
+        jitter_used=jitter,
         gram=M,
-        _cho=cho,
+        _cho=(factor, True),
         _scale=scale,
         _coeffs=coeffs,
     )

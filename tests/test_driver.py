@@ -228,9 +228,9 @@ class TestWarmStart:
         fits = []
         original = driver.fit
 
-        def recording(kernel, training, norm_bound):
+        def recording(kernel, training, norm_bound, previous=None):
             fits.append((training, problem.counter))
-            return original(kernel, training, norm_bound)
+            return original(kernel, training, norm_bound, previous=previous)
 
         monkeypatch.setattr(driver, "fit", recording)
         return fits
@@ -294,10 +294,10 @@ class TestWarmStart:
             first_sizes.append(None)
             return solve_run(problem, kernel, x0, tr, norm_bound, samples)
 
-        def recording_fit(kernel, training, norm_bound):
+        def recording_fit(kernel, training, norm_bound, previous=None):
             if first_sizes[-1] is None:
                 first_sizes[-1] = training.n
-            return fit_(kernel, training, norm_bound)
+            return fit_(kernel, training, norm_bound, previous=previous)
 
         monkeypatch.setattr(harness, "resolve_norm_bound", recording_resolve)
         monkeypatch.setattr(harness, "run", recording_run)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hermite_tr import baseline, driver, harness, pde2d, subproblem
+from hermite_tr import baseline, driver, harness, pde2d, subproblem, surrogate
 from hermite_tr.baseline import BaselineConfig
 from hermite_tr.cli import main as cli_main
 from hermite_tr.driver import NormSource, TRConfig
@@ -28,7 +28,8 @@ from hermite_tr.harness import (
 from hermite_tr.problems import Problem, make_problem
 from hermite_tr.subproblem import SubproblemConfig
 
-REPO = Path(__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+REPO = TESTS.parent
 CONFIG_DIR = REPO / "scripts" / "configs"
 
 MINIMAL = {
@@ -353,41 +354,101 @@ class TestProtocol:
         for name, seen in received.items():
             assert all(c is cfg.tr.sub for c in seen), name
 
-    def test_pde2d_solves_once_per_distinct_point(self, monkeypatch):
-        # the small pde2d experiment of TestGoldenOutputs: 95 counted
-        # evaluations at 78 distinct points (103 at 86 before the condensed
-        # solve and the warm start from the norm samples, 191 at 170 before
-        # the reference's line searches stopped at the objective's rounding
-        # level)
-        solves, gradients, points, problems = [], [], [], []
-        solve, gradient, evaluate = pde2d.pde2d_solve, pde2d.pde2d_gradient, Problem.eval
-
-        def counted_solve(disc, mu):
-            solves.append(1)
-            return solve(disc, mu)
-
-        def counted_gradient(*args, **kwargs):
-            gradients.append(1)
-            return gradient(*args, **kwargs)
-
-        def recorded_eval(self, x):
-            points.append(np.asarray(x, dtype=float).tobytes())
-            return evaluate(self, x)
-
-        def kept(name, grid_n):
-            problems.append(make_problem(name, grid_n=grid_n))
-            return problems[-1]
-
-        monkeypatch.setattr(pde2d, "pde2d_solve", counted_solve)
-        monkeypatch.setattr(pde2d, "pde2d_gradient", counted_gradient)
-        monkeypatch.setattr(Problem, "eval", recorded_eval)
-        monkeypatch.setattr(harness, "make_problem", kept)
-        run_experiment(config_from_dict(small_pde2d()))
-        [problem] = problems
-        assert problem.counter == len(points) == 95
+    def test_pde2d_solves_once_per_distinct_point(self):
+        # the small pde2d experiment of TestGoldenOutputs, run as there in a
+        # fresh process with one BLAS thread: 96 counted evaluations at 79
+        # distinct points.  (Two threads read 95 at 78; 103 at 86 before the
+        # condensed solve and the warm start from the norm samples, 191 at
+        # 170 before the reference's line searches stopped at the
+        # objective's rounding level.)
+        script = ("import json, test_harness; "
+                  "print(json.dumps(test_harness.small_pde2d_solve_counts()))")
+        out = subprocess.run([sys.executable, "-c", script], env=one_blas_thread_env(TESTS),
+                             check=True, capture_output=True, text=True)
+        evals, recorded, distinct, solves, gradients = json.loads(out.stdout)
+        assert evals == recorded == 96
         # every solve computes its gradient with the value, the rejected
         # line-search trials of the reference and baseline runs too
-        assert len(solves) == len(set(points)) == len(gradients) == 78
+        assert solves == distinct == gradients == 79
+
+    @pytest.mark.parametrize("trust_region", [
+        {},
+        {"norm_source": "estimated", "norm_samples": 12, "norm_seed": 4},
+    ])
+    def test_refits_grow_the_gram(self, monkeypatch, trust_region):
+        # the bundled one_d experiment assembles a Gram only for each run's
+        # first model and each norm estimate; every refit grows the Gram of
+        # the model before it
+        data = yaml.safe_load((CONFIG_DIR / "one_d.yaml").read_text())
+        cfg = config_from_dict({**data, "trust_region": {**data["trust_region"],
+                                                         **trust_region}})
+        assembled, fits, previous_given, estimates = [], [], [], []
+        assemble, fit_, resolve = surrogate.assemble_gram, driver.fit, harness.resolve_norm_bound
+
+        def counted_assemble(*args):
+            assembled.append(1)
+            return assemble(*args)
+
+        def recording_fit(kernel, training, norm_bound, previous=None):
+            previous_given.append(previous is not None)
+            if previous is not None:
+                assert previous is fits[-1]
+            fits.append(fit_(kernel, training, norm_bound, previous=previous))
+            return fits[-1]
+
+        def recording_resolve(*args, **kwargs):
+            result = resolve(*args, **kwargs)
+            estimates.append(result[2] is not None)
+            return result
+
+        monkeypatch.setattr(surrogate, "assemble_gram", counted_assemble)
+        monkeypatch.setattr(driver, "fit", recording_fit)
+        monkeypatch.setattr(harness, "resolve_norm_bound", recording_resolve)
+        run_experiment(cfg)
+        first_fits = previous_given.count(False)
+        assert first_fits == cfg.n_starts and any(previous_given)
+        assert estimates == [bool(trust_region)]
+        assert len(assembled) == first_fits + sum(estimates)
+
+
+def small_pde2d_solve_counts():
+    """small_pde2d()'s experiment: (counted evaluations, recorded evaluations,
+    distinct points, PDE solves, gradients)."""
+    solves, gradients, points, problems = [], [], [], []
+    solve, gradient, evaluate = pde2d.pde2d_solve, pde2d.pde2d_gradient, Problem.eval
+
+    def counted_solve(disc, mu):
+        solves.append(1)
+        return solve(disc, mu)
+
+    def counted_gradient(*args, **kwargs):
+        gradients.append(1)
+        return gradient(*args, **kwargs)
+
+    def recorded_eval(self, x):
+        points.append(np.asarray(x, dtype=float).tobytes())
+        return evaluate(self, x)
+
+    def kept(name, grid_n):
+        problems.append(make_problem(name, grid_n=grid_n))
+        return problems[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde2d, "pde2d_solve", counted_solve)
+        mp.setattr(pde2d, "pde2d_gradient", counted_gradient)
+        mp.setattr(Problem, "eval", recorded_eval)
+        mp.setattr(harness, "make_problem", kept)
+        run_experiment(config_from_dict(small_pde2d()))
+    [problem] = problems
+    return problem.counter, len(points), len(set(points)), len(solves), len(gradients)
+
+
+def one_blas_thread_env(*paths, **extra):
+    """Environment of a fresh process with one BLAS thread that imports src and paths."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), *map(str, paths),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1", PYTHONPATH=path, **extra)
 
 
 def tree_digest(out):
@@ -417,10 +478,7 @@ def cli_output(tmp_path_factory):
         key = (command, str(config))
         if key not in done:
             out = tmp_path_factory.mktemp("cli") / "out"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                       MKL_NUM_THREADS="1", HERMITE_TR_OUTPUT_DIR=str(out),
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+            env = one_blas_thread_env(HERMITE_TR_OUTPUT_DIR=str(out))
             subprocess.run([sys.executable, "-m", "hermite_tr.cli", command, str(config)],
                            env=env, check=True, capture_output=True)
             done[key] = out

@@ -277,6 +277,12 @@ class TestPde2d:
         with pytest.raises(NumericalError, match="linear solve failed"):
             pde2d_solve(disc, mu)
 
+    @pytest.mark.parametrize("mu", [[np.nan, 0.5], [0.5, np.inf]])
+    def test_non_finite_parameter_is_a_numerical_error(self, mu):
+        disc = Pde2dDiscretization.build(12)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            pde2d_solve(disc, np.array(mu))
+
     def test_grid_guard(self):
         with pytest.raises(ConfigError):
             Pde2dDiscretization.build(4)

@@ -15,7 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 from hermite_tr import surrogate
 from hermite_tr.errors import DuplicatePointsError
 from hermite_tr.kernels import make_kernel
-from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit
+from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit, grow_gram
 
 from conftest import kernel_for
 from oracles import grad1, value
@@ -38,6 +38,10 @@ def synthetic_member(kernel, centers, coeffs):
     return f, df, norm
 
 
+# np.linalg.norm sums the squares pairwise from eight directions on
+DIMS = (1, 2, 3, 5, 7, 8, 9, 16)
+
+
 class TestGram:
     def test_single_center_gaussian(self):
         k = make_kernel("gaussian", 1.0, 1)
@@ -55,6 +59,28 @@ class TestGram:
         pts = rng.uniform(-2, 2, (3, 2))
         M = assemble_gram(k, pts)
         assert np.linalg.eigvalsh(M).min() > 0
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_grown_equals_assembled(self, family, dim, rng):
+        # grow_gram evaluates only the last center's rows and columns; its
+        # Gram has assemble_gram's bits at every dimension, signed zeros
+        # included: rounding every other point makes many differences zero
+        k = kernel_for(family, dim)
+        for n in (1, 2, 7, 30):
+            pts = rng.uniform(-1, 1, (n + 1, dim)) / np.sqrt(dim)
+            pts[::2] = np.round(pts[::2] * 4) / 4
+            grown = grow_gram(k, assemble_gram(k, pts[:-1]), pts)
+            assert grown.tobytes() == assemble_gram(k, pts).tobytes()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_kernel_rows_at_centers_are_gram_rows(self, family, dim, rng):
+        # evaluation and assembly share one distance routine, so the kernel
+        # row the surrogate evaluates at a center is that center's Gram row
+        # (a mirrored derivative entry may differ in the sign of a zero)
+        k = kernel_for(family, dim)
+        pts = rng.uniform(-1, 1, (6, dim)) / np.sqrt(dim)
+        s = fit(k, TrainingSet(pts, rng.normal(size=6), rng.normal(size=(6, dim))), 1.0)
+        assert np.array_equal(s.block(pts).rows, s.gram[:6])
 
     def test_duplicate_points_named(self):
         pts = np.array([[0.0], [1.0], [0.0]])
@@ -184,16 +210,89 @@ class TestFitAndEvaluate:
         import hermite_tr.surrogate as sur
         from hermite_tr.errors import IllConditionedGramError
 
-        def always_fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
+        def always_fail(a, **kwargs):
+            return a, 1       # potrf: the first leading minor is not positive definite
 
-        monkeypatch.setattr(sur, "cho_factor", always_fail)
+        monkeypatch.setattr(sur, "dpotrf", always_fail)
         k = make_kernel("gaussian", 1.0, 1)
         ts = TrainingSet(np.array([[0.0], [1.0]]), np.zeros(2), np.zeros((2, 1)))
         with pytest.raises(IllConditionedGramError) as err:
             fit(k, ts, norm_bound=1.0)
         assert err.value.jitter == 1e-10
         assert err.value.size == 4
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["value", "gradient", "point"])
+    def test_non_finite_data_error_contract(self, where, bad, rng):
+        # a non-finite value, gradient or point raises the ValueError that
+        # scipy's cho_factor and cho_solve raise for a non-finite input
+        k = make_kernel("gaussian", 1.0, 2)
+        data = {"point": rng.uniform(-2, 2, (4, 2)), "value": rng.normal(size=4),
+                "gradient": rng.normal(size=(4, 2))}
+        data[where][(-1,) * data[where].ndim] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            fit(k, TrainingSet(data["point"], data["value"], data["gradient"]), 1.0)
+
+
+class TestGrowth:
+    """A refit grown from the previous surrogate is the fresh fit, bit for bit."""
+
+    @staticmethod
+    def _grown(kernel, ts, start):
+        """ts's fit, grown one point at a time from the fit of its first start points."""
+        s = fit(kernel, TrainingSet(ts.points[:start], ts.values[:start],
+                                    ts.gradients[:start]), 2.0)
+        for i in range(start, ts.n):
+            s = fit(kernel, s.training.with_point(ts.points[i], ts.values[i], ts.gradients[i]),
+                    2.0, previous=s)
+        return s
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_grown_fit_is_the_fresh_fit(self, family, jittered, rng):
+        if jittered:
+            # centers this close need jitter at every family
+            k = kernel_for(family, 1, shape=1.0)
+            pts = np.arange(8)[:, None] * 1e-4
+        else:
+            k = kernel_for(family, 2)
+            pts = rng.uniform(-1.5, 1.5, (8, 2))
+        ts = TrainingSet(pts, np.sin(pts.sum(axis=1)), np.cos(pts))
+        grown, fresh = self._grown(k, ts, 3), fit(k, ts, 2.0)
+        assert (fresh.jitter_used > 0) == jittered
+        assert grown.jitter_used == fresh.jitter_used
+        for name in ("gram", "_scale", "_coeffs"):
+            assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert grown._cho[0].tobytes() == fresh._cho[0].tobytes()
+        lo, hi = pts.min() - 0.5, pts.max() + 0.5
+        queries = ["value", "gradient", *(("power", o) for o in (None, *range(ts.dim)))]
+        for x in np.vstack([pts, rng.uniform(lo, hi, (10, ts.dim))]):
+            for what in queries:
+                assert _query(grown, x, what) == _query(fresh, x, what)
+
+    def test_previous_must_hold_all_points_but_the_last(self, rng):
+        k = make_kernel("gaussian", 1.0, 2)
+        pts = rng.uniform(-1, 1, (4, 2))
+        ts = TrainingSet(pts, rng.normal(size=4), rng.normal(size=(4, 2)))
+        first3 = TrainingSet(pts[:3], ts.values[:3], ts.gradients[:3])
+        last3 = TrainingSet(pts[1:], ts.values[1:], ts.gradients[1:])
+        for previous in (fit(k, last3, 1.0), fit(k, ts, 1.0),
+                         fit(make_kernel("gaussian", 0.5, 2), first3, 1.0)):
+            with pytest.raises(ValueError, match="previous"):
+                fit(k, ts, 1.0, previous=previous)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["value", "gradient", "point"])
+    def test_non_finite_new_datum_error_contract(self, where, bad, rng):
+        k = make_kernel("gaussian", 1.0, 2)
+        data = {"point": rng.uniform(-2, 2, (4, 2)), "value": rng.normal(size=4),
+                "gradient": rng.normal(size=(4, 2))}
+        data[where][(-1,) * data[where].ndim] = bad
+        with np.errstate(invalid="ignore"):
+            ts = TrainingSet(data["point"], data["value"], data["gradient"])
+            previous = fit(k, TrainingSet(ts.points[:3], ts.values[:3], ts.gradients[:3]), 1.0)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit(k, ts, 1.0, previous=previous)
 
 
 class TestPowerFunction:
