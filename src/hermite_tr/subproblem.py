@@ -13,7 +13,8 @@ Each line search forms its backtracking ladder, the trial points
 P(x + kappa_bt^j * d) for j = 0..j_max, once, as one array.  The surrogate
 scores the trials the search reaches CHUNK at a time, each chunk with one
 distance pass and one triangular solve (Surrogate.block); the values and
-power-function values have the bits of one-point queries.
+power-function values have the bits of point queries, which are one-row
+blocks.
 """
 
 from __future__ import annotations
@@ -160,18 +161,18 @@ class _LadderScores:
     """The surrogate's value and trust-region test along one ladder, CHUNK trials a block.
 
     The search asks for trials in ladder order, so a cursor finds each
-    one by its bytes; a trial past the scored rows gets the next CHUNK
-    rows from there scored as one PointBlock.  A trial at or below the
-    positivity floor counts as infeasible (the constraint ratio diverges
-    there), so backtracking continues past it; the slack is
-    constraint_value's, on the one value read.
+    one by its bytes; a trial past the current block gets the next CHUNK
+    rows from there scored as one PointBlock, which becomes the current
+    block.  A trial at or below the positivity floor counts as infeasible
+    (the constraint ratio diverges there), so backtracking continues past
+    it; the slack is constraint_value's, on the one value read.
     """
 
     def __init__(self, s: Surrogate, delta: float, ladder):
         self.s, self.delta, self.ladder = s, delta, ladder
         self.cursor = 0
         self.trial = None                      # the trial the cursor is at
-        self.scored = [None] * len(ladder)    # j -> (block, row of j in it)
+        self.block, self.start = None, 0       # the current block and its first trial
 
     def _at(self, trial):
         if trial is not self.trial:
@@ -180,11 +181,9 @@ class _LadderScores:
             while self.ladder[j].tobytes() != key:
                 j += 1
             self.cursor, self.trial = j, trial
-            if self.scored[j] is None:
-                block = self.s.block(self.ladder[j : j + CHUNK])
-                for i in range(len(block)):
-                    self.scored[j + i] = (block, i)
-        return self.scored[self.cursor]
+            if self.block is None or j >= self.start + len(self.block):
+                self.block, self.start = self.s.block(self.ladder[j : j + CHUNK]), j
+        return self.block, self.cursor - self.start
 
     def value(self, trial) -> float:
         block, i = self._at(trial)
@@ -198,7 +197,7 @@ class _LadderScores:
 
     def remember_last(self) -> None:
         """Seed the surrogate's memo with the last trial asked for (the accepted one)."""
-        self.s.remember(*self.scored[self.cursor])
+        self.s.remember(self.block, self.cursor - self.start)
 
 
 def _norm(v) -> float:

@@ -79,7 +79,8 @@ class TrainingSet:
         x = np.asarray(x, dtype=float)
         d = np.linalg.norm(self.points - x[None, :], axis=1)
         k = int(np.argmin(d))
-        if d[k] <= DISTINCT_TOL * (1.0 + np.linalg.norm(x)):
+        # an infinite distance is no duplicate, though inf <= an infinite x's threshold
+        if math.isfinite(d[k]) and d[k] <= DISTINCT_TOL * (1.0 + np.linalg.norm(x)):
             return k
         return None
 
@@ -109,7 +110,7 @@ def _require_distinct(pts):
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     d[np.diag_indices(n)] = np.inf
     i, j = (int(k) for k in np.unravel_index(np.argmin(d), d.shape))
-    if d[i, j] <= DISTINCT_TOL * (1.0 + np.linalg.norm(pts[i])):
+    if math.isfinite(d[i, j]) and d[i, j] <= DISTINCT_TOL * (1.0 + np.linalg.norm(pts[i])):
         raise DuplicatePointsError(i, j, float(d[i, j]))
 
 
@@ -211,11 +212,11 @@ def grow_gram(kernel: KernelSpec, gram, points) -> np.ndarray:
 def _kernel_rows(dt, k_vals, g1, g2, order=None):
     """Generalized kernel rows of d1^a k(x, .) against all functionals.
 
-    dt holds x - x_j by direction for one point, shape (p, n), or for a
-    block of points, shape (c, p, n), and k_vals, g1, g2 the radial
-    profiles at the matching distances; the result has shape (n(1+p),)
-    or (c, n(1+p)).  Both cases run the same elementwise arithmetic, so a
-    block's row has the bits of the one-point row.
+    dt holds x - x_j by direction for a block of points, shape (c, p, n),
+    or for one of its rows, shape (p, n), and k_vals, g1, g2 the radial
+    profiles at the matching distances; the result has shape
+    (c, n(1+p)) or (n(1+p),).  Both cases run the same elementwise
+    arithmetic, so a block's row has the bits of the one-row result.
     """
     *lead, p, n = dt.shape
     b = np.empty((*lead, n * (1 + p)))
@@ -255,149 +256,42 @@ def _residual(solved, diag) -> float:
     return math.sqrt(max(diag - float(bs.dot(x)), 0.0))
 
 
-class _PointMemo:
-    """Distance pass, kernel vectors and finished queries at one point."""
-
-    __slots__ = ("key", "dt", "k_vals", "g1", "g2", "vectors", "value", "gradient", "power")
-
-    def __init__(self, key, dt, k_vals, g1, g2):
-        self.key, self.dt, self.k_vals, self.g1, self.g2 = key, dt, k_vals, g1, g2
-        self.vectors = {}     # order -> generalized kernel vector
-        self.value = None
-        self.gradient = None
-        self.power = {}       # order -> power function value
-
-
 class PointBlock:
-    """Surrogate values and power-function values at the rows of a (c, p) block.
+    """The surrogate at the rows of a (c, p) block; a point query is a one-row block.
 
-    One distance-and-profile pass and one block of kernel rows serve
-    every row, and each value is its row's dot product with the
-    coefficients.  The first power asked for solves, in one triangular
-    solve, for every row from there to the block's end: a line search
-    that needs the power at one trial tends to need it at the next.
-    Each entry has the bits value(x) and power(x) give at its row x.  A
-    row whose scaled kernel row is not finite raises Surrogate.power's
-    ValueError, and only when its power is asked for.
+    One distance-and-profile pass serves every row and every query: each
+    value is its kernel row's dot product with the coefficients, and a
+    gradient or a derivative power builds its row's derivative vectors
+    from the same pass.  The first plain power asked for solves, in one
+    triangular solve, for every row from there to the block's end: a line
+    search that needs the power at one trial tends to need it at the next.
+    A row's bits do not depend on the block around it.  A row whose scaled
+    kernel row is not finite raises ValueError when its power is asked for.
     """
 
-    __slots__ = ("_s", "points", "dt", "k_vals", "g1", "g2", "rows", "values", "_solved",
-                 "_powers")
+    __slots__ = ("points", "dt", "k_vals", "g1", "g2", "rows", "values", "_kernel", "_coeffs",
+                 "_scale", "_factor", "_solved", "_powers", "_gradients")
 
     def __init__(self, s: "Surrogate", points):
-        self._s = s
+        # the block keeps what it reads of s, not s itself: s's memo holds a
+        # block, and that cycle would keep each refit's Gram and factor
+        # alive until the cyclic collector ran
+        self._kernel, self._coeffs, self._scale, self._factor = (
+            s.kernel, s._coeffs, s._scale, s._cho[0])
         self.points = np.asarray(points, dtype=float)
         self.dt, self.k_vals, self.g1, self.g2 = s._profiles(self.points)
         self.rows = _kernel_rows(self.dt, self.k_vals, self.g1, self.g2)
-        self.values = [float(row.dot(s._coeffs)) for row in self.rows]
+        self.values = [float(row.dot(self._coeffs)) for row in self.rows]
         self._solved = {}     # row -> (scaled row, its solve), None where not finite
-        self._powers = {}     # row -> power
+        self._powers = {}     # (row, order) -> power
+        self._gradients = {}  # row -> gradient
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def power(self, i) -> float:
-        p = self._powers.get(i)
-        if p is None:
-            if i not in self._solved:
-                self._solved.update(zip(range(i, len(self)), self._s._solve_rows(self.rows[i:])))
-            p = self._powers[i] = _residual(self._solved[i], self._s.kernel.diag_value)
-        return p
-
-    def memo(self, i) -> _PointMemo:
-        """The per-point memo of row i, with what the block has computed there."""
-        memo = _PointMemo(self.points[i].tobytes(), self.dt[i], self.k_vals[i],
-                          self.g1[i], self.g2[i])
-        memo.vectors[None] = self.rows[i]
-        memo.value = self.values[i]
-        if i in self._powers:
-            memo.power[None] = self._powers[i]
-        return memo
-
-
-@dataclass
-class Surrogate:
-    """Fitted interpolant plus the factorization backing the error bounds.
-
-    norm_bound is the caller-supplied upper bound on the RKHS norm of the
-    target function; value/gradient error bounds scale linearly with it.
-    Immutable in practice: nothing mutates the arrays after fit.  gram is
-    the unregularized Gram: rkhs_norm's quadratic form, and the base that
-    fit grows when this surrogate is the previous one of a refit.
-
-    value, gradient and power at the same x share one distance-and-profile
-    pass: a memo of the most recently queried point keeps its distances,
-    radial profiles, kernel vectors and finished results.  The memo is
-    keyed by the exact float64 bytes of x (no tolerance), holds one point,
-    stores nothing scaled by norm_bound, and is not an init field, so
-    dataclasses.replace starts with an empty one.  block(points) scores
-    many points in one pass, as a PointBlock; remember(block, i) makes its
-    row i the memo's point, so the queries that follow at that point hit.
-    """
-
-    kernel: KernelSpec
-    training: TrainingSet
-    norm_bound: float
-    jitter_used: float
-    gram: np.ndarray = field(repr=False)          # unregularized
-    _cho: tuple = field(repr=False)               # factor of scaled, jittered Gram
-    _scale: np.ndarray = field(repr=False)        # Jacobi scaling D^{-1/2}
-    _coeffs: np.ndarray = field(repr=False)       # [alpha; beta.ravel()]
-    _memo: _PointMemo | None = field(default=None, init=False, repr=False, compare=False)
-
-    # -- evaluation ----------------------------------------------------
-
-    @cached_property
-    def _points_t(self) -> np.ndarray:
-        """The centers as a contiguous (p, n) array, one row per direction."""
-        return np.ascontiguousarray(self.training.points.T)
-
-    def _profiles(self, x):
-        """Distance pass at a point (p,) or a block (c, p): (x - x_j by direction, phi, g1, g2)."""
-        dt = x[..., :, None] - self._points_t            # (..., p, n)
-        return (dt, *radial_profiles(self.kernel, _distances(dt.swapaxes(0, -2))))
-
-    def _memo_at(self, x) -> _PointMemo:
-        """Memo of x, after one distance-and-profile pass if x is new."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        memo = self._memo
-        if memo is None or memo.key != key:
-            memo = self._memo = _PointMemo(key, *self._profiles(x))
-        return memo
-
-    def _eval_vector(self, memo: _PointMemo, order=None):
-        """Generalized kernel vector of d1^a k(x, .) against all functionals."""
-        b = memo.vectors.get(order)
-        if b is None:
-            b = memo.vectors[order] = _kernel_rows(memo.dt, memo.k_vals, memo.g1, memo.g2,
-                                                   order)
-        return b
-
-    def block(self, points) -> PointBlock:
-        """Values and power-function values at the rows of points, in one pass."""
-        return PointBlock(self, points)
-
-    def remember(self, block: PointBlock, i) -> None:
-        """Make row i of block the memo's point."""
-        self._memo = block.memo(i)
-
-    def value(self, x) -> float:
-        memo = self._memo_at(x)
-        if memo.value is None:
-            memo.value = float(self._eval_vector(memo) @ self._coeffs)
-        return memo.value
-
-    def gradient(self, x) -> np.ndarray:
-        memo = self._memo_at(x)
-        if memo.gradient is None:
-            memo.gradient = np.array(
-                [self._eval_vector(memo, order=l) @ self._coeffs
-                 for l in range(self.training.dim)]
-            )
-        return memo.gradient.copy()
-
-    # -- error machinery -----------------------------------------------
+    def _derivative_row(self, i, order):
+        """Generalized kernel vector of d1_order k(x, .) at row i."""
+        return _kernel_rows(self.dt[i], self.k_vals[i], self.g1[i], self.g2[i], order)
 
     def _solve_rows(self, rows) -> list:
         """(scaled row, its solve against the factor) for each row of a (c, m) block.
@@ -413,10 +307,103 @@ class Surrogate:
             rhs = bs[finite]
         out = [None] * len(bs)
         if len(rhs):
-            solved = _potrs(self._cho[0], rhs.T)
+            solved = _potrs(self._factor, rhs.T)
             for i, b, x in zip(finite, rhs, solved.T):
                 out[i] = (b, x)
         return out
+
+    def gradient(self, i) -> np.ndarray:
+        g = self._gradients.get(i)
+        if g is None:
+            g = self._gradients[i] = np.array([self._derivative_row(i, l) @ self._coeffs
+                                               for l in range(self.dt.shape[1])])
+        return g.copy()
+
+    def power(self, i, order=None) -> float:
+        """Projection-residual norm at row i; see Surrogate.power."""
+        p = self._powers.get((i, order))
+        if p is None:
+            if order is None:
+                if i not in self._solved:
+                    self._solved.update(zip(range(i, len(self)), self._solve_rows(self.rows[i:])))
+                solved, diag = self._solved[i], self._kernel.diag_value
+            else:
+                [solved] = self._solve_rows(self._derivative_row(i, order)[None, :])
+                diag = self._kernel.cross_diag
+            p = self._powers[i, order] = _residual(solved, diag)
+        return p
+
+
+@dataclass
+class Surrogate:
+    """Fitted interpolant plus the factorization backing the error bounds.
+
+    norm_bound is the caller-supplied upper bound on the RKHS norm of the
+    target function; value/gradient error bounds scale linearly with it.
+    Immutable in practice: nothing mutates the arrays after fit.  gram is
+    the unregularized Gram: rkhs_norm's quadratic form, and the base that
+    fit grows when this surrogate is the previous one of a refit.
+
+    Every query is a PointBlock's.  value, gradient and power at x read a
+    one-row block, which the memo keeps for the most recently queried
+    point, keyed by the exact float64 bytes of x (no tolerance); the memo
+    stores nothing scaled by norm_bound and is not an init field, so
+    dataclasses.replace starts with an empty one.  block(points) scores
+    many points in one pass, and remember(block, i) makes its row i the
+    memo's point, so the queries that follow there need no second pass.
+    """
+
+    kernel: KernelSpec
+    training: TrainingSet
+    norm_bound: float
+    jitter_used: float
+    gram: np.ndarray = field(repr=False)          # unregularized
+    _cho: tuple = field(repr=False)               # factor of scaled, jittered Gram
+    _scale: np.ndarray = field(repr=False)        # Jacobi scaling D^{-1/2}
+    _coeffs: np.ndarray = field(repr=False)       # [alpha; beta.ravel()]
+    # (bytes of x, block, x's row in it)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    # -- evaluation ----------------------------------------------------
+
+    @cached_property
+    def _points_t(self) -> np.ndarray:
+        """The centers as a contiguous (p, n) array, one row per direction."""
+        return np.ascontiguousarray(self.training.points.T)
+
+    def _profiles(self, points):
+        """Distance pass at a PointBlock's (c, p) points: (x - x_j by direction, phi, g1, g2).
+
+        A (p,) point gives the same arrays without the leading axis.
+        """
+        dt = points[..., :, None] - self._points_t       # (c, p, n)
+        return (dt, *radial_profiles(self.kernel, _distances(dt.swapaxes(0, -2))))
+
+    def _row(self, x):
+        """(block, row) of x, after one distance-and-profile pass if x is new."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (key, PointBlock(self, x[None, :]), 0)
+        return self._memo[1:]
+
+    def block(self, points) -> PointBlock:
+        """The surrogate at the rows of points, in one pass."""
+        return PointBlock(self, points)
+
+    def remember(self, block: PointBlock, i) -> None:
+        """Make row i of block the memo's point."""
+        self._memo = (block.points[i].tobytes(), block, i)
+
+    def value(self, x) -> float:
+        block, i = self._row(x)
+        return block.values[i]
+
+    def gradient(self, x) -> np.ndarray:
+        block, i = self._row(x)
+        return block.gradient(i)
+
+    # -- error machinery -----------------------------------------------
 
     def power(self, x, order=None) -> float:
         """Projection-residual norm of d1^a k(x, .) onto the data subspace.
@@ -424,13 +411,8 @@ class Surrogate:
         order=None is the plain (value) case; an integer selects the unit
         derivative direction.
         """
-        memo = self._memo_at(x)
-        if order not in memo.power:
-            b = self._eval_vector(memo, order=order)
-            diag = self.kernel.diag_value if order is None else self.kernel.cross_diag
-            [solved] = self._solve_rows(b[None, :])
-            memo.power[order] = _residual(solved, diag)
-        return memo.power[order]
+        block, i = self._row(x)
+        return block.power(i, order)
 
     def error_bounds(self, x):
         """(value_bound, gradient_bound) at x, both scaled by norm_bound."""

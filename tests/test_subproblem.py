@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hermite_tr import subproblem
+from hermite_tr import subproblem, surrogate
 from hermite_tr.errors import AssumptionViolationError, ConfigError, LineSearchError
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import problem_rosenbrock
@@ -487,21 +487,35 @@ class TestChunkedSearch:
     def test_accepted_trials_need_no_second_distance_pass(self, family, monkeypatch):
         # the memo takes each accepted trial from its block, so the
         # gradient and trust-region reads there pass over no distances:
-        # the only one-point pass is the start's
+        # the only one-row block a point query builds is the start's
         kernel = kernel_for(family, 2, 0.8)
         pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
         s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
-        shapes = []
-        profiles = s._profiles
+        built = []              # (points, whether s.block built the block)
+        in_block = []
+        block = s.block
 
-        def recorded(x):
-            shapes.append(np.shape(x))
-            return profiles(x)
+        class Recorded(surrogate.PointBlock):
+            __slots__ = ()
 
-        monkeypatch.setattr(s, "_profiles", recorded)
+            def __init__(self, owner, points):
+                built.append((np.array(points), bool(in_block)))
+                super().__init__(owner, points)
+
+        def recorded_block(points):
+            in_block.append(points)
+            try:
+                return block(points)
+            finally:
+                in_block.pop()
+
+        monkeypatch.setattr(surrogate, "PointBlock", Recorded)
+        monkeypatch.setattr(s, "block", recorded_block)
         res = solve(s, pts[0], 0.5, SubproblemConfig(), unbounded(2))
         assert len(res.iterates) >= 2
-        assert [shape for shape in shapes if len(shape) == 1] == [(2,)]
+        queried = [points for points, by_block in built if not by_block]
+        assert [q.tobytes() for q in queried] == [pts[0][None, :].tobytes()]
+        assert len(built) > 1                          # the ladder's blocks
 
     @staticmethod
     def _scored(s, delta, ladder):

@@ -7,6 +7,8 @@ exact oracle rather than another approximation.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -226,13 +228,16 @@ class TestFitAndEvaluate:
     @pytest.mark.parametrize("where", ["value", "gradient", "point"])
     def test_non_finite_data_error_contract(self, where, bad, rng):
         # a non-finite value, gradient or point raises the ValueError that
-        # scipy's cho_factor and cho_solve raise for a non-finite input
+        # scipy's cho_factor and cho_solve raise for a non-finite input;
+        # an infinite coordinate of the first of two points makes every
+        # distance and the first point's threshold infinite: no duplicate
         k = make_kernel("gaussian", 1.0, 2)
-        data = {"point": rng.uniform(-2, 2, (4, 2)), "value": rng.normal(size=4),
-                "gradient": rng.normal(size=(4, 2))}
-        data[where][(-1,) * data[where].ndim] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
-            fit(k, TrainingSet(data["point"], data["value"], data["gradient"]), 1.0)
+        for n, row in ((4, -1), (2, 0)):
+            data = {"point": rng.uniform(-2, 2, (n, 2)), "value": rng.normal(size=n),
+                    "gradient": rng.normal(size=(n, 2))}
+            data[where][(row,) + (-1,) * (data[where].ndim - 1)] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+                fit(k, TrainingSet(data["point"], data["value"], data["gradient"]), 1.0)
 
 
 class TestGrowth:
@@ -284,15 +289,22 @@ class TestGrowth:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["value", "gradient", "point"])
     def test_non_finite_new_datum_error_contract(self, where, bad, rng):
+        # the new datum joins as a whole set or as a refit adds it; an
+        # infinite coordinate is infinitely far from every center, no
+        # duplicate of one
         k = make_kernel("gaussian", 1.0, 2)
         data = {"point": rng.uniform(-2, 2, (4, 2)), "value": rng.normal(size=4),
                 "gradient": rng.normal(size=(4, 2))}
         data[where][(-1,) * data[where].ndim] = bad
         with np.errstate(invalid="ignore"):
             ts = TrainingSet(data["point"], data["value"], data["gradient"])
-            previous = fit(k, TrainingSet(ts.points[:3], ts.values[:3], ts.gradients[:3]), 1.0)
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                fit(k, ts, 1.0, previous=previous)
+            first3 = TrainingSet(ts.points[:3], ts.values[:3], ts.gradients[:3])
+            previous = fit(k, first3, 1.0)
+            assert first3.find_close(ts.points[3]) is None
+            added = first3.with_point(ts.points[3], ts.values[3], ts.gradients[3])
+            for grown in (ts, added):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    fit(k, grown, 1.0, previous=previous)
 
 
 class TestPowerFunction:
@@ -506,6 +518,41 @@ class TestPointBlock:
             for what in ("gradient",) + tuple(("power", l) for l in range(dim)):
                 assert _query(s, x, what) == _query(dataclasses.replace(s), x, what)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_point_queries_share_one_distance_pass(self, family, dim, rng, monkeypatch):
+        # value, gradient and every power at a fresh point read one one-row
+        # block: one distance pass between them, whichever query comes
+        # first, and each has the bits of the same query on a fresh twin
+        s = self._surrogate(family, dim, rng)
+        queries = ["value", "gradient", *(("power", o) for o in (None, *range(dim)))]
+        for i, x in enumerate(self._awkward_points(s, rng, count=5)):
+            fresh = dataclasses.replace(s)
+            order = queries[i % len(queries):] + queries[: i % len(queries)]
+            profiles, radial_profiles = [], surrogate.radial_profiles
+            with monkeypatch.context() as m:
+                m.setattr(surrogate, "radial_profiles",
+                          lambda *a: profiles.append(1) or radial_profiles(*a))
+                got = [_query(fresh, x, what) for what in order]
+            assert profiles == [1], (i, x)
+            assert got == [_query(dataclasses.replace(s), x, what) for what in order], (i, x)
+
+    @pytest.mark.parametrize("remembered", [False, True])
+    def test_memo_frees_with_its_surrogate(self, remembered, rng):
+        # a block holds no reference to its surrogate, so a surrogate whose
+        # memo holds a block goes with its last reference, Gram and factor
+        # included, without waiting for the cyclic collector
+        s = self._surrogate("gaussian", 2, rng)
+        s.gradient(np.zeros(2))                       # a point query's block
+        if remembered:
+            s.remember(s.block(rng.uniform(-1, 1, (3, 2))), 1)
+        ref = weakref.ref(s)
+        gc.disable()
+        try:
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_kernel_rows_of_a_block_are_the_one_point_rows(self, family, rng):
         s = self._surrogate(family, 3, rng)
         points = self._awkward_points(s, rng, count=6)
@@ -524,13 +571,16 @@ class TestPointBlock:
         s = self._surrogate(family, dim, rng)
         for x in self._awkward_points(s, rng, count=5):
             r = np.linalg.norm(x - s.training.points, axis=1)
-            b = s._eval_vector(s._memo_at(x))
+            twin = dataclasses.replace(s)
+            value, power = twin.value(x), twin.power(x)
+            _, block, i = twin._memo              # the point query's one-row block
+            assert len(block) == 1
+            b = block.rows[i]
             assert b[: s.training.n].tobytes() == surrogate.radial_profiles(s.kernel, r)[0].tobytes()
             bs = b * s._scale
             q = s.kernel.diag_value - float(bs @ cho_solve(s._cho, bs))
-            twin = dataclasses.replace(s)
-            assert _bits(twin.value(x)) == _bits(float(b @ s._coeffs))
-            assert _bits(twin.power(x)) == _bits(float(np.sqrt(max(q, 0.0))))
+            assert _bits(value) == _bits(float(b @ s._coeffs))
+            assert _bits(power) == _bits(float(np.sqrt(max(q, 0.0))))
 
     def test_non_finite_row_raises_power_error_only_when_asked(self, rng):
         # far enough out, the quadratic Matern profile is inf * 0 = nan
