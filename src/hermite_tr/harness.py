@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -31,6 +32,11 @@ OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
 # grid points the power-field export scores per block (one distance pass
 # and one triangular solve each)
 POWER_FIELD_BLOCK = 512
+
+
+def shape_label(shape) -> str:
+    """A sweep group's label: its summary row, report files and norm record."""
+    return f"eps={shape:g}"
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,11 @@ class ExperimentConfig:
             raise ConfigError(f"kernel.family must be one of {FAMILIES}")
         if len(self.shapes) < 1 or any(not s > 0 for s in self.shapes):
             raise ConfigError("kernel.shape must be a positive number or list of them")
+        labels = [shape_label(s) for s in self.shapes]
+        clash = [s for s, label in zip(self.shapes, labels) if labels.count(label) > 1]
+        if clash:
+            raise ConfigError(f"kernel.shape values {clash} share the group labels "
+                              f"{sorted(set(map(shape_label, clash)))}")
         if self.n_starts < 1:
             raise ConfigError("n_starts must be >= 1")
         if self.seed < 0:
@@ -107,10 +118,13 @@ def _integral(raw):
 
 
 def _real(raw):
-    """float(raw), refusing a YAML boolean."""
+    """float(raw), refusing a YAML boolean and .inf or .nan."""
     if isinstance(raw, bool):
         raise ValueError(f"{raw!r} is not a number")
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 # annotation -> cast for the dataclass fields a YAML section sets directly;
@@ -249,7 +263,7 @@ def run_experiment(cfg: ExperimentConfig):
     norm_info = {}
 
     for shape in cfg.shapes:
-        label = f"eps={shape:g}"
+        label = shape_label(shape)
         kernel = make_kernel(cfg.kernel_family, shape, problem.dim)
         # one bound per shape, shared by all starts (deterministic by seed),
         # whose samples, if any, every start's first model reuses; a norm

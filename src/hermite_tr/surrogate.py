@@ -118,8 +118,8 @@ def _distances(diff):
     """Euclidean lengths of difference vectors stored by direction, shape (p, ...).
 
     The squares are summed left to right, whatever p.  Every distance
-    behind a kernel value comes from here (the Gram, its grown form and
-    evaluation), so they agree to the bit at every dimension;
+    behind a kernel value comes from here (every Gram entry, grown or
+    not, and evaluation), so they agree to the bit at every dimension;
     np.linalg.norm sums pairwise from eight directions on.
     """
     sq = diff * diff
@@ -146,66 +146,50 @@ def _derivative_blocks(diff, g1, g2):
     return dv, cross.transpose(0, 2, 1, 3).reshape(a * p, b * p)
 
 
-def assemble_gram(kernel: KernelSpec, points) -> np.ndarray:
+def assemble_gram(kernel: KernelSpec, points, base=None) -> np.ndarray:
     """Generalized Gram matrix coupling value and gradient functionals.
 
     Block structure (i, j running over centers, l, m over directions):
       [ k(x_i, x_j)          d2_m k(x_i, x_j)      ]
       [ d1_l k(x_i, x_j)     d1_l d2_m k(x_i, x_j) ]
     Symmetric, and positive definite for a TrainingSet's pairwise-distinct points.
+
+    base, if given, is the Gram of the first k points (k = 0 without
+    one): its blocks move to their places in the larger layout, and only
+    the rows of centers k..n-1 and their columns against the first k are
+    evaluated.  A d1_l entry takes x_i - x_j with x_i the derivative's
+    center, a d1_l d2_m entry with x_i the row's center, as a full
+    assembly does, so a grown Gram has its bits, signed zeros included.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, p = pts.shape
+    k = 0 if base is None else len(base) // (1 + p)
+    d = n + k * p                                     # first derivative row of center k
 
-    diff = pts[:, None, :] - pts[None, :, :]          # (n, n, p)
+    diff = pts[k:, None, :] - pts[None, :, :]         # (n-k, n, p): rows of the new centers
     k_vals, g1, g2 = radial_profiles(kernel, _distances(np.moveaxis(diff, -1, 0)))
     dv, dd = _derivative_blocks(diff, g1, g2)
 
     m = n * (1 + p)
     M = np.empty((m, m))
-    M[:n, :n] = k_vals
-    M[n:, :n] = dv
-    M[:n, n:] = dv.T
-    M[n:, n:] = dd
-    return M
-
-
-def grow_gram(kernel: KernelSpec, gram, points) -> np.ndarray:
-    """assemble_gram(kernel, points) from gram, the Gram of all points but the last.
-
-    The old blocks move to their places in the larger layout, and only
-    the last center's 1+p rows and 1+p columns are evaluated.  The rows
-    take x_new - x_j and the columns x_i - x_new, the orientation
-    assemble_gram gives each entry, so every entry has its bits, signed
-    zeros included.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n1, p = pts.shape
-    n = n1 - 1
-    rows = pts[-1] - pts                              # (n1, p): x_new - x_j
-    cols = pts - pts[-1]                              # x_i - x_new
-    # (-d)**2 == d**2 exactly, so both orientations share the distances
-    k_vals, g1, g2 = radial_profiles(kernel, _distances(rows.T))
-    r_dv, r_dd = _derivative_blocks(rows[None], g1[None], g2[None])
-    c_dv, c_dd = _derivative_blocks(cols[:, None], g1[:, None], g2[:, None])
-
-    m = n1 * (1 + p)
-    d = n1 + n * p                                    # first derivative row of x_new
-    M = np.empty((m, m))
-    M[:n, :n] = gram[:n, :n]
-    M[:n, n1:d] = gram[:n, n:]
-    M[n1:d, :n] = gram[n:, :n]
-    M[n1:d, n1:d] = gram[n:, n:]
-    # the new center's rows, then its columns; the (new, new) entries
-    # agree between the two, both orientations being +0.0 there
-    M[n, :n1] = k_vals
-    M[n, n1:] = c_dv[:, 0]
-    M[d:, :n1] = r_dv
-    M[d:, n1:] = r_dd
-    M[:n1, n] = k_vals
-    M[n1:, n] = c_dv[:, 0]
-    M[:n1, d:] = r_dv.T
-    M[n1:, d:] = c_dd
+    M[k:n, :n] = k_vals
+    M[d:, :n] = dv
+    M[:n, d:] = dv.T
+    M[d:, n:] = dd
+    if k:
+        M[:k, :k] = base[:k, :k]
+        M[:k, n:d] = base[:k, k:]
+        M[n:d, :k] = base[k:, :k]
+        M[n:d, n:d] = base[k:, k:]
+        # the first k centers against the new ones: the values mirror, and
+        # the derivative entries take x_i - x_new; (-t)**2 == t**2, so both
+        # orientations share the profiles
+        M[:k, k:n] = k_vals[:, :k].T
+        c_dv, c_dd = _derivative_blocks(pts[:k, None, :] - pts[None, k:, :],
+                                        g1[:, :k].T, g2[:, :k].T)
+        M[n:d, k:n] = c_dv
+        M[k:n, n:d] = c_dv.T
+        M[n:d, d:] = c_dd
     return M
 
 
@@ -341,8 +325,9 @@ class Surrogate:
     norm_bound is the caller-supplied upper bound on the RKHS norm of the
     target function; value/gradient error bounds scale linearly with it.
     Immutable in practice: nothing mutates the arrays after fit.  gram is
-    the unregularized Gram: rkhs_norm's quadratic form, and the base that
-    fit grows when this surrogate is the previous one of a refit.
+    the unregularized Gram: rkhs_norm's quadratic form, and the base
+    assemble_gram grows by one center when this surrogate is the previous
+    one of a refit.
 
     Every query is a PointBlock's.  value, gradient and power at x read a
     one-row block, which the memo keeps for the most recently queried
@@ -434,8 +419,8 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float,
     """Solve the generalized Gram system for the interpolation coefficients.
 
     previous, if given, is a surrogate of the same kernel fitted to all
-    of training's points but the last; its Gram is then grown by that
-    point (grow_gram) instead of assembled anew, with the same bits.
+    of training's points but the last; assemble_gram then grows its Gram
+    by that point's rows and columns, with the bits of a full assembly.
     The system is symmetrically Jacobi-scaled (value and derivative rows
     live on different scales), factorized with an escalating jitter
     ladder, and polished with two iterative-refinement sweeps.  A value,
@@ -444,13 +429,10 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float,
     """
     if not norm_bound > 0:
         raise ValueError(f"norm_bound must be positive, got {norm_bound}")
-    if previous is None:
-        M = assemble_gram(kernel, training.points)
-    elif previous.kernel == kernel and np.array_equal(previous.training.points,
-                                                      training.points[:-1]):
-        M = grow_gram(kernel, previous.gram, training.points)
-    else:
+    if previous is not None and not (previous.kernel == kernel and np.array_equal(
+            previous.training.points, training.points[:-1])):
         raise ValueError("previous must share the kernel and all points but the last")
+    M = assemble_gram(kernel, training.points, None if previous is None else previous.gram)
     y = np.concatenate([training.values, training.gradients.ravel()])
 
     scale = 1.0 / np.sqrt(np.diag(M))

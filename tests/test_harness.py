@@ -159,10 +159,27 @@ class TestLoadConfig:
             {**MINIMAL, "trust_region": {"norm_source": "fixed", "norm_value": True}},
             {"problem": "one_d", "kernel": {"family": "gaussian", "shape": True}},
             {**MINIMAL, "start_box": [[False], [True]]},
+            # nor are YAML's .inf and .nan
+            {**MINIMAL, "trust_region": {"norm_source": "fixed", "norm_value": float("inf")}},
+            {**MINIMAL, "trust_region": {"norm_source": "estimated",
+                                         "norm_safety": float("inf")}},
+            {"problem": "one_d", "kernel": {"family": "gaussian", "shape": float("inf")}},
+            # shapes whose group labels (eps=<shape:g>) collide
+            {"problem": "one_d", "kernel": {"family": "gaussian", "shape": [1.0, 1.0000001]}},
+            {"problem": "one_d", "kernel": {"family": "gaussian", "shape": [1, 1]}},
         ):
             with pytest.raises(ConfigError):
                 config_from_dict(dict(data))
         assert config_from_dict({**MINIMAL, "n_starts": 3.0}).n_starts == 3
+
+    def test_non_finite_shape_exits_with_config_error(self, tmp_path):
+        data = {"problem": "one_d", "kernel": {"family": "gaussian", "shape": float("inf")},
+                "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert ".inf" in path.read_text()
+        assert cli_main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["tau_foc", "tau_j", "kappa_bt", "kappa_arm", "j_max"])
     def test_baseline_takes_no_tolerance_or_line_search_key(self, key, tmp_path):
@@ -376,18 +393,18 @@ class TestProtocol:
         {"norm_source": "estimated", "norm_samples": 12, "norm_seed": 4},
     ])
     def test_refits_grow_the_gram(self, monkeypatch, trust_region):
-        # the bundled one_d experiment assembles a Gram only for each run's
-        # first model and each norm estimate; every refit grows the Gram of
-        # the model before it
+        # the bundled one_d experiment assembles a Gram from no base only
+        # for each run's first model and each norm estimate; every refit
+        # grows the Gram of the model before it
         data = yaml.safe_load((CONFIG_DIR / "one_d.yaml").read_text())
         cfg = config_from_dict({**data, "trust_region": {**data["trust_region"],
                                                          **trust_region}})
         assembled, fits, previous_given, estimates = [], [], [], []
         assemble, fit_, resolve = surrogate.assemble_gram, driver.fit, harness.resolve_norm_bound
 
-        def counted_assemble(*args):
-            assembled.append(1)
-            return assemble(*args)
+        def counted_assemble(kernel, points, base=None):
+            assembled.append(base is None)
+            return assemble(kernel, points, base)
 
         def recording_fit(kernel, training, norm_bound, previous=None):
             previous_given.append(previous is not None)
@@ -408,7 +425,8 @@ class TestProtocol:
         first_fits = previous_given.count(False)
         assert first_fits == cfg.n_starts and any(previous_given)
         assert estimates == [bool(trust_region)]
-        assert len(assembled) == first_fits + sum(estimates)
+        assert assembled.count(True) == first_fits + sum(estimates)
+        assert assembled.count(False) == previous_given.count(True)
 
 
 def small_pde2d_solve_counts():

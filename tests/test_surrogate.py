@@ -17,10 +17,10 @@ from scipy.linalg import cho_factor, cho_solve
 from hermite_tr import surrogate
 from hermite_tr.errors import DuplicatePointsError
 from hermite_tr.kernels import make_kernel
-from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit, grow_gram
+from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit
 
 from conftest import kernel_for
-from oracles import grad1, value
+from oracles import cross_hessian, grad1, value
 
 
 def synthetic_member(kernel, centers, coeffs):
@@ -63,16 +63,46 @@ class TestGram:
         assert np.linalg.eigvalsh(M).min() > 0
 
     @pytest.mark.parametrize("dim", DIMS)
-    def test_grown_equals_assembled(self, family, dim, rng):
-        # grow_gram evaluates only the last center's rows and columns; its
-        # Gram has assemble_gram's bits at every dimension, signed zeros
-        # included: rounding every other point makes many differences zero
+    def test_grown_equals_assembled(self, family, dim, rng, monkeypatch):
+        # grown from the Gram of its first points, a Gram evaluates only
+        # the other centers' rows and columns and has the full assembly's
+        # bits at every split and dimension, signed zeros included:
+        # rounding every other point makes many differences zero
         k = kernel_for(family, dim)
+        evaluated, profiles = [], surrogate.radial_profiles
+        monkeypatch.setattr(surrogate, "radial_profiles",
+                            lambda kernel, r: evaluated.append(r.size) or profiles(kernel, r))
         for n in (1, 2, 7, 30):
             pts = rng.uniform(-1, 1, (n + 1, dim)) / np.sqrt(dim)
             pts[::2] = np.round(pts[::2] * 4) / 4
-            grown = grow_gram(k, assemble_gram(k, pts[:-1]), pts)
-            assert grown.tobytes() == assemble_gram(k, pts).tobytes()
+            full = assemble_gram(k, pts).tobytes()
+            for split in range(1, n + 1):
+                base = assemble_gram(k, pts[:split])
+                evaluated.clear()
+                assert assemble_gram(k, pts, base).tobytes() == full, split
+                assert evaluated == [(n + 1 - split) * (n + 1)]
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 8, 16))
+    @pytest.mark.parametrize("split", [None, 3])
+    def test_entries_match_the_pointwise_oracles(self, family, dim, split, rng):
+        # each block against the one-pair oracles: k, d1 k in both
+        # off-diagonal blocks (d2_m k(x_i, x_j) = d1_m k(x_j, x_i)) and the
+        # cross Hessian, assembled at once or grown from the first 3 points
+        k = kernel_for(family, dim)
+        n = 5
+        pts = rng.uniform(-1, 1, (n, dim)) / np.sqrt(dim)
+        base = None if split is None else assemble_gram(k, pts[:split])
+        M = assemble_gram(k, pts, base)
+        oracle = np.empty_like(M)
+        for i in range(n):
+            di = slice(n + i * dim, n + (i + 1) * dim)
+            for j in range(n):
+                dj = slice(n + j * dim, n + (j + 1) * dim)
+                oracle[i, j] = value(k, pts[i], pts[j])
+                oracle[di, j] = grad1(k, pts[i], pts[j])
+                oracle[i, dj] = grad1(k, pts[j], pts[i])
+                oracle[di, dj] = cross_hessian(k, pts[i], pts[j])
+        np.testing.assert_allclose(M, oracle, rtol=0, atol=1e-13 * np.abs(M).max())
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_kernel_rows_at_centers_are_gram_rows(self, family, dim, rng):
