@@ -3,7 +3,8 @@
 Runs directly against the (expensive) objective so its evaluation counts
 are comparable head-to-head with the surrogate-driven method: every
 backtracking trial costs one evaluation, through the inner solver's line
-search and settings, and it stops by the trust region's tolerances.  Also
+search and settings, and it stops by the trust region's tolerances; the
+accepted trial keeps the gradient its own evaluation returned.  Also
 provides tight-tolerance reference solutions for accuracy reporting.
 
 A line search here ends, without evaluating the trial, once the decrease
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import Branch, IterationRecord, RunReport, TRConfig
-from .errors import ConfigError, LineSearchError, StalledError
+from .errors import ConfigError, LineSearchError, StalledError, require_finite
 from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
     armijo_backtrack,
+    backtracking_ladder,
     bfgs_inverse_update,
     project_box,
     projected_decrease_rule,
@@ -45,6 +47,7 @@ class BaselineConfig:
     i_max: int = 200
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.tau_foc > 0 and self.tau_j > 0):
             raise ConfigError("tolerances must be positive")
         if self.i_max < 1:
@@ -62,10 +65,17 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
     dim = x.shape[0]
     hinv = np.eye(dim)
 
-    def fun(point):
-        # the accepted trial, the last one evaluated, takes its gradient
-        # from the problem's memo below
-        return problem.eval(point)[0]
+    def search(direction):
+        """(accepted trial, its J, its gradient) of a line search from the current x."""
+        ladder = backtracking_ladder(x, direction, ls_cfg, box)
+        grads = {}
+
+        def fun(j):
+            val, grads[j] = problem.eval(ladder[j])
+            return val
+
+        x_new, f_new, j = armijo_backtrack(fun, x, fx, rule, ladder, resolution=resolution)
+        return x_new, f_new, grads[j]
 
     termination = "max_iters"
     iters = 0
@@ -93,22 +103,19 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
         resolution = ls_cfg.kappa_arm * EPS * abs(fx)
         try:
             try:
-                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, direction, ls_cfg,
-                                                   box=box, resolution=resolution)
+                x_new, f_new, grad_new = search(direction)
             except LineSearchError:
                 if np.array_equal(direction, -g_eff):
                     raise
                 # retry once from a fresh steepest-descent direction
                 hinv = np.eye(dim)
-                x_new, f_new, _ = armijo_backtrack(fun, x, fx, rule, -g_eff, ls_cfg,
-                                                   box=box, resolution=resolution)
+                x_new, f_new, grad_new = search(-g_eff)
         except LineSearchError:
             raise StalledError(
                 "line search failed along steepest descent",
                 report=_report(problem, x, fx, grad, box, iters,
                                evals_before, "stalled", log),
             ) from None
-        grad_new = problem.gradient(x_new)
 
         clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
         if clipped and not np.any((x <= problem.lower) | (x >= problem.upper)):

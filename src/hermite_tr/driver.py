@@ -49,6 +49,7 @@ from .errors import (
     LineSearchError,
     NumericalError,
     StalledError,
+    require_finite,
 )
 from .kernels import GAUSSIAN, KernelSpec
 from .problems import Problem
@@ -61,10 +62,10 @@ from .subproblem import (
     solve,
 )
 from .surrogate import (
-    DISTINCT_TOL,
     Surrogate,
     TrainingSet,
     analytic_norm_1d_gaussian,
+    coincide,
     estimate_norm,
     fit,
 )
@@ -88,6 +89,7 @@ class NormSource:
     value: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in ("analytic", "estimated", "fixed"):
             raise ConfigError(f"unknown norm source {self.kind!r}")
         if self.kind == "fixed" and not self.value > 0:
@@ -114,6 +116,7 @@ class TRConfig:
     sub: SubproblemConfig = field(default_factory=SubproblemConfig)
 
     def __post_init__(self):
+        require_finite(self)
         if not self.delta0 > 0:
             raise ConfigError(f"delta0 must be positive, got {self.delta0}")
         if not 0.0 < self.xi1 < self.xi2 < 1.0:
@@ -270,11 +273,10 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     """
     s = state.surrogate
     cand = np.asarray(result.candidate, dtype=float)
-    # the candidate first: the inner solve leaves it in the surrogate's memo
+    # the candidate from the memo the inner solve leaves, the others from one block
     jhat_cand = s.value(cand)
     eta_cand = s.norm_bound * s.power(cand)
-    jhat_x = s.value(state.iterate)
-    jhat_agc = s.value(result.agc)
+    jhat_x, jhat_agc = s.block(np.array([state.iterate, result.agc])).values
 
     j_cand, _, new_history, added = _eval_with_reuse(problem, s.training, cand)
     if added:
@@ -406,11 +408,8 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
 
             cand = np.asarray(result.candidate, dtype=float)
             added = state.surrogate.training.n > history_size_before
-            if (
-                last_rejected is not None
-                and not added
-                and np.linalg.norm(cand - last_rejected) <= DISTINCT_TOL * (1.0 + np.linalg.norm(cand))
-            ):
+            if (last_rejected is not None and not added
+                    and coincide(np.linalg.norm(cand - last_rejected), cand)):
                 # Deterministic fixed point: same candidate, no new data, and a
                 # smaller radius cannot change it.  No further progress is
                 # possible, so report stagnation at the current iterate.

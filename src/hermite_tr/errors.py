@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the config finiteness check.
 
 The CLI maps ConfigError to exit code 2 and NumericalError (and
 subclasses) to exit code 3.
 """
+
+import math
+from dataclasses import fields
+from numbers import Real
 
 
 class HermiteTrError(Exception):
@@ -11,6 +15,19 @@ class HermiteTrError(Exception):
 
 class ConfigError(HermiteTrError):
     """Invalid or unparsable configuration."""
+
+
+def require_finite(config, error=ConfigError):
+    """Raise error unless every real in dataclass config's fields, tuples included, is finite."""
+    for f in fields(config):
+        if not _finite(getattr(config, f.name)):
+            raise error(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
+
+
+def _finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return not isinstance(value, Real) or math.isfinite(value)
 
 
 class NumericalError(HermiteTrError):

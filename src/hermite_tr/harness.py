@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ import yaml
 
 from .baseline import BaselineConfig, minimize, reference_solution
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
-from .errors import ConfigError, HermiteTrError
+from .errors import ConfigError, HermiteTrError, require_finite
 from .kernels import FAMILIES, make_kernel
 from .problems import BOXES, PROBLEM_FACTORIES, bounded_box, make_problem
 from .subproblem import SubproblemConfig
@@ -54,6 +53,7 @@ class ExperimentConfig:
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
+        require_finite(self)
         if self.problem not in PROBLEM_FACTORIES:
             raise ConfigError(
                 f"problem must be one of {tuple(PROBLEM_FACTORIES)}, got {self.problem!r}"
@@ -118,13 +118,10 @@ def _integral(raw):
 
 
 def _real(raw):
-    """float(raw), refusing a YAML boolean and .inf or .nan."""
+    """float(raw), refusing a YAML boolean; each config dataclass refuses .inf and .nan."""
     if isinstance(raw, bool):
         raise ValueError(f"{raw!r} is not a number")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
+    return float(raw)
 
 
 # annotation -> cast for the dataclass fields a YAML section sets directly;

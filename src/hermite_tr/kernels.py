@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import require_finite
+
 GAUSSIAN = "gaussian"
 QUAD_MATERN = "quad_matern"
 WENDLAND2 = "wendland2"
@@ -40,6 +42,7 @@ class KernelSpec:
     dim: int
 
     def __post_init__(self):
+        require_finite(self, ValueError)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}, expected one of {FAMILIES}")
         if not self.shape > 0:

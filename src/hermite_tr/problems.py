@@ -2,9 +2,10 @@
 
 Every objective evaluation goes through Problem.eval and increments the
 counter by exactly one; the counter is the cost metric reported by the
-experiment harness.  A memo keyed by the exact bytes of the point serves
-a repeated point without calling the objective again; it saves wall time
-only, since each request still counts.
+experiment harness, and nothing reads J or its gradient without it.  A
+memo keyed by the exact bytes of the point serves a repeated point without
+calling the objective again; it saves wall time only, since each request
+still counts.
 """
 
 from __future__ import annotations
@@ -53,14 +54,6 @@ class Problem:
                 )
             entry = self._memo[key] = (float(val), np.asarray(grad, dtype=float))
         return entry[0], entry[1].copy()
-
-    def gradient(self, x):
-        """grad J at a point eval has counted, as a fresh array; counts nothing."""
-        x = np.asarray(x, dtype=float)
-        entry = self._memo.get(x.tobytes())
-        if entry is None:
-            raise ValueError(f"{self.name}: no counted evaluation at {x}")
-        return entry[1].copy()
 
 
 # name -> (lower, upper) bounds; a problem's dimension is their length, so

@@ -10,11 +10,11 @@ accepted inner point (the approximate generalized Cauchy point) is the
 yardstick the outer loop measures sufficient decrease against.
 
 Each line search forms its backtracking ladder, the trial points
-P(x + kappa_bt^j * d) for j = 0..j_max, once, as one array.  The surrogate
-scores the trials the search reaches CHUNK at a time, each chunk with one
-distance pass and one triangular solve (Surrogate.block); the values and
-power-function values have the bits of point queries, which are one-row
-blocks.
+P(x + kappa_bt^j * d) for j = 0..j_max, once, as one array whose row j
+names trial j.  The surrogate scores the rows the search reaches CHUNK at
+a time, each chunk with one distance pass and one triangular solve
+(Surrogate.block); the values and power-function values have the bits of
+point queries, which are one-row blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AssumptionViolationError, ConfigError, LineSearchError
+from .errors import AssumptionViolationError, ConfigError, LineSearchError, require_finite
 from .surrogate import Surrogate
 
 # Surrogate values at or below this floor make the constraint ratio
@@ -48,6 +48,7 @@ class SubproblemConfig:
     j_max: int = 30            # max backtracking steps
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.kappa_bt < 1.0:
             raise ConfigError(f"kappa_bt must be in (0,1), got {self.kappa_bt}")
         if not 0.0 < self.kappa_arm < 0.5:
@@ -110,94 +111,76 @@ def backtracking_ladder(x, direction, cfg: SubproblemConfig, box) -> np.ndarray:
     Each entry is the arithmetic of one trial: kappa_bt**j as a Python
     float, times the direction, added to x, then clamped onto the box.
     """
-    x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
     return project_box(x + cfg.step_factors[:, None] * direction, box)
 
 
-def armijo_backtrack(fun, x, fx, required_decrease, direction, cfg: SubproblemConfig,
-                     box, feasible=None, resolution=None, ladder=None):
-    """Smallest j with sufficient decrease at x(j) = P(x + kappa_bt^j * direction).
+def armijo_backtrack(fun, x, fx, required_decrease, ladder, feasible=None, resolution=None):
+    """Smallest j with sufficient decrease at row j of ladder, the trials from x.
 
-    fun maps a point to a scalar objective value; required_decrease maps
-    the realized step vector (x - trial) to the minimum acceptable drop in
-    fun; feasible (optional) is an extra acceptance predicate.  Returns
-    (accepted point, its value, j).  Shared by the surrogate subproblem
-    and the direct baseline so both pay for trials through the same code
-    path: the trials are the rows of backtracking_ladder(x, direction,
-    cfg, box), formed once per search, and fun is called once per trial
-    the search evaluates, in ladder order, with feasible (if any) on the
-    same trial right after.  A caller that has formed the ladder already
-    (to score it ahead of the search) passes it as ladder.
+    ladder is backtracking_ladder's array; fun maps a row index to the
+    objective value at that trial, required_decrease maps the realized
+    step vector (x - trial) to the minimum acceptable drop in fun, and
+    feasible (optional) is an extra acceptance predicate on a row index.
+    Returns (accepted point, its value, j).  Shared by the surrogate
+    subproblem and the direct baseline so both pay for trials through the
+    same code path: fun is called once per row the search evaluates, in
+    ladder order, with feasible (if any) on the same row right after; a
+    row whose trial does not move from x is skipped.
 
     resolution (optional) is the smallest drop fun can resolve at x: the
     search raises LineSearchError at the first trial that requires no
     more than that, without evaluating it, since only rounding could pass
     its test ("step too small", Nocedal & Wright, sec. 3.5).
     """
-    x = np.asarray(x, dtype=float)
-    if ladder is None:
-        ladder = backtracking_ladder(x, direction, cfg, box)
-    steps = x - ladder
+    steps = np.asarray(x, dtype=float) - ladder
     moves = np.any(steps, axis=1).tolist()
-    for j, trial in enumerate(ladder):
+    for j, step in enumerate(steps):
         if not moves[j]:
             continue
-        required = required_decrease(steps[j])
+        required = required_decrease(step)
         if resolution is not None and required <= resolution:
             raise LineSearchError(
                 f"line search stopped at the objective's rounding level after {j} trials"
             )
-        f_trial = fun(trial)
+        f_trial = fun(j)
         if fx - f_trial >= required:
-            if feasible is None or feasible(trial):
-                return trial.copy(), f_trial, j
+            if feasible is None or feasible(j):
+                return ladder[j].copy(), f_trial, j
     raise LineSearchError(
-        f"no acceptable point within {cfg.j_max} backtracking steps"
+        f"no acceptable point within {len(ladder) - 1} backtracking steps"
     )
 
 
 class _LadderScores:
-    """The surrogate's value and trust-region test along one ladder, CHUNK trials a block.
+    """The surrogate's value and trust-region test along one ladder, CHUNK rows a block.
 
-    The search asks for trials in ladder order, so a cursor finds each
-    one by its bytes; a trial past the current block gets the next CHUNK
-    rows from there scored as one PointBlock, which becomes the current
-    block.  A trial at or below the positivity floor counts as infeasible
-    (the constraint ratio diverges there), so backtracking continues past
-    it; the slack is constraint_value's, on the one value read.
+    The search asks for rows in ladder order; a row past the current
+    block gets the next CHUNK rows from there scored as one PointBlock,
+    which becomes the current block.  A trial at or below the positivity
+    floor counts as infeasible (the constraint ratio diverges there), so
+    backtracking continues past it; the slack is constraint_value's, on
+    the one value read.
     """
 
     def __init__(self, s: Surrogate, delta: float, ladder):
         self.s, self.delta, self.ladder = s, delta, ladder
-        self.cursor = 0
-        self.trial = None                      # the trial the cursor is at
-        self.block, self.start = None, 0       # the current block and its first trial
+        self.block, self.start = None, 0       # the current block and its first row
 
-    def _at(self, trial):
-        if trial is not self.trial:
-            key = trial.tobytes()
-            j = self.cursor
-            while self.ladder[j].tobytes() != key:
-                j += 1
-            self.cursor, self.trial = j, trial
-            if self.block is None or j >= self.start + len(self.block):
-                self.block, self.start = self.s.block(self.ladder[j : j + CHUNK]), j
-        return self.block, self.cursor - self.start
+    def row(self, j):
+        """(block, row in it) of ladder row j, j at or past the current block's first."""
+        if self.block is None or j >= self.start + len(self.block):
+            self.block, self.start = self.s.block(self.ladder[j : j + CHUNK]), j
+        return self.block, j - self.start
 
-    def value(self, trial) -> float:
-        block, i = self._at(trial)
+    def value(self, j) -> float:
+        block, i = self.row(j)
         return block.values[i]
 
-    def feasible(self, trial) -> bool:
-        block, i = self._at(trial)
+    def feasible(self, j) -> bool:
+        block, i = self.row(j)
         val = block.values[i]
         return (val > POSITIVITY_FLOOR
                 and self.delta - self.s.norm_bound * block.power(i) / val >= 0.0)
-
-    def remember_last(self) -> None:
-        """Seed the surrogate's memo with the last trial asked for (the accepted one)."""
-        self.s.remember(self.block, self.cursor - self.start)
 
 
 def _norm(v) -> float:
@@ -283,10 +266,10 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
         ladder = backtracking_ladder(x, direction, cfg, box)
         scores = _LadderScores(s, delta, ladder)
         try:
-            x_new, _, _ = armijo_backtrack(
+            x_new, _, j = armijo_backtrack(
                 scores.value, x, s.value(x),
                 angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi),
-                direction, cfg, box=box, feasible=scores.feasible, ladder=ladder,
+                ladder, feasible=scores.feasible,
             )
         except LineSearchError:
             if agc is None:
@@ -294,7 +277,8 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             termination = Termination.LINE_SEARCH_FAILED
             break
 
-        scores.remember_last()
+        # the accepted trial's gradient and trust-region reads come next
+        s.remember(*scores.row(j))
         iterates.append(x_new.copy())
         if agc is None:
             agc = x_new.copy()

@@ -39,6 +39,11 @@ JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
 NOT_FINITE = "array must not contain infs or NaNs"
 
 
+def coincide(dist, x) -> bool:
+    """Whether a point at distance dist from x counts as x; at an infinite one, never."""
+    return math.isfinite(dist) and dist <= DISTINCT_TOL * (1.0 + np.linalg.norm(x))
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """Pairwise-distinct points with objective values and gradients."""
@@ -79,10 +84,7 @@ class TrainingSet:
         x = np.asarray(x, dtype=float)
         d = np.linalg.norm(self.points - x[None, :], axis=1)
         k = int(np.argmin(d))
-        # an infinite distance is no duplicate, though inf <= an infinite x's threshold
-        if math.isfinite(d[k]) and d[k] <= DISTINCT_TOL * (1.0 + np.linalg.norm(x)):
-            return k
-        return None
+        return k if coincide(d[k], x) else None
 
     def with_point(self, x, value, gradient) -> "TrainingSet":
         """New training set extended by one point (rejects near-duplicates).
@@ -104,13 +106,10 @@ class TrainingSet:
 
 def _require_distinct(pts):
     """Raise DuplicatePointsError if the closest pair is within the threshold."""
-    n = pts.shape[0]
-    if n < 2:
-        return
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    d[np.diag_indices(n)] = np.inf
+    d[np.diag_indices(len(pts))] = np.inf    # so a lone point's pair is no duplicate
     i, j = (int(k) for k in np.unravel_index(np.argmin(d), d.shape))
-    if math.isfinite(d[i, j]) and d[i, j] <= DISTINCT_TOL * (1.0 + np.linalg.norm(pts[i])):
+    if coincide(d[i, j], pts[i]):
         raise DuplicatePointsError(i, j, float(d[i, j]))
 
 

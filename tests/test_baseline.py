@@ -56,18 +56,49 @@ class TestRosenbrock:
         monkeypatch.setattr(baseline, "bfgs_inverse_update",
                             lambda hinv, step, y: -np.eye(step.shape[0]))
         searches = []
-        backtrack = baseline.armijo_backtrack
+        ladder = baseline.backtracking_ladder
 
-        def recording(fun, x, fx, rule, direction, *args, **kwargs):
+        def recording(x, direction, *args):
             searches.append((x.copy(), direction.copy()))
-            return backtrack(fun, x, fx, rule, direction, *args, **kwargs)
+            return ladder(x, direction, *args)
 
-        monkeypatch.setattr(baseline, "armijo_backtrack", recording)
+        monkeypatch.setattr(baseline, "backtracking_ladder", recording)
         p = problem_rosenbrock()
         minimize(p, np.array([-1.2, 1.0]), BaselineConfig(i_max=3), LS)
         assert len(searches) == 3
         for x, direction in searches:
             np.testing.assert_array_equal(direction, -peek(p, x)[1])
+
+
+class TestAcceptedGradient:
+    @pytest.mark.parametrize("make,x0,box", [
+        (problem_rosenbrock, [-1.2, 1.0], None),
+        (problem_rosenbrock, [-1.2, 1.0], ([-1.5, 0.2], [0.8, 0.6])),
+        (problem_1d, [1.9], None),
+    ])
+    def test_gradient_after_each_step_is_the_accepted_trials(self, make, x0, box,
+                                                             monkeypatch):
+        # each iteration's stationarity test, and the report's, reads the
+        # gradient the accepted trial's own evaluation returned: the bits
+        # of the problem's function there
+        problem = make()
+        if box is not None:
+            problem.lower, problem.upper = map(np.array, box)
+        seen = []
+        measure = baseline.projected_gradient_norm
+
+        def recording(x, grad, box):
+            seen.append((x.copy(), grad.copy()))
+            return measure(x, grad, box)
+
+        monkeypatch.setattr(baseline, "projected_gradient_norm", recording)
+        report = minimize(problem, np.array(x0), BaselineConfig(i_max=25), LS)
+        # the start, then each accepted trial (the last may be read twice)
+        steps = len(report.log)
+        assert steps >= 5
+        assert [x.tolist() for x, _ in seen[1:steps + 1]] == [r.candidate for r in report.log]
+        for x, grad in seen:
+            assert grad.tobytes() == peek(problem, x)[1].tobytes()
 
 
 class TestBoxConstrained:

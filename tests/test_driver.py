@@ -1,11 +1,13 @@
 """Outer loop: ratio, radius law, acceptance branches, full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_tr import driver
+from hermite_tr import driver, surrogate
 from hermite_tr.driver import (
     Branch,
     NormSource,
@@ -28,7 +30,7 @@ from hermite_tr.errors import (
 )
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import problem_1d
-from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination
+from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination, solve
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 
 from oracles import peek
@@ -197,6 +199,29 @@ class TestAcceptanceBranches:
         assert state.delta == self.cfg.beta1_shrink * delta_before
         np.testing.assert_array_equal(state.iterate, [0.95])
         assert state.surrogate.training.find_close(cand) is not None
+
+    def test_iterate_and_agc_cost_one_distance_pass(self, monkeypatch):
+        # after a real inner solve, the candidate's value and power come
+        # from the memo it leaves, and the iterate's and the AGC point's
+        # values from one two-row block; the only other pass is the refit
+        # growing the Gram by the candidate.  (Two point queries cost one
+        # pass each.)  The decrease ratio has the bits of point queries.
+        state = _two_point_state(self.problem, self.kernel, [1.5, 0.9])
+        s = state.surrogate
+        result = solve(s, state.iterate, state.delta, self.cfg.sub,
+                       (self.problem.lower, self.problem.upper))
+        fresh = dataclasses.replace(s)
+        expected_rho = rho(state.current_j, peek(self.problem, result.candidate)[0],
+                           fresh.value(state.iterate), fresh.value(result.candidate))
+        passes = []
+        profiles = surrogate.radial_profiles
+        monkeypatch.setattr(surrogate, "radial_profiles",
+                            lambda *args: passes.append(args) or profiles(*args))
+        record = acceptance_step(state, result, self.problem, self.cfg)
+        assert record.branch is Branch.ACCEPTED_BY_DIRECT
+        assert state.surrogate.training.n == 3
+        assert len(passes) == 2
+        assert record.rho == expected_rho
 
     @pytest.mark.parametrize("x0", [-1.9, -0.95, 0.475, 1.425])
     def test_too_small_norm_bound_accepts_no_refuted_step(self, x0):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hermite_tr.cli import main as cli_main
 from hermite_tr.driver import NormSource, TRConfig
 from hermite_tr.errors import ConfigError
 from hermite_tr.harness import (
+    ExperimentConfig,
     config_from_dict,
     emit_outputs,
     export_power_field,
@@ -25,6 +27,7 @@ from hermite_tr.harness import (
     run_experiment,
     sample_starts,
 )
+from hermite_tr.kernels import KernelSpec
 from hermite_tr.problems import Problem, make_problem
 from hermite_tr.subproblem import SubproblemConfig
 
@@ -96,6 +99,23 @@ def small_pde2d():
     return {**data, "grid_n": 24, "n_starts": 2}
 
 
+# config dataclass -> keyword arguments with one real set to the given value
+NON_FINITE = {
+    "ExperimentConfig.shapes": (ExperimentConfig, lambda v: dict(
+        problem="one_d", kernel_family="gaussian", shapes=(1.0, v))),
+    "ExperimentConfig.start_box": (ExperimentConfig, lambda v: dict(
+        problem="rosenbrock", kernel_family="gaussian", shapes=(1.0,),
+        start_box=((-v, 0.0), (1.0, 1.0)))),
+    "NormSource.value": (NormSource, lambda v: dict(kind="fixed", value=v)),
+    "NormSource.safety": (NormSource, lambda v: dict(safety=v)),
+    "TRConfig.delta0": (TRConfig, lambda v: dict(delta0=v)),
+    "TRConfig.tau_foc": (TRConfig, lambda v: dict(tau_foc=v)),
+    "SubproblemConfig.tau_sub": (SubproblemConfig, lambda v: dict(tau_sub=v)),
+    "BaselineConfig.tau_foc": (BaselineConfig, lambda v: dict(tau_foc=v)),
+    "KernelSpec.shape": (KernelSpec, lambda v: dict(family="gaussian", shape=v, dim=1)),
+}
+
+
 def tiny_config(tmp_path, **extra):
     data = {
         "problem": "one_d",
@@ -164,6 +184,10 @@ class TestLoadConfig:
             {**MINIMAL, "trust_region": {"norm_source": "estimated",
                                          "norm_safety": float("inf")}},
             {"problem": "one_d", "kernel": {"family": "gaussian", "shape": float("inf")}},
+            {"problem": "rosenbrock", "kernel": {"family": "gaussian", "shape": 1.0},
+             "start_box": [[-float("inf"), 0.0], [1.0, 1.0]]},
+            {**MINIMAL, "trust_region": {"delta0": float("inf")}},
+            {**MINIMAL, "subproblem": {"tau_sub": float("nan")}},
             # shapes whose group labels (eps=<shape:g>) collide
             {"problem": "one_d", "kernel": {"family": "gaussian", "shape": [1.0, 1.0000001]}},
             {"problem": "one_d", "kernel": {"family": "gaussian", "shape": [1, 1]}},
@@ -180,6 +204,15 @@ class TestLoadConfig:
         assert ".inf" in path.read_text()
         assert cli_main(["run", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_configs_built_in_code_refuse_non_finite_reals(self, name, bad):
+        # each config dataclass checks its own reals, so a config built in
+        # code is held to the rules a YAML file is
+        cls, kwargs = NON_FINITE[name]
+        with pytest.raises(ValueError if cls is KernelSpec else ConfigError, match="finite"):
+            cls(**kwargs(bad))
 
     @pytest.mark.parametrize("key", ["tau_foc", "tau_j", "kappa_bt", "kappa_arm", "j_max"])
     def test_baseline_takes_no_tolerance_or_line_search_key(self, key, tmp_path):
@@ -357,14 +390,14 @@ class TestProtocol:
         recording(driver, "solve", 3)
         recording(harness, "minimize", 3)
         recording(harness, "reference_solution", 2)
-        backtrack = subproblem.armijo_backtrack
+        ladder = subproblem.backtracking_ladder
 
-        def recording_backtrack(fun, x, fx, rule, direction, ls_cfg, **kwargs):
+        def recording_ladder(x, direction, ls_cfg, box):
             received["backtrack"].append(ls_cfg)
-            return backtrack(fun, x, fx, rule, direction, ls_cfg, **kwargs)
+            return ladder(x, direction, ls_cfg, box)
 
-        monkeypatch.setattr(subproblem, "armijo_backtrack", recording_backtrack)
-        monkeypatch.setattr(baseline, "armijo_backtrack", recording_backtrack)
+        monkeypatch.setattr(subproblem, "backtracking_ladder", recording_ladder)
+        monkeypatch.setattr(baseline, "backtracking_ladder", recording_ladder)
         run_experiment(cfg)
         assert [len(received[name]) for name in ("minimize", "reference_solution")] == [2, 1]
         assert received["solve"] and received["backtrack"]

@@ -120,22 +120,6 @@ class TestMemo:
         assert val2 == val
         assert grad2.tobytes() == grad_copy.tobytes()
 
-    def test_gradient_reads_the_memo(self):
-        p, calls = self.counting(problem_pde2d(grid_n=24))
-        x = np.array([0.9, 2.8])
-        _, grad = p.eval(x)
-        again = p.gradient(x.copy())
-        again[:] = 0.0                      # a fresh array each time
-        assert p.gradient(x).tobytes() == grad.tobytes()
-        assert p.counter == 1 and len(calls) == 1
-
-    def test_gradient_needs_a_counted_point(self):
-        p = problem_1d()
-        p.eval(np.array([0.5]))
-        with pytest.raises(ValueError):
-            p.gradient(np.array([0.25]))
-        assert p.counter == 1
-
     def test_failed_evaluation_not_memoized(self):
         calls = []
 

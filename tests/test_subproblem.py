@@ -102,9 +102,10 @@ def surrogate_backtrack(s, x, direction, cfg, box):
     grad = s.gradient(x)
     grad_norm = float(np.linalg.norm(grad))
     cos_phi = -float(grad @ direction) / (grad_norm * float(np.linalg.norm(direction)))
+    ladder = backtracking_ladder(x, direction, cfg, box)
     point, _, j = armijo_backtrack(
-        s.value, x, s.value(x), angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi),
-        direction, cfg, box=box,
+        lambda j: s.value(ladder[j]), x, s.value(x),
+        angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi), ladder,
     )
     return point, j
 
@@ -142,15 +143,17 @@ class TestArmijoSearch:
         # never drops, so only the resolution or j_max ends the search, and
         # no trial requiring at most the resolution is evaluated
         seen = []
+        x = np.array([0.0])
+        ladder = backtracking_ladder(x, np.array([1.0]), SubproblemConfig(kappa_bt=0.5, j_max=30),
+                                     unbounded(1))
 
-        def flat(point):
-            seen.append(point[0])
+        def flat(j):
+            seen.append(ladder[j][0])
             return 1.0
 
         with pytest.raises(LineSearchError, match=message):
-            armijo_backtrack(flat, np.array([0.0]), 1.0, lambda step: abs(step[0]),
-                             np.array([1.0]), SubproblemConfig(kappa_bt=0.5, j_max=30),
-                             box=unbounded(1), resolution=resolution)
+            armijo_backtrack(flat, x, 1.0, lambda step: abs(step[0]), ladder,
+                             resolution=resolution)
         assert seen == evaluated
 
     def test_resolution_below_every_requirement_changes_nothing(self):
@@ -158,12 +161,76 @@ class TestArmijoSearch:
         cfg = SubproblemConfig(kappa_bt=0.5, kappa_arm=1e-4)
         x, direction = np.array([1.0]), np.array([-2.0])
         rule = angle_decrease_rule(cfg.kappa_arm, float(abs(s.gradient(x)[0])), 1.0)
-        plain = armijo_backtrack(s.value, x, s.value(x), rule, direction, cfg,
-                                 box=unbounded(1))
-        stopped = armijo_backtrack(s.value, x, s.value(x), rule, direction, cfg,
-                                   box=unbounded(1), resolution=1e-300)
+        ladder = backtracking_ladder(x, direction, cfg, unbounded(1))
+
+        def fun(j):
+            return s.value(ladder[j])
+
+        plain = armijo_backtrack(fun, x, s.value(x), rule, ladder)
+        stopped = armijo_backtrack(fun, x, s.value(x), rule, ladder, resolution=1e-300)
         np.testing.assert_array_equal(stopped[0], plain[0])
         assert stopped[1:] == plain[1:]
+
+
+class TestRowProtocol:
+    """armijo_backtrack names each trial by its ladder row."""
+
+    @staticmethod
+    def clamped_ladder():
+        # the first coordinate sits on its lower bound and the direction
+        # pushes outward, the second clamps onto its upper bound for the
+        # four longest steps (byte-equal rows) and stops moving from row
+        # 55 on (4 * 0.5**55 is half an ulp of 1)
+        box = (np.array([0.0, -1.0]), np.array([1.0, 1.5]))
+        x = np.array([0.0, 1.0])
+        ladder = backtracking_ladder(x, np.array([-1.0, 4.0]),
+                                     SubproblemConfig(kappa_bt=0.5, j_max=60), box)
+        assert len({row.tobytes() for row in ladder[:4]}) == 1
+        assert not np.any(x - ladder[55:]) and np.all(np.any(x - ladder[:55], axis=1))
+        return x, ladder
+
+    def test_callbacks_get_each_moving_row_once_in_order(self):
+        x, ladder = self.clamped_ladder()
+        calls = []
+
+        def fun(j):
+            calls.append(("fun", j))
+            return 0.0                       # every trial passes the Armijo test
+
+        def feasible(j):
+            calls.append(("feasible", j))
+            return False                     # and fails this one
+
+        with pytest.raises(LineSearchError, match="within 60 backtracking steps"):
+            armijo_backtrack(fun, x, 1.0, lambda step: 0.5, ladder, feasible=feasible)
+        assert calls == [(name, j) for j in range(55) for name in ("fun", "feasible")]
+
+    def test_accepted_row_is_returned_with_its_index(self):
+        x, ladder = self.clamped_ladder()
+        point, value, j = armijo_backtrack(lambda j: 1.0 - j, x, 1.0, lambda step: 2.5, ladder,
+                                           feasible=lambda j: j != 3)
+        assert (value, j) == (-3.0, 4)
+        assert point.tobytes() == ladder[4].tobytes()
+        point[:] = 7.0                       # a copy, not a view of the ladder
+        assert ladder[4, 0] == 0.0
+
+    def test_scores_find_each_row_by_index(self, monkeypatch):
+        # byte-equal rows each get their own row of a block, and blocks of
+        # CHUNK rows start at the first row past the current one
+        x, ladder = self.clamped_ladder()
+        s = fit(make_kernel("gaussian", 1.0, 2),
+                TrainingSet(np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([2.0, 3.0]),
+                            np.array([[1.0, 0.0], [0.0, 1.0]])), norm_bound=1.0)
+        scored = []
+        block = s.block
+        monkeypatch.setattr(s, "block", lambda points: scored.append(points) or block(points))
+        scores = subproblem._LadderScores(s, 0.5, ladder)
+        for j in range(55):
+            got, i = scores.row(j)
+            assert got.points[i].tobytes() == ladder[j].tobytes()
+            assert got.values[i] == s.value(ladder[j])
+            assert i == j % CHUNK
+        assert len(scored) == -(-55 // CHUNK)
 
 
 class TestSolve:
@@ -267,11 +334,11 @@ class TestSolve:
         trials = []
         backtrack = subproblem.armijo_backtrack
 
-        def recording(fun, *args, **kwargs):
-            def recorded(point):
-                trials.append(point.copy())
-                return fun(point)
-            return backtrack(recorded, *args, **kwargs)
+        def recording(fun, x, fx, rule, ladder, **kwargs):
+            def recorded(j):
+                trials.append(ladder[j].copy())
+                return fun(j)
+            return backtrack(recorded, x, fx, rule, ladder, **kwargs)
 
         monkeypatch.setattr(subproblem, "armijo_backtrack", recording)
         delta = 0.5
@@ -289,13 +356,13 @@ class TestSolve:
         monkeypatch.setattr(subproblem, "bfgs_inverse_update",
                             lambda hinv, step, y: -np.eye(step.shape[0]))
         searches = []
-        backtrack = subproblem.armijo_backtrack
+        ladder = subproblem.backtracking_ladder
 
-        def recording(fun, x, fx, rule, direction, *args, **kwargs):
+        def recording(x, direction, *args):
             searches.append((x.copy(), direction.copy()))
-            return backtrack(fun, x, fx, rule, direction, *args, **kwargs)
+            return ladder(x, direction, *args)
 
-        monkeypatch.setattr(subproblem, "armijo_backtrack", recording)
+        monkeypatch.setattr(subproblem, "backtracking_ladder", recording)
         s = quadratic_surrogate(center=0.4)
         solve(s, np.array([1.3]), delta=1e3,
               cfg=SubproblemConfig(kappa_bt=0.3, tau_sub=1e-12, l_max=3), box=unbounded(1))
@@ -378,12 +445,15 @@ class TestChunkedSearch:
                 return float((point - offset) @ (point - offset)) + 1.0
 
             rule = projected_decrease_rule(1e-4, grad)
-            args = (x, fun(x), rule, direction, SubproblemConfig(j_max=int(rng.integers(3, 60))),
-                    box)
+            cfg = SubproblemConfig(j_max=int(rng.integers(3, 60)))
+            ladder = backtracking_ladder(x, direction, cfg, box)
             results = []
-            for search in (armijo_backtrack, per_trial_backtrack):
+            for search, args in (
+                (armijo_backtrack, (lambda j: fun(ladder[j]), x, fun(x), rule, ladder)),
+                (per_trial_backtrack, (fun, x, fun(x), rule, direction, cfg, box)),
+            ):
                 try:
-                    point, value, j = search(fun, *args, resolution=resolution)
+                    point, value, j = search(*args, resolution=resolution)
                     results.append((point.tobytes(), value, j))
                 except LineSearchError as exc:
                     results.append(str(exc))
@@ -466,23 +536,30 @@ class TestChunkedSearch:
             ladder = backtracking_ladder(x, direction, cfg, unbounded(2))
             assert not np.any(x - ladder[-1])           # the ladder ends in zero steps
             results = []
-            for search, fun, feasible, kwargs in (
-                (armijo_backtrack, *self._scored(s, delta, ladder), {"ladder": ladder}),
-                (per_trial_backtrack, *self._per_point(dataclasses.replace(s), delta), {}),
+            value, feasible = self._scored(s, delta, ladder)
+            oracle_value, oracle_feasible = self._per_point(dataclasses.replace(s), delta)
+            asked = [[], []]
+
+            def scored(j):
+                asked[0].append(ladder[j].tobytes())
+                return value(j)
+
+            def per_point(point):
+                asked[1].append(point.tobytes())
+                return oracle_value(point)
+
+            for search, args in (
+                (armijo_backtrack, (scored, x, s.value(x), rule, ladder, feasible)),
+                (per_trial_backtrack, (per_point, x, s.value(x), rule, direction, cfg,
+                                       unbounded(2), oracle_feasible)),
             ):
-                asked = []
-
-                def recorded(point, fun=fun):
-                    asked.append(point.tobytes())
-                    return fun(point)
-
                 try:
-                    point, value, j = search(recorded, x, s.value(x), rule, direction, cfg,
-                                             unbounded(2), feasible=feasible, **kwargs)
-                    results.append((point.tobytes(), value, j, asked))
+                    point, value_at, j = search(*args)
+                    results.append((point.tobytes(), value_at, j))
                 except LineSearchError as exc:
-                    results.append((str(exc), asked))
+                    results.append(str(exc))
             assert results[0] == results[1]
+            assert asked[0] == asked[1]
 
     def test_accepted_trials_need_no_second_distance_pass(self, family, monkeypatch):
         # the memo takes each accepted trial from its block, so the

@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 from hermite_tr import surrogate
 from hermite_tr.errors import DuplicatePointsError
 from hermite_tr.kernels import make_kernel
-from hermite_tr.surrogate import TrainingSet, assemble_gram, estimate_norm, fit
+from hermite_tr.surrogate import TrainingSet, assemble_gram, coincide, estimate_norm, fit
 
 from conftest import kernel_for
 from oracles import cross_hessian, grad1, value
@@ -136,6 +136,19 @@ class TestTrainingSet:
         assert ts.find_close(np.array([0.5])) is None
         ts2 = ts.with_point(np.array([0.5]), 3.0, np.array([0.1]))
         assert ts2.n == 3 and ts.n == 2
+
+    def test_coincide_is_the_one_distinctness_rule(self, monkeypatch):
+        x = np.array([3.0, 4.0])                    # threshold 1e-10 * (1 + 5)
+        assert coincide(5.9e-10, x) and not coincide(6.1e-10, x)
+        # an infinite distance is no duplicate, however large x's threshold
+        assert not coincide(np.inf, np.array([np.inf, 0.0]))
+        # the pairwise check and find_close both ask it
+        asked = []
+        monkeypatch.setattr(surrogate, "coincide",
+                            lambda dist, x: asked.append(float(dist)) or coincide(dist, x))
+        ts = TrainingSet(np.array([[0.0], [1.0]]), np.zeros(2), np.zeros((2, 1)))
+        assert ts.find_close(np.array([1.0])) == 1
+        assert asked == [1.0, 0.0]
 
     def test_with_point_checks_only_the_new_point(self, monkeypatch):
         ts = TrainingSet(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), np.zeros((2, 1)))
