@@ -335,7 +335,10 @@ def format_table(rows) -> str:
 
 
 def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
-    """Write summary.csv, a table mirror, per-run records, and metadata."""
+    """Write summary.csv, a table mirror, per-run records, and metadata.
+
+    Run records in out/runs that this experiment did not write are removed.
+    """
     out = output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -350,6 +353,7 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
 
     runs_dir = out / "runs"
     runs_dir.mkdir(exist_ok=True)
+    written = set()
     for label, group in reports.items():
         tag = label.replace("=", "_")
         for k, item in group:
@@ -358,6 +362,9 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
                 item.to_json(path)
             else:
                 path.write_text(json.dumps({"failure": item}, indent=1))
+            written.add(path)
+    for stale in set(runs_dir.glob("*__start*.json")) - written:
+        stale.unlink()
 
     with open(out / "experiment.json", "w") as fh:
         json.dump(meta, fh, indent=1)

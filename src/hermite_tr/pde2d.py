@@ -47,9 +47,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
+from ._lapack import dpotrf, dpotrs
 from .errors import ConfigError, NumericalError
 
 OMEGA_X = (-2.0 / 3.0, -1.0 / 3.0)

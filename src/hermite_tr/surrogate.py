@@ -21,8 +21,8 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .errors import (
     DuplicatePointsError,
     IllConditionedGramError,
@@ -489,12 +489,8 @@ def estimate_norm(kernel: KernelSpec, problem, n_samples: int, sampler_seed: int
     evaluations spent here are counted on the problem's counter; callers
     report them separately from optimization evaluations.  A box other
     than None overrides the sampling region, e.g. for problems without
-    bounds.
+    bounds.  n_samples >= 1 and safety >= 1, as NormSource checks.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
     s = sampled_fit(kernel, problem, bounded_box(problem, box), n_samples, sampler_seed)
     return float(safety) * s.rkhs_norm(), s.training
 

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +337,22 @@ class TestProtocol:
         out = emit_outputs(*run_experiment(cfg), cfg)
         assert out == target
         assert (target / "summary.csv").exists()
+
+    def test_fewer_starts_in_the_same_directory_leave_no_stale_records(self, tmp_path,
+                                                                       monkeypatch):
+        # the bundled one_d experiment (5 starts), then a 2-start one, into
+        # one directory: runs/ holds the 2-start records, and a file that is
+        # not a run record stays
+        monkeypatch.setenv("HERMITE_TR_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg = load_config(CONFIG_DIR / "one_d.yaml")
+        out = emit_outputs(*run_experiment(cfg), cfg)
+        assert len(list((out / "runs").glob("*__start*.json"))) == 10
+        (out / "runs" / "notes.txt").write_text("kept\n")
+        fewer = replace(cfg, n_starts=2)
+        emit_outputs(*run_experiment(fewer), fewer)
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            "baseline__start0.json", "baseline__start1.json",
+            "eps_0.725__start0.json", "eps_0.725__start1.json", "notes.txt"]
 
     def test_start_box_checked_without_building_the_problem(self, monkeypatch):
         def build(grid_n):

@@ -1,0 +1,96 @@
+"""_lapack: scipy's LAPACK wrappers, loaded without the scipy.linalg package."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import scipy.linalg
+
+from hermite_tr import _lapack, pde2d, surrogate
+
+REPO = Path(__file__).resolve().parent.parent
+ONE_D = REPO / "scripts" / "configs" / "one_d.yaml"
+# what importing scipy.linalg brings in and the analytic problems never use
+UNUSED = ["scipy.linalg", "numpy.f2py", "scipy._lib._array_api"]
+
+# Records each call of the extension loader for scipy.linalg._flapack in
+# `loads`; put before anything has imported it.
+COUNT_LOADS = """
+import json, sys
+from importlib.machinery import ExtensionFileLoader
+loads = []
+def counted(step, method):
+    def call(self, arg):
+        if self.name == "scipy.linalg._flapack":
+            loads.append(step)
+        return method(self, arg)
+    return call
+for step in ("create_module", "exec_module"):
+    setattr(ExtensionFileLoader, step, counted(step, getattr(ExtensionFileLoader, step)))
+"""
+
+
+def last_json_line(script, tmp_path):
+    """Run script in a fresh process that imports src; its last stdout line, parsed."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, HERMITE_TR_OUTPUT_DIR=str(tmp_path / "out"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_the_routines_are_scipy_linalgs():
+    assert surrogate.dpotrf is pde2d.dpotrf is _lapack.dpotrf is scipy.linalg.lapack.dpotrf
+    assert surrogate.dpotrs is pde2d.dpotrs is _lapack.dpotrs is scipy.linalg.lapack.dpotrs
+
+
+def test_analytic_experiment_leaves_scipy_linalg_unloaded(tmp_path):
+    # the CLI and a full bundled one_d experiment load the extension once,
+    # and none of scipy.linalg; a later `import scipy.linalg` binds its
+    # own _flapack, with the same routines
+    script = COUNT_LOADS + f"""
+import hermite_tr.cli
+code = hermite_tr.cli.main(["run", {str(ONE_D)!r}])
+loaded = [name for name in {UNUSED!r} if name in sys.modules]
+own_loads = list(loads)
+import scipy.linalg
+import hermite_tr.surrogate
+print(json.dumps([code, loaded, own_loads, "_flapack" in vars(scipy.linalg),
+                  scipy.linalg.lapack.dpotrf is hermite_tr.surrogate.dpotrf]))
+"""
+    code, loaded, own_loads, bound, same = last_json_line(script, tmp_path)
+    assert code == 0
+    assert loaded == []
+    assert own_loads == ["create_module", "exec_module"]
+    assert bound and same
+
+
+def test_scipy_linalg_imported_first_shares_its_extension(tmp_path):
+    # the package takes the extension scipy.linalg already loaded, and
+    # leaves scipy.linalg's module registered
+    script = COUNT_LOADS + """
+import scipy.linalg
+before = len(loads)
+from hermite_tr import pde2d, surrogate
+print(json.dumps([len(loads) - before,
+                  scipy.linalg.lapack.dpotrf is surrogate.dpotrf is pde2d.dpotrf,
+                  sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack]))
+"""
+    assert last_json_line(script, tmp_path) == [0, True, True]
+
+
+def test_a_missing_extension_fails_the_import(tmp_path):
+    # no fallback to scipy.linalg.lapack: without the extension where
+    # scipy keeps it, importing the package fails
+    script = f"""
+import json, sys, scipy
+scipy.__file__ = {str(tmp_path / "scipy" / "__init__.py")!r}
+try:
+    import hermite_tr.surrogate
+except ImportError as exc:
+    print(json.dumps([exc.name, "scipy.linalg" in sys.modules]))
+"""
+    assert last_json_line(script, tmp_path) == ["scipy.linalg._flapack", False]
+
