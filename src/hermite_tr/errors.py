@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the config finiteness check.
+"""Exception hierarchy shared across the package, and the config value checks.
 
 The CLI maps ConfigError to exit code 2 and NumericalError (and
 subclasses) to exit code 3.
@@ -28,6 +28,13 @@ def _finite(value) -> bool:
     if isinstance(value, tuple):
         return all(map(_finite, value))
     return not isinstance(value, Real) or math.isfinite(value)
+
+
+def integral(raw):
+    """int(raw), refusing a YAML boolean and a non-integral float."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
 
 
 class NumericalError(HermiteTrError):

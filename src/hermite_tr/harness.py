@@ -21,7 +21,7 @@ import yaml
 
 from .baseline import BaselineConfig, minimize, reference_solution
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
-from .errors import ConfigError, HermiteTrError, require_finite
+from .errors import ConfigError, HermiteTrError, integral, require_finite
 from .kernels import FAMILIES, make_kernel
 from .problems import BOXES, PROBLEM_FACTORIES, bounded_box, make_problem
 from .subproblem import SubproblemConfig
@@ -110,13 +110,6 @@ def _reject_unknown(section, path):
         raise ConfigError(f"unknown keys under {path}: {sorted(section)}")
 
 
-def _integral(raw):
-    """int(raw), refusing a YAML boolean and a non-integral float."""
-    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"{raw!r} is not an integer")
-    return int(raw)
-
-
 def _real(raw):
     """float(raw), refusing a YAML boolean; each config dataclass refuses .inf and .nan."""
     if isinstance(raw, bool):
@@ -126,7 +119,7 @@ def _real(raw):
 
 # annotation -> cast for the dataclass fields a YAML section sets directly;
 # the config modules postpone annotations, so field.type is the string
-_CASTS = {"int": _integral, "float": _real, "str": str}
+_CASTS = {"int": integral, "float": _real, "str": str}
 
 
 def _build(cls, section, path, keys=None, defaults=None, **given):

@@ -13,6 +13,12 @@ dependence exactly affine:
 
     A(mu) = theta1(mu) * A1 + theta2(mu) * A2.
 
+Cell (i, j) is number c = i n + j, so its neighbours are c - n, c - 1,
+c + 1 and c + n.  Each block is held as its five-point stencil: a 5 x n^2
+numpy array whose column c holds row c of the block, the entries at
+columns c - n, c - 1, c, c + 1 and c + n (minus the face weights and the
+diagonal), 0 past the edge of the grid.
+
 Grid sizes divisible by 6 align the inclusion edges with cell faces;
 other sizes snap the inclusions to whole cells by center membership.
 
@@ -38,6 +44,12 @@ solves S w = g for the interface state w = u_G, and
 
 The gradient needs no further solve: d(l . u)/d theta1 = -c_E / theta1^2
 - w . S1 w, and likewise for theta2 with c_N and S2.
+
+The offline step builds each eliminated block, A1_EE and A2_NN, from its
+stencil as a canonical CSC matrix and factors it with SuperLU's gstrf,
+called as scipy.sparse.linalg.splu calls it (COLAMD ordering) but loaded
+without scipy.sparse.  The other blocks repeat scipy.sparse's arithmetic,
+so S1, S2, g, c_E and c_N have the bits a scipy.sparse condensation gives.
 """
 
 from __future__ import annotations
@@ -46,18 +58,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from ._lapack import dpotrf, dpotrs
-from .errors import ConfigError, NumericalError
+from ._lapack import dpotrf, dpotrs, scipy_extension
+from .errors import ConfigError, NumericalError, integral
+
+gstrf = scipy_extension("scipy.sparse.linalg._dsolve._superlu").gstrf
 
 OMEGA_X = (-2.0 / 3.0, -1.0 / 3.0)
 OMEGA_Y_LOW = (-2.0 / 3.0, -1.0 / 3.0)
 OMEGA_Y_HIGH = (1.0 / 3.0, 2.0 / 3.0)
 # columns per block solve when forming S1 and S2, which bounds the dense
-# work array at (cells eliminated) x SCHUR_CHUNK
+# work array at (cells eliminated) x SCHUR_CHUNK.  SuperLU may solve a
+# block of right-hand sides with BLAS-3, so the chunk is part of the bits.
 SCHUR_CHUNK = 32
+# splu's defaults: COLAMD ordering, SuperLU's own pivot threshold and sizes
+SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
 
 
 def theta1(mu):
@@ -80,20 +95,27 @@ def theta_derivs(mu):
     )
 
 
+def stencil_offsets(n):
+    """Column offsets of the five stencil rows: c - n, c - 1, c, c + 1, c + n."""
+    return np.array([-n, -1, 0, 1, n])
+
+
 @dataclass
 class Pde2dDiscretization:
-    """Assembled affine stiffness blocks, load vector, and grid metadata."""
+    """The two blocks' stencils, the load vector, and the grid size."""
 
     grid_n: int
-    a1: sp.csc_matrix
-    a2: sp.csc_matrix
+    stencils: np.ndarray      # 2 x 5 x n^2: A1's stencil, then A2's
     load: np.ndarray          # midpoint quadrature of l, also the system rhs
 
     @staticmethod
     def build(grid_n: int) -> "Pde2dDiscretization":
-        if grid_n < 6:
+        try:
+            n = integral(grid_n)
+        except (TypeError, ValueError):
+            raise ConfigError(f"grid_n must be an integer, got {grid_n!r}") from None
+        if n < 6:
             raise ConfigError(f"grid_n must be at least 6, got {grid_n}")
-        n = int(grid_n)
         h = 2.0 / n
         centers = -1.0 + (np.arange(n) + 0.5) * h
         X, Y = np.meshgrid(centers, centers, indexing="ij")
@@ -103,46 +125,37 @@ class Pde2dDiscretization:
             (Y >= OMEGA_Y_HIGH[0]) & (Y <= OMEGA_Y_HIGH[1])
         )
         inclusion = in_x & in_y
-        indicators = {1: (~inclusion).astype(float), 2: inclusion.astype(float)}
 
-        ids = np.arange(n * n).reshape(n, n)
-        blocks = {}
-        for region, ind in indicators.items():
-            rows, cols, vals = [], [], []
-
-            def add_faces(w, left, right):
-                rows.extend([left, right, left, right])
-                cols.extend([left, right, right, left])
-                vals.extend([w, w, -w, -w])
-
-            # interior faces along x and y; weight = mean of adjacent indicators
+        stencils = np.zeros((2, 5, n, n))
+        for stencil, ind in zip(stencils, ((~inclusion).astype(float), inclusion.astype(float))):
+            low_x, low_y, diag, high_y, high_x = stencil
+            # interior faces; weight = mean of the two adjacent indicators
             w = 0.5 * (ind[:-1, :] + ind[1:, :])
-            add_faces(w.ravel(), ids[:-1, :].ravel(), ids[1:, :].ravel())
+            low_x[1:, :] = high_x[:-1, :] = -w
+            diag[1:, :] += w
+            diag[:-1, :] += w
             w = 0.5 * (ind[:, :-1] + ind[:, 1:])
-            add_faces(w.ravel(), ids[:, :-1].ravel(), ids[:, 1:].ravel())
+            low_y[:, 1:] = high_y[:, :-1] = -w
+            diag[:, 1:] += w
+            diag[:, :-1] += w
             # Dirichlet faces: half-cell distance doubles the transmissibility
-            for edge_ids, edge_ind in (
-                (ids[0, :], ind[0, :]),
-                (ids[-1, :], ind[-1, :]),
-                (ids[:, 0], ind[:, 0]),
-                (ids[:, -1], ind[:, -1]),
-            ):
-                rows.append(edge_ids)
-                cols.append(edge_ids)
-                vals.append(2.0 * edge_ind)
-
-            blocks[region] = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n * n, n * n),
-            ).tocsc()
+            for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+                diag[edge] += 2.0 * ind[edge]
 
         load = (
             0.5 * np.pi**2 * np.cos(0.5 * np.pi * X) * np.cos(0.5 * np.pi * Y)
         ).ravel() * h * h
-        return Pde2dDiscretization(grid_n=n, a1=blocks[1], a2=blocks[2], load=load)
+        return Pde2dDiscretization(grid_n=n, stencils=stencils.reshape(2, 5, n * n), load=load)
 
-    def system_matrix(self, mu) -> sp.csc_matrix:
-        return (theta1(mu) * self.a1 + theta2(mu) * self.a2).tocsc()
+    def system_matrix(self, mu):
+        """A(mu) as a scipy.sparse CSC array; tests use it, the solves never form A."""
+        from scipy.sparse import diags_array
+
+        n = self.grid_n
+        low_x, low_y, diag, high_y, high_x = (
+            theta1(mu) * self.stencils[0] + theta2(mu) * self.stencils[1])
+        return diags_array([low_x[n:], low_y[1:], diag, high_y[:-1], high_x[:-n]],
+                           offsets=stencil_offsets(n), format="csc")
 
     @cached_property
     def interface(self) -> "Interface":
@@ -150,30 +163,76 @@ class Pde2dDiscretization:
         return Interface.condense(self)
 
 
-def _touched(a) -> np.ndarray:
-    """Mask of the cells whose rows of the symmetric block a hold a nonzero."""
-    a = a.copy()
-    a.eliminate_zeros()     # the assembly stores zero-weight faces
-    return np.diff(a.indptr) > 0
+def splu(data, indices, indptr):
+    """SuperLU factor of the square canonical CSC matrix (data, indices, indptr).
 
-
-def _eliminate(a, cells, gamma, load):
-    """Eliminate cells from the block a: (Schur complement on gamma, a_gc z, l_c . z).
-
-    z = a_cc^-1 l_c.  Only the columns of a_cg that hold a nonzero (the
-    ring next to cells) enter the complement, SCHUR_CHUNK at a time.
+    The factor scipy.sparse.linalg.splu makes, with its default options,
+    except that its L and U properties, which would build scipy.sparse
+    arrays with csc_construct_func, are not available; solve is.
     """
-    s = a[gamma][:, gamma].toarray()
-    lu = splu(a[cells][:, cells].tocsc())
+    return gstrf(indptr.size - 1, data.size, data, indices, indptr,
+                 csc_construct_func=None, ilu=False, options=SPLU_OPTIONS)
+
+
+def _block(stencil, offsets, rows, cols):
+    """The block A[rows][:, cols] of a stencil's matrix, by stencil row.
+
+    offsets are the stencil's column offsets, rows and cols ascending cell
+    numbers.  Returns (keep, pos, val), each rows.size x 5: where keep,
+    entry k of row i is the nonzero val[i, k] in column pos[i, k] of the
+    block, and a row's kept entries are in ascending column order.
+    Elsewhere pos is 0 and val is 0.0.
+    """
+    position = np.full(stencil.shape[1], -1)
+    position[cols] = np.arange(cols.size)
+    pos = position.take(rows[:, None] + offsets, mode="clip")
+    val = stencil[:, rows].T
+    # the stencil holds 0 for a neighbour past the edge of the grid (and
+    # for c - 1 and c + 1 across it), so clipping those is harmless
+    keep = (pos >= 0) & (val != 0)
+    return keep, np.where(keep, pos, 0), np.where(keep, val, 0.0)
+
+
+def _product(pos, val, x):
+    """A block from _block times the 2-D array x.
+
+    One multiply-add per stencil row, from zero: each output row sums its
+    terms in ascending column order, without FMA, as scipy's csr_matvec(s)
+    does.  A dropped entry adds 0.0 * x, which leaves a sum unchanged.
+    """
+    out = np.zeros((pos.shape[0], x.shape[1]))
+    if x.shape[0] == 0:     # a block without columns: pos has nothing to point at
+        return out
+    for p, v in zip(pos.T, val.T):
+        out += v[:, None] * x[p]
+    return out
+
+
+def _eliminate(stencil, offsets, cells, gamma, load):
+    """Eliminate cells from a stencil's block: (Schur complement on gamma, a_gc z, l_c . z).
+
+    z = a_cc^-1 l_c.  Only the rows of a_gc that hold a nonzero (the ring
+    next to cells) enter the complement, SCHUR_CHUNK at a time.
+    """
+    # only nonzero entries are written: a zero-weight face would store -0.0
+    keep, pos, val = _block(stencil, offsets, gamma, gamma)
+    s = np.zeros((gamma.size, gamma.size))
+    s[np.nonzero(keep)[0], pos[keep]] = val[keep]
+    # a_cc is symmetric, so its rows are its CSC columns
+    keep, pos, val = _block(stencil, offsets, cells, cells)
+    indptr = np.zeros(cells.size + 1, dtype=np.intc)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    lu = splu(val[keep], pos[keep].astype(np.intc), indptr)
     z = lu.solve(load[cells])
-    coupling = a[cells][:, gamma].tocsc()
-    ring = np.flatnonzero(np.diff(coupling.indptr))
-    b = coupling[:, ring]
-    bt = b.T.tocsr()
+    keep, pos, val = _block(stencil, offsets, gamma, cells)
+    ring = np.flatnonzero(keep.any(axis=1))
     for start in range(0, ring.size, SCHUR_CHUNK):
-        cols = slice(start, start + SCHUR_CHUNK)
-        s[np.ix_(ring, ring[cols])] -= bt @ lu.solve(b[:, cols].toarray())
-    return 0.5 * (s + s.T), coupling.T @ z, float(load[cells] @ z)
+        rows = ring[start:start + SCHUR_CHUNK]
+        i, k = np.nonzero(keep[rows])
+        bt = np.zeros((rows.size, cells.size))
+        bt[i, pos[rows][i, k]] = val[rows][i, k]
+        s[np.ix_(ring, rows)] -= _product(pos[ring], val[ring], lu.solve(bt.T))
+    return 0.5 * (s + s.T), _product(pos, val, z[:, None])[:, 0], float(load[cells] @ z)
 
 
 @dataclass(frozen=True)
@@ -191,12 +250,16 @@ class Interface:
 
     @staticmethod
     def condense(disc: Pde2dDiscretization) -> "Interface":
-        t1, t2 = _touched(disc.a1), _touched(disc.a2)
+        a1, a2 = disc.stencils
+        # the face weights are not negative, so a cell's row of a block
+        # holds a nonzero exactly where its diagonal does
+        t1, t2 = a1[2] != 0, a2[2] != 0
         gamma = np.flatnonzero(t1 & t2)
         exterior = np.flatnonzero(t1 & ~t2)
         inclusions = np.flatnonzero(t2 & ~t1)
-        s1, g1, c1 = _eliminate(disc.a1, exterior, gamma, disc.load)
-        s2, g2, c2 = _eliminate(disc.a2, inclusions, gamma, disc.load)
+        offsets = stencil_offsets(disc.grid_n)
+        s1, g1, c1 = _eliminate(a1, offsets, exterior, gamma, disc.load)
+        s2, g2, c2 = _eliminate(a2, offsets, inclusions, gamma, disc.load)
         return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions,
                          s1=s1, s2=s2, load=disc.load[gamma] - g1 - g2, c1=c1, c2=c2)
 

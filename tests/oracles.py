@@ -3,19 +3,31 @@
 The package evaluates kernels only in vectorized form (Gram blocks and
 kernel vectors from radial profiles) and counts every objective call.
 These helpers state the same quantities one pair or one point at a time,
-so tests can check the vectorized paths against them.  plain_pde2d is
-the PDE solve as a sparse LU of the whole grid, without the condensation
-onto the material interface.  per_trial_backtrack and per_trial_solve
-are the line search and the inner solver with every trial formed and
-scored on its own, through the surrogate's one-point queries.
+so tests can check the vectorized paths against them.  sparse_blocks
+and sparse_interface are pde2d's blocks and condensation as
+scipy.sparse forms them, whose bits the package's stencil arithmetic
+must keep.  plain_pde2d is the PDE solve as a sparse LU of the whole
+grid, without the condensation onto the material interface.
+per_trial_backtrack and per_trial_solve are the line search and the
+inner solver with every trial formed and scored on its own, through the
+surrogate's one-point queries.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from hermite_tr.errors import AssumptionViolationError, LineSearchError
 from hermite_tr.kernels import KernelSpec, radial_profiles
-from hermite_tr.pde2d import theta_derivs, theta_j
+from hermite_tr.pde2d import (
+    OMEGA_X,
+    OMEGA_Y_HIGH,
+    OMEGA_Y_LOW,
+    SCHUR_CHUNK,
+    Interface,
+    theta_derivs,
+    theta_j,
+)
 from hermite_tr.subproblem import (
     COS_FLOOR,
     POSITIVITY_FLOOR,
@@ -68,14 +80,101 @@ def peek(problem, x):
     return float(val), np.asarray(grad, dtype=float)
 
 
+def sparse_blocks(grid_n):
+    """(A1, A2) of the grid_n x grid_n discretization, assembled as scipy.sparse CSC."""
+    n = grid_n
+    h = 2.0 / n
+    centers = -1.0 + (np.arange(n) + 0.5) * h
+    X, Y = np.meshgrid(centers, centers, indexing="ij")
+
+    in_x = (X >= OMEGA_X[0]) & (X <= OMEGA_X[1])
+    in_y = ((Y >= OMEGA_Y_LOW[0]) & (Y <= OMEGA_Y_LOW[1])) | (
+        (Y >= OMEGA_Y_HIGH[0]) & (Y <= OMEGA_Y_HIGH[1])
+    )
+    inclusion = in_x & in_y
+    indicators = {1: (~inclusion).astype(float), 2: inclusion.astype(float)}
+
+    ids = np.arange(n * n).reshape(n, n)
+    blocks = {}
+    for region, ind in indicators.items():
+        rows, cols, vals = [], [], []
+
+        def add_faces(w, left, right):
+            rows.extend([left, right, left, right])
+            cols.extend([left, right, right, left])
+            vals.extend([w, w, -w, -w])
+
+        # interior faces along x and y; weight = mean of adjacent indicators
+        w = 0.5 * (ind[:-1, :] + ind[1:, :])
+        add_faces(w.ravel(), ids[:-1, :].ravel(), ids[1:, :].ravel())
+        w = 0.5 * (ind[:, :-1] + ind[:, 1:])
+        add_faces(w.ravel(), ids[:, :-1].ravel(), ids[:, 1:].ravel())
+        # Dirichlet faces: half-cell distance doubles the transmissibility
+        for edge_ids, edge_ind in (
+            (ids[0, :], ind[0, :]),
+            (ids[-1, :], ind[-1, :]),
+            (ids[:, 0], ind[:, 0]),
+            (ids[:, -1], ind[:, -1]),
+        ):
+            rows.append(edge_ids)
+            cols.append(edge_ids)
+            vals.append(2.0 * edge_ind)
+
+        blocks[region] = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n * n, n * n),
+        ).tocsc()
+    return blocks[1], blocks[2]
+
+
+def _touched(a) -> np.ndarray:
+    """Mask of the cells whose rows of the symmetric block a hold a nonzero."""
+    a = a.copy()
+    a.eliminate_zeros()     # the assembly stores zero-weight faces
+    return np.diff(a.indptr) > 0
+
+
+def _eliminate(a, cells, gamma, load):
+    """Eliminate cells from the block a: (Schur complement on gamma, a_gc z, l_c . z).
+
+    z = a_cc^-1 l_c.  Only the columns of a_cg that hold a nonzero (the
+    ring next to cells) enter the complement, SCHUR_CHUNK at a time.
+    """
+    s = a[gamma][:, gamma].toarray()
+    lu = splu(a[cells][:, cells].tocsc())
+    z = lu.solve(load[cells])
+    coupling = a[cells][:, gamma].tocsc()
+    ring = np.flatnonzero(np.diff(coupling.indptr))
+    b = coupling[:, ring]
+    bt = b.T.tocsr()
+    for start in range(0, ring.size, SCHUR_CHUNK):
+        cols = slice(start, start + SCHUR_CHUNK)
+        s[np.ix_(ring, ring[cols])] -= bt @ lu.solve(b[:, cols].toarray())
+    return 0.5 * (s + s.T), coupling.T @ z, float(load[cells] @ z)
+
+
+def sparse_interface(disc):
+    """disc.interface, condensed from sparse_blocks with scipy.sparse and splu."""
+    a1, a2 = sparse_blocks(disc.grid_n)
+    t1, t2 = _touched(a1), _touched(a2)
+    gamma = np.flatnonzero(t1 & t2)
+    exterior = np.flatnonzero(t1 & ~t2)
+    inclusions = np.flatnonzero(t2 & ~t1)
+    s1, g1, c1 = _eliminate(a1, exterior, gamma, disc.load)
+    s2, g2, c2 = _eliminate(a2, inclusions, gamma, disc.load)
+    return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions,
+                     s1=s1, s2=s2, load=disc.load[gamma] - g1 - g2, c1=c1, c2=c2)
+
+
 def plain_pde2d(disc, mu):
     """(u, J, grad J) at mu from a fresh splu of A(mu) and its sensitivity solves."""
     lu = splu(disc.system_matrix(mu))
+    a1, a2 = sparse_blocks(disc.grid_n)
     u = lu.solve(disc.load)
     fu = float(disc.load @ u)
     grad = np.zeros(2)
     for m, (dt1, dt2) in enumerate(theta_derivs(mu)):
-        du = lu.solve(-(dt1 * disc.a1 + dt2 * disc.a2) @ u)
+        du = lu.solve(-(dt1 * a1 + dt2 * a2) @ u)
         grad[m] = 0.2 * fu + theta_j(mu) * float(disc.load @ du)
     return u, theta_j(mu) * fu, grad
 

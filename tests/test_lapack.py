@@ -1,4 +1,4 @@
-"""_lapack: scipy's LAPACK wrappers, loaded without the scipy.linalg package."""
+"""_lapack: scipy's LAPACK and SuperLU wrappers, loaded without their packages."""
 
 import json
 import os
@@ -7,24 +7,28 @@ import sys
 from pathlib import Path
 
 import scipy.linalg
+import scipy.sparse.linalg
 
 from hermite_tr import _lapack, pde2d, surrogate
 
 REPO = Path(__file__).resolve().parent.parent
 ONE_D = REPO / "scripts" / "configs" / "one_d.yaml"
-# what importing scipy.linalg brings in and the analytic problems never use
-UNUSED = ["scipy.linalg", "numpy.f2py", "scipy._lib._array_api"]
+PDE2D = REPO / "scripts" / "configs" / "pde2d.yaml"
+# what importing scipy.linalg or scipy.sparse brings in and no problem uses
+UNUSED = ["scipy.sparse", "scipy.linalg", "numpy.f2py", "scipy._lib._array_api"]
+FLAPACK = "scipy.linalg._flapack"
+SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
-# Records each call of the extension loader for scipy.linalg._flapack in
-# `loads`; put before anything has imported it.
-COUNT_LOADS = """
+# Records each call of the extension loader for _flapack and _superlu in
+# `loads`, as (name, step); put before anything has imported them.
+COUNT_LOADS = f"""
 import json, sys
 from importlib.machinery import ExtensionFileLoader
 loads = []
 def counted(step, method):
     def call(self, arg):
-        if self.name == "scipy.linalg._flapack":
-            loads.append(step)
+        if self.name in ({FLAPACK!r}, {SUPERLU!r}):
+            loads.append((self.name, step))
         return method(self, arg)
     return call
 for step in ("create_module", "exec_module"):
@@ -44,12 +48,13 @@ def last_json_line(script, tmp_path):
 def test_the_routines_are_scipy_linalgs():
     assert surrogate.dpotrf is pde2d.dpotrf is _lapack.dpotrf is scipy.linalg.lapack.dpotrf
     assert surrogate.dpotrs is pde2d.dpotrs is _lapack.dpotrs is scipy.linalg.lapack.dpotrs
+    assert pde2d.gstrf is scipy.sparse.linalg._dsolve._superlu.gstrf
 
 
 def test_analytic_experiment_leaves_scipy_linalg_unloaded(tmp_path):
-    # the CLI and a full bundled one_d experiment load the extension once,
-    # and none of scipy.linalg; a later `import scipy.linalg` binds its
-    # own _flapack, with the same routines
+    # the CLI and a full bundled one_d experiment load _flapack once, and
+    # neither SuperLU's extension nor scipy.linalg; a later
+    # `import scipy.linalg` binds its own _flapack, with the same routines
     script = COUNT_LOADS + f"""
 import hermite_tr.cli
 code = hermite_tr.cli.main(["run", {str(ONE_D)!r}])
@@ -63,20 +68,59 @@ print(json.dumps([code, loaded, own_loads, "_flapack" in vars(scipy.linalg),
     code, loaded, own_loads, bound, same = last_json_line(script, tmp_path)
     assert code == 0
     assert loaded == []
-    assert own_loads == ["create_module", "exec_module"]
+    assert own_loads == [[FLAPACK, "create_module"], [FLAPACK, "exec_module"]]
     assert bound and same
+
+
+def test_pde2d_experiment_leaves_scipy_sparse_unloaded(tmp_path):
+    # the bundled pde2d experiment loads _flapack and _superlu once each,
+    # and none of scipy.sparse or scipy.linalg; a later
+    # `import scipy.sparse.linalg` binds its own _superlu, with the same
+    # gstrf, and its splu factors
+    script = COUNT_LOADS + f"""
+import hermite_tr.cli
+code = hermite_tr.cli.main(["run", {str(PDE2D)!r}])
+loaded = [name for name in {UNUSED!r} if name in sys.modules]
+own_loads = list(loads)
+import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
+import hermite_tr.pde2d
+lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array(np.diag([2.0, 4.0])))
+print(json.dumps([code, loaded, own_loads, lu.solve(np.ones(2)).tolist(),
+                  scipy.sparse.linalg._dsolve._superlu.gstrf is hermite_tr.pde2d.gstrf]))
+"""
+    code, loaded, own_loads, x, same = last_json_line(script, tmp_path)
+    assert code == 0
+    assert loaded == []
+    assert own_loads == [[name, step] for name in (FLAPACK, SUPERLU)
+                         for step in ("create_module", "exec_module")]
+    assert x == [0.5, 0.25] and same
 
 
 def test_scipy_linalg_imported_first_shares_its_extension(tmp_path):
     # the package takes the extension scipy.linalg already loaded, and
     # leaves scipy.linalg's module registered
-    script = COUNT_LOADS + """
+    script = COUNT_LOADS + f"""
 import scipy.linalg
 before = len(loads)
 from hermite_tr import pde2d, surrogate
-print(json.dumps([len(loads) - before,
+print(json.dumps([[name for name, _ in loads[before:]].count({FLAPACK!r}),
                   scipy.linalg.lapack.dpotrf is surrogate.dpotrf is pde2d.dpotrf,
-                  sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack]))
+                  sys.modules[{FLAPACK!r}] is scipy.linalg._flapack]))
+"""
+    assert last_json_line(script, tmp_path) == [0, True, True]
+
+
+def test_scipy_sparse_linalg_imported_first_shares_its_extension(tmp_path):
+    # likewise pde2d takes the _superlu that scipy.sparse.linalg loaded
+    script = COUNT_LOADS + f"""
+import scipy.sparse.linalg
+before = len(loads)
+from hermite_tr import pde2d
+print(json.dumps([len(loads) - before,
+                  scipy.sparse.linalg._dsolve._superlu.gstrf is pde2d.gstrf,
+                  sys.modules[{SUPERLU!r}] is scipy.sparse.linalg._dsolve._superlu]))
 """
     assert last_json_line(script, tmp_path) == [0, True, True]
 

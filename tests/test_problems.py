@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg._dsolve import _superlu
 
+from hermite_tr import pde2d
 from hermite_tr.errors import AssumptionViolationError, ConfigError, NumericalError
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
@@ -14,7 +16,7 @@ from hermite_tr.problems import (
     problem_rosenbrock,
 )
 
-from oracles import peek, plain_pde2d
+from oracles import peek, plain_pde2d, sparse_blocks, sparse_interface
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -239,8 +241,9 @@ class TestPde2d:
         # the exterior and the inclusion interiors never couple, and each
         # sees one block only
         assert abs(a[face.exterior][:, face.inclusions]).sum() == 0.0
-        assert abs(disc.a2.tocsr()[face.exterior]).sum() == 0.0
-        assert abs(disc.a1.tocsr()[face.inclusions]).sum() == 0.0
+        a1, a2 = sparse_blocks(grid_n)
+        assert abs(a2.tocsr()[face.exterior]).sum() == 0.0
+        assert abs(a1.tocsr()[face.inclusions]).sum() == 0.0
         if grid_n == 96:
             # two 16 x 16 inclusions: a 60-cell inner and a 64-cell outer ring each
             assert face.gamma.size == 248
@@ -267,9 +270,51 @@ class TestPde2d:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             pde2d_solve(disc, np.array(mu))
 
-    def test_grid_guard(self):
-        with pytest.raises(ConfigError):
-            Pde2dDiscretization.build(4)
+    @pytest.mark.parametrize("grid_n", [4, 96.7, True])
+    def test_grid_guard(self, grid_n):
+        # a non-integral size is refused, not truncated to the grid below it
+        with pytest.raises(ConfigError, match="grid_n"):
+            Pde2dDiscretization.build(grid_n)
+
+    def test_integral_float_grid(self):
+        disc = Pde2dDiscretization.build(24.0)
+        assert disc.grid_n == 24 and disc.load.size == 24**2
+
+    @pytest.mark.parametrize("grid_n", [6, 12, 24, 48, 96, 100])
+    def test_condensation_keeps_scipy_sparse_bits(self, grid_n, monkeypatch):
+        # the stencil condensation has the bits of the scipy.sparse one in
+        # oracles, field by field, and hands gstrf what splu hands it for
+        # the oracle's a[cells][:, cells].tocsc()
+        calls = {"package": [], "splu": []}
+
+        def recorder(gstrf, seen):
+            def record(*args, csc_construct_func, **kwargs):
+                seen.append((args, kwargs))
+                return gstrf(*args, csc_construct_func=csc_construct_func, **kwargs)
+            return record
+
+        monkeypatch.setattr(pde2d, "gstrf", recorder(pde2d.gstrf, calls["package"]))
+        monkeypatch.setattr(_superlu, "gstrf", recorder(_superlu.gstrf, calls["splu"]))
+        disc = Pde2dDiscretization.build(grid_n)
+        face, oracle = disc.interface, sparse_interface(disc)
+        for name in ("gamma", "exterior", "inclusions", "s1", "s2", "load", "c1", "c2"):
+            ours, theirs = np.asarray(getattr(face, name)), np.asarray(getattr(oracle, name))
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        a1, a2 = sparse_blocks(grid_n)
+        assert len(calls["package"]) == len(calls["splu"]) == 2
+        for (ours, kwargs), (theirs, splu_kwargs), a, cells in zip(
+                calls["package"], calls["splu"], (a1, a2), (face.exterior, face.inclusions)):
+            block = a[cells][:, cells].tocsc()
+            assert ours[:2] == theirs[:2] == (cells.size, block.nnz)
+            for mine, scipys, oracles in zip(ours[2:], theirs[2:],
+                                            (block.data, block.indices, block.indptr)):
+                assert mine.dtype == scipys.dtype and mine.tobytes() == scipys.tobytes()
+                assert np.array_equal(mine, oracles)
+            assert ours[3].dtype == ours[4].dtype == np.intc
+            assert kwargs == splu_kwargs == {
+                "ilu": False,
+                "options": dict.fromkeys(["DiagPivotThresh", "ColPerm", "PanelSize", "Relax"]),
+            }
 
     def test_make_problem_dispatch(self):
         assert make_problem("one_d", grid_n=24).name == "one_d"
