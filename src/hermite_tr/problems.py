@@ -10,12 +10,13 @@ still counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolationError, ConfigError
+from .errors import AssumptionViolationError, ConfigError, NumericalError
 
 
 @dataclass
@@ -38,7 +39,12 @@ class Problem:
         return len(self.lower)
 
     def eval(self, x):
-        """Counted evaluation of (J, grad J) at x; the gradient is a fresh array."""
+        """Counted evaluation of (J, grad J) at x; the gradient is a fresh array.
+
+        A non-finite J or gradient raises NumericalError and a J that is not
+        positive AssumptionViolationError; either still counts, and neither
+        is memoized.
+        """
         x = np.array(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
@@ -47,12 +53,17 @@ class Problem:
         entry = self._memo.get(key)
         if entry is None:
             val, grad = self.fn(x)
+            val, grad = float(val), np.asarray(grad, dtype=float)
+            if not (math.isfinite(val) and np.isfinite(grad).all()):
+                raise NumericalError(
+                    f"{self.name}: non-finite objective at {x}: J = {val!r}, grad J = {grad}"
+                )
             if not val > 0.0:
                 raise AssumptionViolationError(
                     f"{self.name}: objective value {val:.3e} at {x} is not strictly "
                     "positive; add a larger additive offset"
                 )
-            entry = self._memo[key] = (float(val), np.asarray(grad, dtype=float))
+            entry = self._memo[key] = (val, grad)
         return entry[0], entry[1].copy()
 
 
@@ -97,10 +108,14 @@ def problem_rosenbrock() -> Problem:
 
 
 def problem_pde2d(grid_n: int) -> Problem:
-    """Diffusion-control objective driven by the 2D elliptic solver."""
-    from .pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve
+    """Diffusion-control objective driven by the 2D elliptic solver.
 
-    disc = Pde2dDiscretization.build(grid_n)
+    Problems on one grid share its discretization, which holds nothing
+    that depends on mu; each keeps its own counter and memo.
+    """
+    from .pde2d import discretization, pde2d_gradient, pde2d_solve
+
+    disc = discretization(grid_n)
 
     def fn(mu):
         w, val, f = pde2d_solve(disc, mu)

@@ -358,7 +358,10 @@ class TestProtocol:
         def build(grid_n):
             raise AssertionError("config check assembled the PDE")
 
+        # the problem's discretization may already be shared, so neither
+        # path to it may be taken
         monkeypatch.setattr(pde2d.Pde2dDiscretization, "build", staticmethod(build))
+        monkeypatch.setattr(pde2d, "discretization", build)
         base = {"problem": "pde2d", "kernel": {"family": "quad_matern", "shape": 0.4}}
         cfg = config_from_dict({**base, "start_box": [[0.5, 0.5], [2.0, 3.0]]})
         assert cfg.start_box == ((0.5, 0.5), (2.0, 3.0))
@@ -379,6 +382,7 @@ class TestProtocol:
         data = {**small_pde2d(), "start_box": start_box,
                 "output_dir": str(tmp_path / "out")}
         monkeypatch.setattr(pde2d.Pde2dDiscretization, "build", staticmethod(build))
+        monkeypatch.setattr(pde2d, "discretization", build)
         with pytest.raises(ConfigError, match="inside the pde2d box"):
             config_from_dict(data)
         path = tmp_path / "c.yaml"
@@ -510,6 +514,26 @@ def small_pde2d_solve_counts():
     return problem.counter, len(points), len(set(points)), len(solves), len(gradients)
 
 
+def small_pde2d_twice(out):
+    """Run and emit small_pde2d()'s experiment twice in this process, into out/0
+    and out/1; returns the gstrf calls each run made."""
+    calls = []
+    gstrf = pde2d.gstrf
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return gstrf(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde2d, "gstrf", counted)
+        for k in range(2):
+            calls.append(0)
+            mp.setenv(harness.OUTPUT_DIR_ENV, str(Path(out) / str(k)))
+            cfg = config_from_dict(small_pde2d())
+            emit_outputs(*run_experiment(cfg), cfg)
+    return calls
+
+
 def one_blas_thread_env(*paths, **extra):
     """Environment of a fresh process with one BLAS thread that imports src and paths."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), *map(str, paths),
@@ -633,6 +657,18 @@ class TestGoldenOutputs:
         Shares its run of the CLI with the summary test of the same config.
         """
         assert tree_digest(cli_output("run", config_path(name))) == self.TREE_SHA256[name]
+
+    def test_small_pde2d_twice_in_one_process(self, tmp_path):
+        """A second experiment on the grid reuses the first one's condensation
+        and writes the same bits; in a fresh process with one BLAS thread."""
+        script = ("import json, sys, test_harness; "
+                  "print(json.dumps(test_harness.small_pde2d_twice(sys.argv[1])))")
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             env=one_blas_thread_env(TESTS), check=True,
+                             capture_output=True, text=True)
+        assert json.loads(out.stdout.splitlines()[-1]) == [2, 0]
+        for k in range(2):
+            assert tree_digest(tmp_path / str(k)) == self.TREE_SHA256["small_pde2d"]
 
 
 class TestPowerField:

@@ -5,7 +5,10 @@ import pytest
 from scipy.sparse.linalg._dsolve import _superlu
 
 from hermite_tr import pde2d
+from hermite_tr.baseline import BaselineConfig, minimize
+from hermite_tr.driver import TRConfig, run
 from hermite_tr.errors import AssumptionViolationError, ConfigError, NumericalError
+from hermite_tr.kernels import make_kernel
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
     Problem,
@@ -15,6 +18,8 @@ from hermite_tr.problems import (
     problem_pde2d,
     problem_rosenbrock,
 )
+from hermite_tr.subproblem import SubproblemConfig
+from hermite_tr.surrogate import analytic_norm_1d_gaussian
 
 from oracles import peek, plain_pde2d, sparse_blocks, sparse_interface
 
@@ -93,6 +98,59 @@ class TestPositivityGuard:
         p = Problem(name="neg", lower=np.array([-1.0]), upper=np.array([1.0]), fn=fn)
         with pytest.raises(AssumptionViolationError):
             p.eval(np.array([0.0]))
+
+
+# (J, grad J) -> a non-finite result
+NON_FINITE = {
+    "inf J": lambda val, grad: (np.inf, grad),
+    "NaN J": lambda val, grad: (np.nan, grad),
+    "NaN grad J": lambda val, grad: (val, np.full_like(grad, np.nan)),
+}
+
+
+def non_finite_1d(case):
+    """problem_1d whose objective turns non-finite, as NON_FINITE[case], after its first call."""
+    problem, calls = problem_1d(), []
+    fn = problem.fn
+
+    def corrupted(x):
+        calls.append(1)
+        val, grad = fn(x)
+        return NON_FINITE[case](val, grad) if len(calls) > 1 else (val, grad)
+
+    problem.fn = corrupted
+    return problem
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+class TestNonFinite:
+    """A non-finite objective is a typed NumericalError, counted and never memoized."""
+
+    def test_eval(self, case):
+        p = non_finite_1d(case)
+        p.eval(np.array([1.5]))
+        for attempt in (2, 3):
+            with pytest.raises(NumericalError, match="non-finite objective") as exc:
+                p.eval(np.array([1.0]))
+            # not the positivity guard's error, which NaN used to trip
+            assert type(exc.value) is NumericalError
+            assert p.counter == attempt and len(p._memo) == 1
+
+    def test_run_attaches_a_partial_report(self, case):
+        # the start is the first evaluation, the first candidate the second
+        p = non_finite_1d(case)
+        with pytest.raises(NumericalError, match="non-finite objective") as exc:
+            run(p, make_kernel("gaussian", 0.725, 1), np.array([1.5]),
+                TRConfig(sub=SubproblemConfig(tau_sub=1e-7)), analytic_norm_1d_gaussian(0.725))
+        report = exc.value.report
+        assert report.termination == "stalled" and report.fom_evals == p.counter == 2
+        assert report.final_iterate.tolist() == [1.5]
+
+    def test_minimize(self, case):
+        p = non_finite_1d(case)
+        with pytest.raises(NumericalError, match="non-finite objective"):
+            minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
+        assert p.counter == 2
 
 
 class TestMemo:
@@ -321,3 +379,64 @@ class TestPde2d:
         assert make_problem("pde2d", grid_n=24).dim == 2
         with pytest.raises(ValueError):
             make_problem("unknown", grid_n=24)
+
+
+class TestSharedDiscretization:
+    """Problems on one grid share a discretization, and with it the offline step."""
+
+    MU = np.array([1.3, 2.2])
+
+    def test_problems_share_the_disc_but_not_counts(self, monkeypatch):
+        seen = []
+        solve = pde2d.pde2d_solve
+
+        def recording(disc, mu):
+            seen.append(disc)
+            return solve(disc, mu)
+
+        monkeypatch.setattr(pde2d, "pde2d_solve", recording)
+        first, second = (make_problem("pde2d", grid_n=24) for _ in range(2))
+        val, grad = first.eval(self.MU)
+        assert (first.counter, second.counter) == (1, 0) and not second._memo
+        val2, grad2 = second.eval(self.MU)     # a miss in second's own memo
+        assert (first.counter, second.counter) == (1, 1)
+        assert val2 == val and grad2.tobytes() == grad.tobytes()
+        assert first._memo is not second._memo and len(first._memo) == len(second._memo) == 1
+        a, b = seen
+        assert a is b is pde2d.discretization(24)
+        assert a.interface is b.interface
+
+    def test_integral_float_finds_the_int_entry(self):
+        disc = pde2d.discretization(24)
+        before = pde2d._shared.cache_info()
+        assert pde2d.discretization(24.0) is disc
+        make_problem("pde2d", grid_n=24.0)
+        after = pde2d._shared.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+        assert after.hits == before.hits + 2
+
+    @pytest.mark.parametrize("grid_n", [4, 96.7, True, "x"])
+    def test_refused_grid_caches_nothing(self, grid_n):
+        before = pde2d._shared.cache_info()
+        with pytest.raises(ConfigError, match="grid_n"):
+            make_problem("pde2d", grid_n=grid_n)
+        after = pde2d._shared.cache_info()
+        assert (after.currsize, after.misses, after.hits) == (
+            before.currsize, before.misses, before.hits)
+
+    def test_shared_arrays_are_read_only_and_keep_the_bits(self):
+        disc = pde2d.discretization(24)
+        face = disc.interface
+        for array in (disc.stencils, disc.load, face.gamma, face.exterior, face.inclusions,
+                      face.s1, face.s2, face.load):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # solves on the shared, read-only arrays, after any number of
+        # earlier ones, have the bits of solves on a fresh discretization
+        fresh = Pde2dDiscretization.build(24)
+        for mu in (self.MU, np.array([0.7, 3.1]), self.MU):
+            w, val, f = pde2d_solve(disc, mu)
+            w0, val0, f0 = pde2d_solve(fresh, mu)
+            assert w.tobytes() == w0.tobytes() and (val, f) == (val0, f0)
+            grad = pde2d_gradient(disc, mu, w, f)
+            assert grad.tobytes() == pde2d_gradient(fresh, mu, w0, f0).tobytes()
