@@ -11,17 +11,19 @@ A line search here ends, without evaluating the trial, once the decrease
 a trial predicts, grad @ (x - trial), is at most one rounding unit of
 J(x), eps * |J(x)| with eps the float64 machine epsilon: below that the
 Armijo test could pass only by rounding.  The inner solver's searches on
-the surrogate carry no such stop.
+the surrogate carry no such stop.  A trial whose J or gradient is not
+finite counts its evaluation and is rejected like one with J = inf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .driver import Branch, IterationRecord, RunReport, TRConfig
-from .errors import ConfigError, LineSearchError, StalledError, require_finite
+from .errors import ConfigError, LineSearchError, NonFiniteError, StalledError, require_finite
 from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
@@ -71,7 +73,10 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
         grads = {}
 
         def fun(j):
-            val, grads[j] = problem.eval(ladder[j])
+            try:
+                val, grads[j] = problem.eval(ladder[j])
+            except NonFiniteError:
+                return math.inf
             return val
 
         x_new, f_new, j = armijo_backtrack(fun, x, fx, rule, ladder, resolution=resolution)
@@ -160,7 +165,8 @@ def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
     """Best minimizer over REFERENCE baseline runs from each start, backtracking by ls_cfg.
 
     Returns (iterate, J, runs), with one {start, fom_evals, termination}
-    per start; termination is foc, stagnation, max_iters or stalled.  At
+    per start; termination is foc, stagnation, max_iters, stalled, or
+    failed for a start whose own J or gradient is not finite.  At
     these tolerances a run usually ends when its line searches reach the
     objective's rounding level before the gradient test fires: a stalled
     run still carries its best iterate, so it contributes that partial
@@ -173,10 +179,15 @@ def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
     best = None
     runs = []
     for k, x0 in enumerate(starts):
+        evals_before = problem.counter
         try:
             report = minimize(problem, x0, REFERENCE, ls_cfg)
         except StalledError as exc:
             report = exc.report
+        except NonFiniteError:
+            runs.append({"start": k, "fom_evals": problem.counter - evals_before,
+                         "termination": "failed"})
+            continue
         runs.append({"start": k, "fom_evals": report.fom_evals,
                      "termination": report.termination})
         if not np.isfinite(report.final_j):

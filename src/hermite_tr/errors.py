@@ -41,6 +41,10 @@ class NumericalError(HermiteTrError):
     """Base class for numerical failures during a run."""
 
 
+class NonFiniteError(NumericalError):
+    """The objective returned an infinite or NaN value or gradient."""
+
+
 class DuplicatePointsError(NumericalError):
     """Training points closer than the distinctness threshold."""
 

@@ -37,9 +37,10 @@ l_E and z_N = A2_NN^-1 l_N.  None of them depends on mu, so they are
 formed once per discretization, at its first solve (the offline step of
 static condensation; Huynh, Knezevic & Patera, ESAIM: M2AN 47(1), 2013).
 discretization(grid_n) shares one discretization per grid per process, so
-every problem on a grid shares that step too.  An entry holds about 1.9 MB
-at n = 96 (the stencils, the load, S1 and S2) and is never evicted; all
-its arrays are read-only.
+every problem on a grid shares that step too: a process that runs several
+experiments on one grid pays it once, and a single run pays it once as
+before.  An entry holds about 1.9 MB at n = 96 (the stencils, the load,
+S1 and S2) and is never evicted; all its arrays are read-only.
 theta1 and theta2 stay above 1 on the problem box, so S(mu) is positive
 definite there, and each solve factors the dense S(mu) by Cholesky and
 solves S w = g for the interface state w = u_G, and
@@ -115,7 +116,12 @@ class Pde2dDiscretization:
     @staticmethod
     def build(grid_n: int) -> "Pde2dDiscretization":
         """A fresh discretization; discretization(grid_n) shares one per grid."""
-        n = _grid_size(grid_n)
+        try:
+            n = integral(grid_n)
+        except (TypeError, ValueError):
+            raise ConfigError(f"grid_n must be an integer, got {grid_n!r}") from None
+        if n < 6:
+            raise ConfigError(f"grid_n must be at least 6, got {grid_n}")
         h = 2.0 / n
         centers = -1.0 + (np.arange(n) + 0.5) * h
         X, Y = np.meshgrid(centers, centers, indexing="ij")
@@ -164,30 +170,14 @@ class Pde2dDiscretization:
         return Interface.condense(self)
 
 
-def _grid_size(grid_n) -> int:
-    """grid_n as an int of at least 6; ConfigError for anything else."""
-    try:
-        n = integral(grid_n)
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid_n must be an integer, got {grid_n!r}") from None
-    if n < 6:
-        raise ConfigError(f"grid_n must be at least 6, got {grid_n}")
-    return n
-
-
+@cache
 def discretization(grid_n) -> Pde2dDiscretization:
     """The process's one discretization of the grid, built at the first call.
 
     Problems on one grid share it, and so its interface, condensed at the
-    first solve on any of them.  The entry is keyed by the validated int,
-    so 24.0 finds the one of 24, and a refused grid_n caches nothing.
+    first solve on any of them.  A refused grid_n raises and caches nothing.
     """
-    return _shared(_grid_size(grid_n))
-
-
-@cache
-def _shared(n: int) -> Pde2dDiscretization:
-    return Pde2dDiscretization.build(n)
+    return Pde2dDiscretization.build(grid_n)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

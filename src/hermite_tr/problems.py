@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolationError, ConfigError, NumericalError
+from .errors import AssumptionViolationError, ConfigError, NonFiniteError
 
 
 @dataclass
@@ -41,7 +41,7 @@ class Problem:
     def eval(self, x):
         """Counted evaluation of (J, grad J) at x; the gradient is a fresh array.
 
-        A non-finite J or gradient raises NumericalError and a J that is not
+        A non-finite J or gradient raises NonFiniteError and a J that is not
         positive AssumptionViolationError; either still counts, and neither
         is memoized.
         """
@@ -55,7 +55,7 @@ class Problem:
             val, grad = self.fn(x)
             val, grad = float(val), np.asarray(grad, dtype=float)
             if not (math.isfinite(val) and np.isfinite(grad).all()):
-                raise NumericalError(
+                raise NonFiniteError(
                     f"{self.name}: non-finite objective at {x}: J = {val!r}, grad J = {grad}"
                 )
             if not val > 0.0:

@@ -307,6 +307,34 @@ class TestProtocol:
         for row in rows:
             assert row.n_failures == 0
 
+    def test_infinite_reference_trial_is_rejected(self, tmp_path, monkeypatch):
+        # the third evaluation is a trial of the reference's first run
+        bad_calls = []
+
+        def with_inf_trial(name, grid_n):
+            problem = make_problem(name, grid_n=grid_n)
+            fn, calls = problem.fn, []
+
+            def fn_inf(x):
+                calls.append(1)
+                val, grad = fn(x)
+                if len(calls) == 3:
+                    bad_calls.append(1)
+                    return math.inf, grad
+                return val, grad
+
+            problem.fn = fn_inf
+            return problem
+
+        rows_clean, _, meta_clean = run_experiment(tiny_config(tmp_path))
+        monkeypatch.setattr(harness, "make_problem", with_inf_trial)
+        rows, reports, meta = run_experiment(tiny_config(tmp_path))
+        assert bad_calls == [1]
+        assert [run["termination"] for run in meta["reference_runs"]] == [
+            run["termination"] for run in meta_clean["reference_runs"]]
+        assert meta["reference_j"] == pytest.approx(meta_clean["reference_j"], abs=1e-12)
+        assert [row.n_failures for row in rows] == [0] * len(rows_clean)
+
     def test_summary_csv_format(self, tmp_path):
         cfg = tiny_config(tmp_path)
         out = emit_outputs(*run_experiment(cfg), cfg)

@@ -5,9 +5,15 @@ import pytest
 from scipy.sparse.linalg._dsolve import _superlu
 
 from hermite_tr import pde2d
-from hermite_tr.baseline import BaselineConfig, minimize
+from hermite_tr.baseline import BaselineConfig, minimize, reference_solution
 from hermite_tr.driver import TRConfig, run
-from hermite_tr.errors import AssumptionViolationError, ConfigError, NumericalError
+from hermite_tr.errors import (
+    AssumptionViolationError,
+    ConfigError,
+    NonFiniteError,
+    NumericalError,
+    StalledError,
+)
 from hermite_tr.kernels import make_kernel
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
@@ -108,15 +114,16 @@ NON_FINITE = {
 }
 
 
-def non_finite_1d(case):
-    """problem_1d whose objective turns non-finite, as NON_FINITE[case], after its first call."""
+def non_finite_1d(case, bad=lambda call: call > 1):
+    """problem_1d whose objective is non-finite, as NON_FINITE[case], at the
+    calls (counted from 1) where bad holds; by default after its first call."""
     problem, calls = problem_1d(), []
     fn = problem.fn
 
     def corrupted(x):
         calls.append(1)
         val, grad = fn(x)
-        return NON_FINITE[case](val, grad) if len(calls) > 1 else (val, grad)
+        return NON_FINITE[case](val, grad) if bad(len(calls)) else (val, grad)
 
     problem.fn = corrupted
     return problem
@@ -124,33 +131,49 @@ def non_finite_1d(case):
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 class TestNonFinite:
-    """A non-finite objective is a typed NumericalError, counted and never memoized."""
+    """A non-finite objective is a typed NonFiniteError, counted and never
+    memoized; the baseline rejects it at a line-search trial."""
 
     def test_eval(self, case):
         p = non_finite_1d(case)
         p.eval(np.array([1.5]))
         for attempt in (2, 3):
-            with pytest.raises(NumericalError, match="non-finite objective") as exc:
+            with pytest.raises(NonFiniteError, match="non-finite objective"):
                 p.eval(np.array([1.0]))
-            # not the positivity guard's error, which NaN used to trip
-            assert type(exc.value) is NumericalError
             assert p.counter == attempt and len(p._memo) == 1
 
     def test_run_attaches_a_partial_report(self, case):
         # the start is the first evaluation, the first candidate the second
         p = non_finite_1d(case)
-        with pytest.raises(NumericalError, match="non-finite objective") as exc:
+        with pytest.raises(NonFiniteError, match="non-finite objective") as exc:
             run(p, make_kernel("gaussian", 0.725, 1), np.array([1.5]),
                 TRConfig(sub=SubproblemConfig(tau_sub=1e-7)), analytic_norm_1d_gaussian(0.725))
         report = exc.value.report
         assert report.termination == "stalled" and report.fom_evals == p.counter == 2
         assert report.final_iterate.tolist() == [1.5]
 
-    def test_minimize(self, case):
+    def test_minimize_rejects_a_non_finite_trial(self, case):
+        # the second evaluation is the first trial of the first line search
+        clean = minimize(problem_1d(), np.array([1.5]), BaselineConfig(), SubproblemConfig())
+        p = non_finite_1d(case, bad=lambda call: call == 2)
+        report = minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
+        assert report.fom_evals == p.counter
+        assert report.termination == clean.termination
+        assert report.final_j == pytest.approx(clean.final_j, abs=1e-10)
+
+    def test_minimize_stalls_when_every_trial_is_non_finite(self, case):
         p = non_finite_1d(case)
-        with pytest.raises(NumericalError, match="non-finite objective"):
+        with pytest.raises(StalledError, match="line search") as exc:
             minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
-        assert p.counter == 2
+        report = exc.value.report
+        assert report.final_iterate.tolist() == [1.5] and report.fom_evals == p.counter > 2
+
+    def test_reference_skips_a_non_finite_start(self, case):
+        p = non_finite_1d(case, bad=lambda call: call == 1)
+        x, j, runs = reference_solution(p, np.array([[1.5], [-1.0]]), SubproblemConfig())
+        assert runs[0] == {"start": 0, "fom_evals": 1, "termination": "failed"}
+        assert runs[1]["termination"] != "failed"
+        assert runs[1]["fom_evals"] == p.counter - 1 and np.isfinite(j)
 
 
 class TestMemo:
@@ -406,23 +429,18 @@ class TestSharedDiscretization:
         assert a is b is pde2d.discretization(24)
         assert a.interface is b.interface
 
-    def test_integral_float_finds_the_int_entry(self):
-        disc = pde2d.discretization(24)
-        before = pde2d._shared.cache_info()
-        assert pde2d.discretization(24.0) is disc
-        make_problem("pde2d", grid_n=24.0)
-        after = pde2d._shared.cache_info()
-        assert (after.currsize, after.misses) == (before.currsize, before.misses)
-        assert after.hits == before.hits + 2
+    def test_integral_float_grid_keeps_the_bits(self):
+        val, grad = make_problem("pde2d", grid_n=24).eval(self.MU)
+        val2, grad2 = make_problem("pde2d", grid_n=24.0).eval(self.MU)
+        assert val2 == val and grad2.tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("grid_n", [4, 96.7, True, "x"])
     def test_refused_grid_caches_nothing(self, grid_n):
-        before = pde2d._shared.cache_info()
+        before = pde2d.discretization.cache_info()
         with pytest.raises(ConfigError, match="grid_n"):
             make_problem("pde2d", grid_n=grid_n)
-        after = pde2d._shared.cache_info()
-        assert (after.currsize, after.misses, after.hits) == (
-            before.currsize, before.misses, before.hits)
+        after = pde2d.discretization.cache_info()
+        assert (after.currsize, after.hits) == (before.currsize, before.hits)
 
     def test_shared_arrays_are_read_only_and_keep_the_bits(self):
         disc = pde2d.discretization(24)
