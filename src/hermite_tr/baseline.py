@@ -11,8 +11,9 @@ A line search here ends, without evaluating the trial, once the decrease
 a trial predicts, grad @ (x - trial), is at most one rounding unit of
 J(x), eps * |J(x)| with eps the float64 machine epsilon: below that the
 Armijo test could pass only by rounding.  The inner solver's searches on
-the surrogate carry no such stop.  A trial whose J or gradient is not
-finite counts its evaluation and is rejected like one with J = inf.
+the surrogate carry no such stop.  A trial whose evaluation raises a
+NumericalError (J or its gradient not finite, or J not positive) counts
+its evaluation and is rejected like one with J = inf.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import Branch, IterationRecord, RunReport, TRConfig
-from .errors import ConfigError, LineSearchError, NonFiniteError, StalledError, require_finite
+from .errors import ConfigError, LineSearchError, NumericalError, StalledError, require_finite
 from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
@@ -75,7 +76,7 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
         def fun(j):
             try:
                 val, grads[j] = problem.eval(ladder[j])
-            except NonFiniteError:
+            except NumericalError:
                 return math.inf
             return val
 
@@ -85,60 +86,60 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
     termination = "max_iters"
     iters = 0
     log = []
-    for _ in range(cfg.i_max):
-        if projected_gradient_norm(x, grad, box) <= cfg.tau_foc:
-            termination = "foc"
-            break
+    try:
+        for _ in range(cfg.i_max):
+            if projected_gradient_norm(x, grad, box) <= cfg.tau_foc:
+                termination = "foc"
+                break
 
-        # components pinned at a bound with the gradient pushing outward
-        # carry no usable descent; mask them out of the direction
-        dead = ((x <= problem.lower) & (grad > 0)) | ((x >= problem.upper) & (grad < 0))
-        g_eff = np.where(dead, 0.0, grad)
-        direction = -hinv @ g_eff
-        direction[dead] = 0.0
-        slope = float(g_eff @ direction)
-        if not slope < 0.0:
-            direction = -g_eff
-            hinv = np.eye(dim)
-        # projected-step decrease reference: stays satisfiable when bound
-        # clipping kills the dominant gradient component
-        rule = projected_decrease_rule(ls_cfg.kappa_arm, grad)
-        # the rule requires kappa_arm * grad @ step, so the rounding level
-        # of fx enters scaled by kappa_arm too
-        resolution = ls_cfg.kappa_arm * EPS * abs(fx)
-        try:
-            try:
-                x_new, f_new, grad_new = search(direction)
-            except LineSearchError:
-                if np.array_equal(direction, -g_eff):
-                    raise
-                # retry once from a fresh steepest-descent direction
+            # components pinned at a bound with the gradient pushing outward
+            # carry no usable descent; mask them out of the direction
+            dead = ((x <= problem.lower) & (grad > 0)) | ((x >= problem.upper) & (grad < 0))
+            g_eff = np.where(dead, 0.0, grad)
+            direction = -hinv @ g_eff
+            direction[dead] = 0.0
+            slope = float(g_eff @ direction)
+            if not slope < 0.0:
+                direction = -g_eff
                 hinv = np.eye(dim)
-                x_new, f_new, grad_new = search(-g_eff)
-        except LineSearchError:
-            raise StalledError(
-                "line search failed along steepest descent",
-                report=_report(problem, x, fx, grad, box, iters,
-                               evals_before, "stalled", log),
-            ) from None
+            # projected-step decrease reference: stays satisfiable when bound
+            # clipping kills the dominant gradient component
+            rule = projected_decrease_rule(ls_cfg.kappa_arm, grad)
+            # the rule requires kappa_arm * grad @ step, so the rounding level
+            # of fx enters scaled by kappa_arm too
+            resolution = ls_cfg.kappa_arm * EPS * abs(fx)
+            try:
+                try:
+                    x_new, f_new, grad_new = search(direction)
+                except LineSearchError:
+                    if np.array_equal(direction, -g_eff):
+                        raise
+                    # retry once from a fresh steepest-descent direction
+                    hinv = np.eye(dim)
+                    x_new, f_new, grad_new = search(-g_eff)
+            except LineSearchError:
+                raise StalledError("line search failed along steepest descent") from None
 
-        clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
-        if clipped and not np.any((x <= problem.lower) | (x >= problem.upper)):
-            # step just landed on a face: curvature pairs straddle the kink
-            hinv = np.eye(dim)
-        else:
-            hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
+            clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
+            if clipped and not np.any((x <= problem.lower) | (x >= problem.upper)):
+                # step just landed on a face: curvature pairs straddle the kink
+                hinv = np.eye(dim)
+            else:
+                hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
 
-        j_diff = relative_decrease(fx, f_new)
-        x, fx, grad = x_new, f_new, grad_new
-        iters += 1
-        log.append(IterationRecord(
-            outer_iter=iters, branch=Branch.ACCEPTED_BY_DIRECT,
-            candidate=np.asarray(x).tolist(), j_value=float(fx),
-        ))
-        if j_diff <= cfg.tau_j:
-            termination = "stagnation"
-            break
+            j_diff = relative_decrease(fx, f_new)
+            x, fx, grad = x_new, f_new, grad_new
+            iters += 1
+            log.append(IterationRecord(
+                outer_iter=iters, branch=Branch.ACCEPTED_BY_DIRECT,
+                candidate=np.asarray(x).tolist(), j_value=float(fx),
+            ))
+            if j_diff <= cfg.tau_j:
+                termination = "stagnation"
+                break
+    except NumericalError as exc:
+        exc.report = _report(problem, x, fx, grad, box, iters, evals_before, "stalled", log)
+        raise
 
     return _report(problem, x, fx, grad, box, iters, evals_before, termination, log)
 
@@ -165,13 +166,11 @@ def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
     """Best minimizer over REFERENCE baseline runs from each start, backtracking by ls_cfg.
 
     Returns (iterate, J, runs), with one {start, fom_evals, termination}
-    per start; termination is foc, stagnation, max_iters, stalled, or
-    failed for a start whose own J or gradient is not finite.  At
-    these tolerances a run usually ends when its line searches reach the
-    objective's rounding level before the gradient test fires: a stalled
-    run still carries its best iterate, so it contributes that partial
-    result, and only a start that produced no iterate at all counts as
-    fully failed.
+    per start.  termination is foc, stagnation or max_iters; stalled when
+    the run raised a NumericalError, whose partial report still offers its
+    iterate, as when the line searches reach the objective's rounding level
+    before the gradient test fires; or failed when the start's own
+    evaluation raised one.  Raises StalledError if every start failed.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     if starts.shape[0] < 1:
@@ -182,17 +181,11 @@ def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
         evals_before = problem.counter
         try:
             report = minimize(problem, x0, REFERENCE, ls_cfg)
-        except StalledError as exc:
+        except NumericalError as exc:
             report = exc.report
-        except NonFiniteError:
-            runs.append({"start": k, "fom_evals": problem.counter - evals_before,
-                         "termination": "failed"})
-            continue
-        runs.append({"start": k, "fom_evals": report.fom_evals,
-                     "termination": report.termination})
-        if not np.isfinite(report.final_j):
-            continue
-        if best is None or report.final_j < best.final_j:
+        runs.append({"start": k, "fom_evals": problem.counter - evals_before,
+                     "termination": "failed" if report is None else report.termination})
+        if report is not None and (best is None or report.final_j < best.final_j):
             best = report
     if best is None:
         raise StalledError("all reference runs stalled without a usable iterate")

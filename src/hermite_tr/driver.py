@@ -43,14 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    ConfigError,
-    LineSearchError,
-    NumericalError,
-    StalledError,
-    require_finite,
-)
+from .errors import ConfigError, NumericalError, StalledError, require_finite
 from .kernels import GAUSSIAN, KernelSpec
 from .problems import Problem
 from .subproblem import (
@@ -246,8 +239,9 @@ def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Pro
     if norm_source.kind == "fixed":
         return float(norm_source.value), 0, None
     if norm_source.kind == "analytic":
-        if kernel.family != GAUSSIAN or problem.dim != 1:
-            raise ConfigError("analytic norm source is only valid for the 1D Gaussian setup")
+        # the closed form is the norm of one_d's objective, not of any 1D objective
+        if kernel.family != GAUSSIAN or problem.name != "one_d":
+            raise ConfigError("analytic norm source is only valid for the one_d Gaussian setup")
         try:
             return analytic_norm_1d_gaussian(kernel.shape), 0, None
         except ValueError as exc:
@@ -333,7 +327,8 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     iterate below tau_foc, relative objective decrease at an accepted step
     below tau_j (stagnation), a rejected candidate repeating itself with
     no new information (a fixed point of the loop, reported as
-    stagnation), or i_max accepted iterations.
+    stagnation), or i_max accepted iterations.  A NumericalError after the
+    first model's fit leaves with the partial report (see NumericalError).
     """
     box = (problem.lower, problem.upper)
     x0 = np.asarray(x0, dtype=float)
@@ -350,80 +345,73 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     rejects = 0
     last_rejected = None
     solver_failed_before = False
-
-    def partial_report():
-        return _build_report(state, problem, termination="stalled",
-                             evals_before=evals_before)
-
-    while state.outer_iter < cfg.i_max:
-        foc = projected_gradient_norm(
-            state.iterate, state.surrogate.gradient(state.iterate), box
-        )
-        if foc <= cfg.tau_foc:
-            termination = "foc"
-            break
-
-        try:
-            result = solve(state.surrogate, state.iterate, state.delta, cfg.sub, box=box)
-        except (LineSearchError, AssumptionViolationError) as exc:
-            cause = exc
-            delta_before = state.delta
-            state.delta = cfg.beta1_shrink * state.delta
-            state.log.append(IterationRecord(
-                outer_iter=state.outer_iter, branch=Branch.SUBPROBLEM_FAILED,
-                delta_before=delta_before, delta_after=state.delta,
-                note=f"{type(exc).__name__}: {exc}",
-            ))
-            if solver_failed_before:
-                # A failure here adds no data, and the feasible set only
-                # shrinks with the radius, so a repeat is conclusive: no
-                # radius can unblock the inner solver.  Stop at the current
-                # iterate rather than grinding out the rejection budget.
-                state.log[-1].note += " (repeat; no radius can help)"
-                termination = "stagnation"
+    try:
+        while state.outer_iter < cfg.i_max:
+            foc = projected_gradient_norm(
+                state.iterate, state.surrogate.gradient(state.iterate), box
+            )
+            if foc <= cfg.tau_foc:
+                termination = "foc"
                 break
-            solver_failed_before = True
-        else:
-            cause = None
-            solver_failed_before = False
-            j_before = state.current_j
-            history_size_before = state.surrogate.training.n
-            try:
-                record = acceptance_step(state, result, problem, cfg)
-            except NumericalError as exc:
-                if getattr(exc, "report", None) is None:
-                    exc.report = partial_report()
-                raise
 
-            if record.branch is not Branch.REJECTED_BY_DIRECT:
-                rejects = 0
-                last_rejected = None
-                record.foc_measure = projected_gradient_norm(
-                    state.iterate, state.surrogate.gradient(state.iterate), box
-                )
-                if relative_decrease(j_before, state.current_j) <= cfg.tau_j:
+            try:
+                result = solve(state.surrogate, state.iterate, state.delta, cfg.sub, box=box)
+            except NumericalError as exc:
+                cause = exc
+                delta_before = state.delta
+                state.delta = cfg.beta1_shrink * state.delta
+                state.log.append(IterationRecord(
+                    outer_iter=state.outer_iter, branch=Branch.SUBPROBLEM_FAILED,
+                    delta_before=delta_before, delta_after=state.delta,
+                    note=f"{type(exc).__name__}: {exc}",
+                ))
+                if solver_failed_before:
+                    # A failure here adds no data, and the feasible set only
+                    # shrinks with the radius, so a repeat is conclusive: no
+                    # radius can unblock the inner solver.  Stop at the current
+                    # iterate rather than grinding out the rejection budget.
+                    state.log[-1].note += " (repeat; no radius can help)"
                     termination = "stagnation"
                     break
-                continue
+                solver_failed_before = True
+            else:
+                cause = None
+                solver_failed_before = False
+                j_before = state.current_j
+                history_size_before = state.surrogate.training.n
+                record = acceptance_step(state, result, problem, cfg)
 
-            cand = np.asarray(result.candidate, dtype=float)
-            added = state.surrogate.training.n > history_size_before
-            if (last_rejected is not None and not added
-                    and coincide(np.linalg.norm(cand - last_rejected), cand)):
-                # Deterministic fixed point: same candidate, no new data, and a
-                # smaller radius cannot change it.  No further progress is
-                # possible, so report stagnation at the current iterate.
-                record.note = (record.note + " fixed-point candidate").strip()
-                termination = "stagnation"
-                break
-            last_rejected = cand
+                if record.branch is not Branch.REJECTED_BY_DIRECT:
+                    rejects = 0
+                    last_rejected = None
+                    record.foc_measure = projected_gradient_norm(
+                        state.iterate, state.surrogate.gradient(state.iterate), box
+                    )
+                    if relative_decrease(j_before, state.current_j) <= cfg.tau_j:
+                        termination = "stagnation"
+                        break
+                    continue
 
-        # a failed subproblem and a direct rejection share one budget
-        rejects += 1
-        if rejects >= cfg.max_rejects:
-            raise StalledError(
-                f"{cfg.max_rejects} consecutive rejections", report=partial_report()
-            ) from cause
+                cand = np.asarray(result.candidate, dtype=float)
+                added = state.surrogate.training.n > history_size_before
+                if (last_rejected is not None and not added
+                        and coincide(np.linalg.norm(cand - last_rejected), cand)):
+                    # Deterministic fixed point: same candidate, no new data, and a
+                    # smaller radius cannot change it.  No further progress is
+                    # possible, so report stagnation at the current iterate.
+                    record.note = (record.note + " fixed-point candidate").strip()
+                    termination = "stagnation"
+                    break
+                last_rejected = cand
+
+            # a failed subproblem and a direct rejection share one budget
+            rejects += 1
+            if rejects >= cfg.max_rejects:
+                raise StalledError(f"{cfg.max_rejects} consecutive rejections") from cause
+    except NumericalError as exc:
+        exc.report = _build_report(state, problem, termination="stalled",
+                                   evals_before=evals_before)
+        raise
 
     return _build_report(state, problem, termination=termination,
                          evals_before=evals_before)

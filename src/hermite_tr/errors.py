@@ -38,7 +38,13 @@ def integral(raw):
 
 
 class NumericalError(HermiteTrError):
-    """Base class for numerical failures during a run."""
+    """Base class for numerical failures during a run.
+
+    report is the raising run's partial RunReport, ending "stalled" at its
+    last iterate, or None if the run failed before it had an iterate.
+    """
+
+    report = None
 
 
 class NonFiniteError(NumericalError):
@@ -81,8 +87,8 @@ class LineSearchError(NumericalError):
 
 
 class StalledError(NumericalError):
-    """Too many consecutive rejections in the outer loop."""
+    """No further progress.
 
-    def __init__(self, message, report=None):
-        self.report = report
-        super().__init__(message)
+    Raised after max_rejects trust-region rejections in a row, when a baseline
+    line search fails along steepest descent, and with no usable reference start.
+    """

@@ -21,7 +21,7 @@ import yaml
 
 from .baseline import BaselineConfig, minimize, reference_solution
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
-from .errors import ConfigError, HermiteTrError, integral, require_finite
+from .errors import ConfigError, NumericalError, integral, require_finite
 from .kernels import FAMILIES, make_kernel
 from .problems import BOXES, PROBLEM_FACTORIES, bounded_box, make_problem
 from .subproblem import SubproblemConfig
@@ -236,11 +236,28 @@ def _rel_err(j_value, j_ref):
     return abs(j_value - j_ref) / max(abs(j_ref), 1.0)
 
 
+def _failure(exc) -> str:
+    """A failed run's record: the error's type and text."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _per_start(starts, solve):
+    """(k, solve(x0)) per start, or (k, failure text) where solve raised a NumericalError."""
+    group = []
+    for k, x0 in enumerate(starts):
+        try:
+            group.append((k, solve(x0)))
+        except NumericalError as exc:
+            group.append((k, _failure(exc)))
+    return group
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Execute the full protocol; returns (rows, per-run reports, metadata).
 
     One problem instance serves the whole experiment; each phase reports
-    the evaluations it spent as a delta of the problem's counter.
+    the evaluations it spent as a delta of the problem's counter.  A
+    NumericalError fails only its start; from a norm estimate, its shape's starts.
     """
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
     starts = sample_starts(cfg, problem)
@@ -258,29 +275,24 @@ def run_experiment(cfg: ExperimentConfig):
         # one bound per shape, shared by all starts (deterministic by seed),
         # whose samples, if any, every start's first model reuses; a norm
         # source that does not fit the problem is a config error
-        norm_bound, norm_evals, samples = resolve_norm_bound(
-            cfg.norm_source, kernel, problem, box=cfg.start_box
-        )
-        if cfg.norm_source.kind == "estimated":
-            norm_info[label] = {"norm_bound": norm_bound, "norm_evals": norm_evals}
-
-        group = []
-        for k, x0 in enumerate(starts):
-            try:
-                group.append((k, run(problem, kernel, x0, cfg.tr, norm_bound, samples)))
-            except HermiteTrError as exc:
-                group.append((k, f"{type(exc).__name__}: {exc}"))
-        reports[label] = group
-        rows.append(_summarize(label, group, ref_j))
-
-    baseline_group = []
-    for k, x0 in enumerate(starts):
+        evals_before = problem.counter
         try:
-            baseline_group.append((k, minimize(problem, x0, cfg.baseline, cfg.tr.sub)))
-        except HermiteTrError as exc:
-            baseline_group.append((k, f"{type(exc).__name__}: {exc}"))
-    reports["baseline"] = baseline_group
-    rows.append(_summarize("baseline", baseline_group, ref_j))
+            norm_bound, _, samples = resolve_norm_bound(
+                cfg.norm_source, kernel, problem, box=cfg.start_box
+            )
+            failed = None
+        except NumericalError as exc:
+            norm_bound, failed = None, [(k, _failure(exc)) for k in range(len(starts))]
+        if cfg.norm_source.kind == "estimated":
+            norm_info[label] = {"norm_bound": norm_bound,
+                                "norm_evals": problem.counter - evals_before}
+        reports[label] = failed or _per_start(
+            starts, lambda x0: run(problem, kernel, x0, cfg.tr, norm_bound, samples))
+        rows.append(_summarize(label, reports[label], ref_j))
+
+    reports["baseline"] = _per_start(
+        starts, lambda x0: minimize(problem, x0, cfg.baseline, cfg.tr.sub))
+    rows.append(_summarize("baseline", reports["baseline"], ref_j))
 
     meta = {
         "reference_iterate": np.asarray(ref_x).tolist(),

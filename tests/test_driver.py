@@ -29,7 +29,7 @@ from hermite_tr.errors import (
     StalledError,
 )
 from hermite_tr.kernels import make_kernel
-from hermite_tr.problems import problem_1d
+from hermite_tr.problems import Problem, problem_1d
 from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination, solve
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 
@@ -411,8 +411,6 @@ class TestRun:
     def test_stall_raises_with_partial_report(self):
         # gradients with flipped sign make the model propose uphill steps;
         # the first direct rejection exhausts a budget of one
-        from hermite_tr.problems import Problem
-
         def fn(x):
             return float(x[0] ** 2 + 1.0), np.array([-2.0 * x[0]])
 
@@ -513,6 +511,12 @@ class TestRun:
                                box=None)
         with pytest.raises(ConfigError):
             resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d(), box=None)
+        # the closed form is one_d's norm, not that of every 1D objective: no
+        # nonzero polynomial lies in the Gaussian native space
+        quadratic = Problem("quadratic", np.array([-2.0]), np.array([2.0]),
+                            lambda x: (1.0 + 50.0 * x[0] ** 2, 100.0 * x))
+        with pytest.raises(ConfigError, match="one_d"):
+            resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), quadratic, box=None)
         assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d(),
                                   box=None) \
             == (analytic_norm_1d_gaussian(1.0), 0, None)

@@ -17,7 +17,7 @@ from hermite_tr import baseline, driver, harness, pde2d, subproblem, surrogate
 from hermite_tr.baseline import BaselineConfig
 from hermite_tr.cli import main as cli_main
 from hermite_tr.driver import NormSource, TRConfig
-from hermite_tr.errors import ConfigError
+from hermite_tr.errors import ConfigError, NumericalError
 from hermite_tr.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -127,6 +127,45 @@ def tiny_config(tmp_path, **extra):
     }
     data.update(extra)
     return config_from_dict(data)
+
+
+def _diverge(val, grad):
+    raise NumericalError("objective solver diverged")
+
+
+# (J, grad J) -> what a failing evaluation does instead of returning them
+FAILURES = {
+    "inf J": lambda val, grad: (math.inf, grad),
+    "NaN J": lambda val, grad: (math.nan, grad),
+    "J = -1": lambda val, grad: (-1.0, grad),
+    "raises": _diverge,
+}
+
+
+def fail_evaluation(monkeypatch, at, failure):
+    """Make run_experiment's problem apply failure at its evaluation number at.
+
+    Returns a list that gains an entry when the failure fires; a memoized
+    evaluation calls no objective and cannot fire it.
+    """
+    fired = []
+
+    def failing_problem(name, grid_n):
+        problem = make_problem(name, grid_n=grid_n)
+        fn = problem.fn
+
+        def failing(x):
+            val, grad = fn(x)
+            if problem.counter != at:
+                return val, grad
+            fired.append(at)
+            return failure(val, grad)
+
+        problem.fn = failing
+        return problem
+
+    monkeypatch.setattr(harness, "make_problem", failing_problem)
+    return fired
 
 
 class TestLoadConfig:
@@ -307,33 +346,38 @@ class TestProtocol:
         for row in rows:
             assert row.n_failures == 0
 
-    def test_infinite_reference_trial_is_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    def test_infinite_reference_trial_is_rejected(self, tmp_path, monkeypatch, failure):
         # the third evaluation is a trial of the reference's first run
-        bad_calls = []
-
-        def with_inf_trial(name, grid_n):
-            problem = make_problem(name, grid_n=grid_n)
-            fn, calls = problem.fn, []
-
-            def fn_inf(x):
-                calls.append(1)
-                val, grad = fn(x)
-                if len(calls) == 3:
-                    bad_calls.append(1)
-                    return math.inf, grad
-                return val, grad
-
-            problem.fn = fn_inf
-            return problem
-
         rows_clean, _, meta_clean = run_experiment(tiny_config(tmp_path))
-        monkeypatch.setattr(harness, "make_problem", with_inf_trial)
+        fired = fail_evaluation(monkeypatch, 3, FAILURES[failure])
         rows, reports, meta = run_experiment(tiny_config(tmp_path))
-        assert bad_calls == [1]
+        assert fired == [3]
         assert [run["termination"] for run in meta["reference_runs"]] == [
             run["termination"] for run in meta_clean["reference_runs"]]
         assert meta["reference_j"] == pytest.approx(meta_clean["reference_j"], abs=1e-12)
         assert [row.n_failures for row in rows] == [0] * len(rows_clean)
+
+    def test_failed_norm_estimate_fails_only_its_shape(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, trust_region={"norm_source": "estimated",
+                                                  "norm_samples": 5})
+        _, _, meta_clean = run_experiment(cfg)
+        # the reference runs first, so the first norm sample is the next evaluation
+        first_sample = meta_clean["reference_fom_evals"] + 1
+        fired = fail_evaluation(monkeypatch, first_sample, FAILURES["NaN J"])
+        rows, reports, meta = run_experiment(cfg)
+        assert fired == [first_sample]
+        assert [k for k, _ in reports["eps=0.725"]] == [0, 1]
+        assert all(r.startswith("NonFiniteError: ") for _, r in reports["eps=0.725"])
+        assert meta["norm_estimation"] == {"eps=0.725": {"norm_bound": None, "norm_evals": 1}}
+        assert [(row.label, row.n_failures) for row in rows] == [("eps=0.725", 2),
+                                                                 ("baseline", 0)]
+        out = emit_outputs(rows, reports, meta, cfg)
+        assert json.loads((out / "experiment.json").read_text())["norm_estimation"] \
+            == meta["norm_estimation"]
+        failure = json.loads((out / "runs" / "eps_0.725__start1.json").read_text())
+        assert failure == {"failure": reports["eps=0.725"][1][1]}
+        assert (out / "runs" / "baseline__start1.json").exists()
 
     def test_summary_csv_format(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -112,45 +112,66 @@ NON_FINITE = {
     "NaN J": lambda val, grad: (np.nan, grad),
     "NaN grad J": lambda val, grad: (val, np.full_like(grad, np.nan)),
 }
+# (J, grad J) -> a result Problem.eval refuses
+FAILING = {**NON_FINITE, "J = -1": lambda val, grad: (-1.0, grad)}
+
+
+def refused(case):
+    """pytest.raises for the error Problem.eval raises on FAILING[case]."""
+    if case in NON_FINITE:
+        return pytest.raises(NonFiniteError, match="non-finite objective")
+    return pytest.raises(AssumptionViolationError, match="not strictly positive")
 
 
 def non_finite_1d(case, bad=lambda call: call > 1):
-    """problem_1d whose objective is non-finite, as NON_FINITE[case], at the
-    calls (counted from 1) where bad holds; by default after its first call."""
+    """problem_1d whose objective fails, as FAILING[case], at the calls
+    (counted from 1) where bad holds; by default after its first call."""
     problem, calls = problem_1d(), []
     fn = problem.fn
 
     def corrupted(x):
         calls.append(1)
         val, grad = fn(x)
-        return NON_FINITE[case](val, grad) if bad(len(calls)) else (val, grad)
+        return FAILING[case](val, grad) if bad(len(calls)) else (val, grad)
 
     problem.fn = corrupted
     return problem
 
 
-@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("case", sorted(FAILING))
 class TestNonFinite:
-    """A non-finite objective is a typed NonFiniteError, counted and never
-    memoized; the baseline rejects it at a line-search trial."""
+    """A non-finite or non-positive objective is a typed NumericalError,
+    counted and never memoized; the baseline rejects it at a line-search
+    trial, and the error carries a report once the run has an iterate."""
 
     def test_eval(self, case):
         p = non_finite_1d(case)
         p.eval(np.array([1.5]))
         for attempt in (2, 3):
-            with pytest.raises(NonFiniteError, match="non-finite objective"):
+            with refused(case):
                 p.eval(np.array([1.0]))
             assert p.counter == attempt and len(p._memo) == 1
 
     def test_run_attaches_a_partial_report(self, case):
         # the start is the first evaluation, the first candidate the second
         p = non_finite_1d(case)
-        with pytest.raises(NonFiniteError, match="non-finite objective") as exc:
+        with refused(case) as exc:
             run(p, make_kernel("gaussian", 0.725, 1), np.array([1.5]),
                 TRConfig(sub=SubproblemConfig(tau_sub=1e-7)), analytic_norm_1d_gaussian(0.725))
         report = exc.value.report
         assert report.termination == "stalled" and report.fom_evals == p.counter == 2
         assert report.final_iterate.tolist() == [1.5]
+
+    @pytest.mark.parametrize("solver", ["run", "minimize"])
+    def test_failed_start_has_no_report(self, case, solver):
+        p = non_finite_1d(case, bad=lambda call: call == 1)
+        with refused(case) as exc:
+            if solver == "run":
+                run(p, make_kernel("gaussian", 0.725, 1), np.array([1.5]), TRConfig(),
+                    analytic_norm_1d_gaussian(0.725))
+            else:
+                minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
+        assert exc.value.report is None and p.counter == 1
 
     def test_minimize_rejects_a_non_finite_trial(self, case):
         # the second evaluation is the first trial of the first line search
