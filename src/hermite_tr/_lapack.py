@@ -4,8 +4,8 @@ Importing scipy.linalg.lapack imports all of scipy.linalg, and importing
 scipy.sparse.linalg imports scipy.sparse and scipy.linalg; both load
 scipy's array-API layer, and with it numpy.f2py and numpy.testing.  That
 is over half the cold start of a problem.  The package uses a few
-routines of two extensions: dpotrf and dpotrs from scipy/linalg/_flapack,
-bound here, and SuperLU's gstrf from
+routines of two extensions: dpotrf, dpotrs and dsygvd from
+scipy/linalg/_flapack, bound here, and SuperLU's gstrf from
 scipy/sparse/linalg/_dsolve/_superlu, which only the pde2d module loads.
 scipy_extension loads such an extension by itself; the routines, and so
 every output bit, are the same.  A missing extension is an ImportError at
@@ -43,3 +43,4 @@ def scipy_extension(name):
 _flapack = scipy_extension("scipy.linalg._flapack")
 dpotrf = _flapack.dpotrf
 dpotrs = _flapack.dpotrs
+dsygvd = _flapack.dsygvd

@@ -357,7 +357,9 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
             try:
                 result = solve(state.surrogate, state.iterate, state.delta, cfg.sub, box=box)
             except NumericalError as exc:
-                cause = exc
+                # without its traceback, which holds this frame: kept, it
+                # would tie the finished run into a reference cycle
+                cause = exc.with_traceback(None)
                 delta_before = state.delta
                 state.delta = cfg.beta1_shrink * state.delta
                 state.log.append(IterationRecord(

@@ -36,19 +36,29 @@ and the constants c_E = l_E . z_E, c_N = l_N . z_N, where z_E = A1_EE^-1
 l_E and z_N = A2_NN^-1 l_N.  None of them depends on mu, so they are
 formed once per discretization, at its first solve (the offline step of
 static condensation; Huynh, Knezevic & Patera, ESAIM: M2AN 47(1), 2013).
+The step ends with one eigensolve of the pencil (S2, S1), LAPACK's dsygvd:
+S1 is positive definite, since the exterior has the Dirichlet boundary,
+so S2 V = S1 V diag(lambda) with V^T S1 V = I and V^T S2 V = diag(lambda)
+(Golub & Van Loan, Matrix Computations, section 8.7).  S2 is only
+semidefinite, as the inclusions have no Dirichlet face, so lambda >= 0
+up to rounding.
 discretization(grid_n) shares one discretization per grid per process, so
 every problem on a grid shares that step too: a process that runs several
 experiments on one grid pays it once, and a single run pays it once as
-before.  An entry holds about 1.9 MB at n = 96 (the stencils, the load,
-S1 and S2) and is never evicted; all its arrays are read-only.
-theta1 and theta2 stay above 1 on the problem box, so S(mu) is positive
-definite there, and each solve factors the dense S(mu) by Cholesky and
-solves S w = g for the interface state w = u_G, and
+before.  An entry holds about 2.4 MB at n = 96 (the stencils, the load,
+S1, S2 and V) and is never evicted; all its arrays are read-only.
 
-    l . u = c_E / theta1 + c_N / theta2 + g . w.
+Online, S(mu) is diagonal in the modes: V^T S(mu) V = diag(d) with
+d = theta1 + theta2 * lambda, and theta1 and theta2 stay above 1 on the
+problem box, so d > 1 there.  With h = V^T g, each solve is O(|G|), with
+no factorization: the modal coordinates r = h / d give the interface
+state w = u_G = V r, and
+
+    l . u = c_E / theta1 + c_N / theta2 + h . r.
 
 The gradient needs no further solve: d(l . u)/d theta1 = -c_E / theta1^2
-- w . S1 w, and likewise for theta2 with c_N and S2.
+- w . S1 w with w . S1 w = r . r, and likewise for theta2 with c_N and
+w . S2 w = r . (lambda r).
 
 The offline step builds each eliminated block, A1_EE and A2_NN, from its
 stencil as a canonical CSC matrix and factors it with SuperLU's gstrf,
@@ -64,7 +74,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._lapack import dpotrf, dpotrs, scipy_extension
+from ._lapack import dsygvd, scipy_extension
 from .errors import ConfigError, NumericalError, integral
 
 gstrf = scipy_extension("scipy.sparse.linalg._dsolve._superlu").gstrf
@@ -269,6 +279,9 @@ class Interface:
     load: np.ndarray        # reduced load g
     c1: float               # l_E . z_E
     c2: float               # l_N . z_N
+    eigenvalues: np.ndarray  # lambda, ascending
+    modes: np.ndarray       # V, |G| x |G|, column k the mode of lambda_k
+    modal_load: np.ndarray  # h = V^T g
 
     @staticmethod
     def condense(disc: Pde2dDiscretization) -> "Interface":
@@ -282,40 +295,43 @@ class Interface:
         offsets = stencil_offsets(disc.grid_n)
         s1, g1, c1 = _eliminate(a1, offsets, exterior, gamma, disc.load)
         s2, g2, c2 = _eliminate(a2, offsets, inclusions, gamma, disc.load)
-        gamma, exterior, inclusions, s1, s2, load = map(
-            _read_only, (gamma, exterior, inclusions, s1, s2, disc.load[gamma] - g1 - g2))
+        load = disc.load[gamma] - g1 - g2
+        eigenvalues, modes, info = dsygvd(s2, s1, itype=1, jobz="V", uplo="L")
+        if info != 0:
+            raise NumericalError(f"interface eigensolve failed at grid {disc.grid_n}: "
+                                 f"LAPACK info {info}")
+        # h from V as dsygvd returns it, in Fortran order
+        gamma, exterior, inclusions, s1, s2, load, eigenvalues, modes, modal_load = map(
+            _read_only, (gamma, exterior, inclusions, s1, s2, load,
+                         eigenvalues, modes, modes.T @ load))
         return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions,
-                         s1=s1, s2=s2, load=load, c1=c1, c2=c2)
+                         s1=s1, s2=s2, load=load, c1=c1, c2=c2, eigenvalues=eigenvalues,
+                         modes=modes, modal_load=modal_load)
 
 
 def pde2d_solve(disc: Pde2dDiscretization, mu):
-    """Solve at mu; returns (interface state u_G, J, f = l . u)."""
+    """Solve at mu; returns (modal coordinates r of u_G = V r, J, f = l . u)."""
     mu = np.asarray(mu, dtype=float)
     face = disc.interface
     t1, t2 = theta1(mu), theta2(mu)
-    # S is exactly symmetric (s1 and s2 are), so its transpose is the same
-    # matrix in Fortran order, which LAPACK factors in place.  A NaN in S
-    # can pass the factorization; it then shows in the state.
-    schur = t1 * face.s1
-    schur += t2 * face.s2     # in place: cheaper than numpy's reuse of a large temporary
-    factor, info = dpotrf(schur.T, lower=True, clean=False, overwrite_a=True)
-    if info == 0:
-        w, info = dpotrs(factor, face.load, lower=True)
-    if info != 0:
-        raise NumericalError(f"linear solve failed at mu={mu}: LAPACK info {info}")
-    if not np.all(np.isfinite(w)):
+    d = t1 + t2 * face.eigenvalues
+    # d > 0 is False for NaN, so a non-finite theta fails here too
+    if not np.all(d > 0.0):
+        raise NumericalError(f"linear solve failed at mu={mu}: S(mu) is not positive definite")
+    r = face.modal_load / d
+    if not np.all(np.isfinite(r)):
         raise NumericalError(f"non-finite state at mu={mu}")
-    f = face.c1 / t1 + face.c2 / t2 + float(face.load @ w)
-    return w, theta_j(mu) * f, f
+    f = face.c1 / t1 + face.c2 / t2 + float(face.modal_load @ r)
+    return r, theta_j(mu) * f, f
 
 
-def pde2d_gradient(disc: Pde2dDiscretization, mu, w, f):
-    """Gradient of J from pde2d_solve's interface state w and f; no solve."""
+def pde2d_gradient(disc: Pde2dDiscretization, mu, r, f):
+    """Gradient of J from pde2d_solve's modal coordinates r and f; no solve."""
     mu = np.asarray(mu, dtype=float)
     face = disc.interface
     t1, t2 = theta1(mu), theta2(mu)
-    df1 = -face.c1 / t1**2 - float(w @ (face.s1 @ w))
-    df2 = -face.c2 / t2**2 - float(w @ (face.s2 @ w))
+    df1 = -face.c1 / t1**2 - float(r @ r)
+    df2 = -face.c2 / t2**2 - float(r @ (face.eigenvalues * r))
     tj = theta_j(mu)
     return np.array([0.2 * f + tj * (dt1 * df1 + dt2 * df2)
                      for dt1, dt2 in theta_derivs(mu)])

@@ -118,8 +118,8 @@ def problem_pde2d(grid_n: int) -> Problem:
     disc = discretization(grid_n)
 
     def fn(mu):
-        w, val, f = pde2d_solve(disc, mu)
-        return val, pde2d_gradient(disc, mu, w, f)
+        r, val, f = pde2d_solve(disc, mu)
+        return val, pde2d_gradient(disc, mu, r, f)
 
     return _boxed("pde2d", fn)
 

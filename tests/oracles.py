@@ -7,24 +7,30 @@ so tests can check the vectorized paths against them.  sparse_blocks
 and sparse_interface are pde2d's blocks and condensation as
 scipy.sparse forms them, whose bits the package's stencil arithmetic
 must keep.  plain_pde2d is the PDE solve as a sparse LU of the whole
-grid, without the condensation onto the material interface.
+grid, without the condensation onto the material interface, and
+cholesky_pde2d the condensed solve without the interface's eigenbasis:
+a dense Cholesky of S(mu) per point.
 per_trial_backtrack and per_trial_solve are the line search and the
 inner solver with every trial formed and scored on its own, through the
 surrogate's one-point queries.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
-from hermite_tr.errors import AssumptionViolationError, LineSearchError
+from hermite_tr.errors import AssumptionViolationError, LineSearchError, NumericalError
 from hermite_tr.kernels import KernelSpec, radial_profiles
 from hermite_tr.pde2d import (
     OMEGA_X,
     OMEGA_Y_HIGH,
     OMEGA_Y_LOW,
     SCHUR_CHUNK,
-    Interface,
+    theta1,
+    theta2,
     theta_derivs,
     theta_j,
 )
@@ -154,7 +160,11 @@ def _eliminate(a, cells, gamma, load):
 
 
 def sparse_interface(disc):
-    """disc.interface, condensed from sparse_blocks with scipy.sparse and splu."""
+    """disc.interface's condensed fields, from sparse_blocks with scipy.sparse and splu.
+
+    The eigenbasis of the pencil (S2, S1) is left out: it is LAPACK's
+    output for S1 and S2, whose bits these fields pin.
+    """
     a1, a2 = sparse_blocks(disc.grid_n)
     t1, t2 = _touched(a1), _touched(a2)
     gamma = np.flatnonzero(t1 & t2)
@@ -162,8 +172,8 @@ def sparse_interface(disc):
     inclusions = np.flatnonzero(t2 & ~t1)
     s1, g1, c1 = _eliminate(a1, exterior, gamma, disc.load)
     s2, g2, c2 = _eliminate(a2, inclusions, gamma, disc.load)
-    return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions,
-                     s1=s1, s2=s2, load=disc.load[gamma] - g1 - g2, c1=c1, c2=c2)
+    return SimpleNamespace(gamma=gamma, exterior=exterior, inclusions=inclusions,
+                           s1=s1, s2=s2, load=disc.load[gamma] - g1 - g2, c1=c1, c2=c2)
 
 
 def plain_pde2d(disc, mu):
@@ -177,6 +187,27 @@ def plain_pde2d(disc, mu):
         du = lu.solve(-(dt1 * a1 + dt2 * a2) @ u)
         grad[m] = 0.2 * fu + theta_j(mu) * float(disc.load @ du)
     return u, theta_j(mu) * fu, grad
+
+
+def cholesky_pde2d(disc, mu):
+    """(u_G, J, grad J) at mu from a Cholesky factor of S(mu) = theta1 S1 + theta2 S2.
+
+    Raises NumericalError("linear solve failed ...") where S(mu) is not
+    positive definite.
+    """
+    face = disc.interface
+    t1, t2 = theta1(mu), theta2(mu)
+    factor, info = dpotrf(t1 * face.s1 + t2 * face.s2, lower=True)
+    if info == 0:
+        w, info = dpotrs(factor, face.load, lower=True)
+    if info != 0:
+        raise NumericalError(f"linear solve failed at mu={mu}: LAPACK info {info}")
+    f = face.c1 / t1 + face.c2 / t2 + float(face.load @ w)
+    df1 = -face.c1 / t1**2 - float(w @ (face.s1 @ w))
+    df2 = -face.c2 / t2**2 - float(w @ (face.s2 @ w))
+    tj = theta_j(mu)
+    grad = np.array([0.2 * f + tj * (dt1 * df1 + dt2 * df2) for dt1, dt2 in theta_derivs(mu)])
+    return w, tj * f, grad
 
 
 def per_trial_backtrack(fun, x, fx, required_decrease, direction, cfg, box,

@@ -46,8 +46,10 @@ def last_json_line(script, tmp_path):
 
 
 def test_the_routines_are_scipy_linalgs():
-    assert surrogate.dpotrf is pde2d.dpotrf is _lapack.dpotrf is scipy.linalg.lapack.dpotrf
-    assert surrogate.dpotrs is pde2d.dpotrs is _lapack.dpotrs is scipy.linalg.lapack.dpotrs
+    assert surrogate.dpotrf is _lapack.dpotrf is scipy.linalg.lapack.dpotrf
+    assert surrogate.dpotrs is _lapack.dpotrs is scipy.linalg.lapack.dpotrs
+    assert pde2d.dsygvd is _lapack.dsygvd is scipy.linalg.lapack.dsygvd
+    assert not hasattr(pde2d, "dpotrf") and not hasattr(pde2d, "dpotrs")
     assert pde2d.gstrf is scipy.sparse.linalg._dsolve._superlu.gstrf
 
 
@@ -106,7 +108,8 @@ import scipy.linalg
 before = len(loads)
 from hermite_tr import pde2d, surrogate
 print(json.dumps([[name for name, _ in loads[before:]].count({FLAPACK!r}),
-                  scipy.linalg.lapack.dpotrf is surrogate.dpotrf is pde2d.dpotrf,
+                  scipy.linalg.lapack.dpotrf is surrogate.dpotrf
+                  and scipy.linalg.lapack.dsygvd is pde2d.dsygvd,
                   sys.modules[{FLAPACK!r}] is scipy.linalg._flapack]))
 """
     assert last_json_line(script, tmp_path) == [0, True, True]

@@ -27,7 +27,7 @@ from hermite_tr.problems import (
 from hermite_tr.subproblem import SubproblemConfig
 from hermite_tr.surrogate import analytic_norm_1d_gaussian
 
-from oracles import peek, plain_pde2d, sparse_blocks, sparse_interface
+from oracles import cholesky_pde2d, peek, plain_pde2d, sparse_blocks, sparse_interface
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -320,14 +320,15 @@ class TestPde2d:
         # gradient agree with a fresh splu and its sensitivity solves
         disc = Pde2dDiscretization.build(grid_n)
         problem = problem_pde2d(grid_n=grid_n)
-        gamma = disc.interface.gamma
+        face = disc.interface
         rng = np.random.default_rng(grid_n)
         for _ in range(20):
             mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
-            w, val, f = pde2d_solve(disc, mu)
-            grad = pde2d_gradient(disc, mu, w, f)
+            r, val, f = pde2d_solve(disc, mu)
+            grad = pde2d_gradient(disc, mu, r, f)
             u0, val0, grad0 = plain_pde2d(disc, mu)
-            assert np.max(np.abs(w - u0[gamma])) <= 1e-12 * np.max(np.abs(u0[gamma]))
+            w, u_gamma = face.modes @ r, u0[face.gamma]
+            assert np.max(np.abs(w - u_gamma)) <= 1e-12 * np.max(np.abs(u_gamma))
             assert abs(val - val0) <= 1e-12 * abs(val0)
             assert np.max(np.abs(grad - grad0)) <= 1e-12 * np.max(np.abs(grad0))
             p_val, p_grad = problem.eval(mu)
@@ -358,11 +359,59 @@ class TestPde2d:
         assert disc.interface is face
 
     def test_indefinite_operator_is_a_numerical_error(self):
-        # outside the problem box theta1 can turn negative; the interface
-        # Cholesky then fails, which must surface as a typed error
+        # outside the problem box theta1 can turn negative; S(mu) is then
+        # not positive definite, which must surface as a typed error
         disc = Pde2dDiscretization.build(24)
         mu = np.array([-np.pi / 2.0, 5.0])
         assert theta1(mu) < 0
+        with pytest.raises(NumericalError, match="linear solve failed"):
+            pde2d_solve(disc, mu)
+
+    @pytest.mark.parametrize("grid_n", [12, 24, 96, 100])
+    def test_agrees_with_cholesky(self, grid_n):
+        # the eigenbasis solve is the dense Cholesky of S(mu) it replaced,
+        # up to rounding: value, gradient and interface state
+        disc = Pde2dDiscretization.build(grid_n)
+        modes = disc.interface.modes
+        rng = np.random.default_rng(grid_n + 1)
+        for _ in range(20):
+            mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
+            r, val, f = pde2d_solve(disc, mu)
+            grad = pde2d_gradient(disc, mu, r, f)
+            w0, val0, grad0 = cholesky_pde2d(disc, mu)
+            assert np.max(np.abs(modes @ r - w0)) <= 1e-12 * np.max(np.abs(w0))
+            assert abs(val - val0) <= 1e-12 * abs(val0)
+            assert np.max(np.abs(grad - grad0)) <= 1e-12 * np.max(np.abs(grad0))
+
+    @pytest.mark.parametrize("grid_n", [12, 24, 96, 100])
+    def test_modes_diagonalize_the_pencil(self, grid_n):
+        # V^T S1 V = I and V^T S2 V = diag(lambda); S2 is only semidefinite,
+        # so lambda may dip below 0 by rounding, no further
+        face = Pde2dDiscretization.build(grid_n).interface
+        v, lam = face.modes, face.eigenvalues
+        n = face.gamma.size
+        assert v.shape == (n, n) and lam.shape == face.modal_load.shape == (n,)
+        assert np.all(np.diff(lam) >= 0)
+        for s, diagonal in ((face.s1, np.ones(n)), (face.s2, lam)):
+            residual = v.T @ s @ v - np.diag(diagonal)
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(diagonal)
+        assert lam.min() >= -1e-12 * lam.max()
+        # V is held as dsygvd returns it, Fortran-ordered, and read-only
+        assert v.flags.f_contiguous
+        assert face.modal_load.tobytes() == (v.T @ face.load).tobytes()
+        for array in (v, lam, face.modal_load):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("mu", [[-np.pi / 2.0, 5.0], [-1.0, 3.0], [4.0, 2.0]])
+    def test_off_the_box_where_cholesky_fails(self, mu):
+        # theta1 < 0: the oracle's dpotrf refuses S(mu), and so does the
+        # eigenbasis solve
+        disc = Pde2dDiscretization.build(24)
+        mu = np.array(mu)
+        assert theta1(mu) < 0
+        with pytest.raises(NumericalError, match="linear solve failed"):
+            cholesky_pde2d(disc, mu)
         with pytest.raises(NumericalError, match="linear solve failed"):
             pde2d_solve(disc, mu)
 
