@@ -28,8 +28,10 @@ from .subproblem import SubproblemConfig
 from .surrogate import sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
-# grid points the power-field export scores per block (one distance pass
-# and one triangular solve each)
+# grid points the power-field export scores per block: one distance pass
+# per block and one triangular solve per point (rosenbrock's --grid 101
+# export: 0.12-0.16 s, against 0.10 s when each block shared one solve;
+# 2-core x86-64 VM, one BLAS thread)
 POWER_FIELD_BLOCK = 512
 
 

@@ -45,8 +45,9 @@ up to rounding.
 discretization(grid_n) shares one discretization per grid per process, so
 every problem on a grid shares that step too: a process that runs several
 experiments on one grid pays it once, and a single run pays it once as
-before.  An entry holds about 2.4 MB at n = 96 (the stencils, the load,
-S1, S2 and V) and is never evicted; all its arrays are read-only.
+before.  An entry holds about 1.4 MB at n = 96 (the stencils, the load
+and V) and is never evicted; all its arrays are read-only.  S1 and S2
+are dropped once the eigensolve has read them.
 
 Online, S(mu) is diagonal in the modes: V^T S(mu) V = diag(d) with
 d = theta1 + theta2 * lambda, and theta1 and theta2 stay above 1 on the
@@ -274,8 +275,6 @@ class Interface:
     gamma: np.ndarray       # interface cells G
     exterior: np.ndarray    # cells E, touched by A1 only
     inclusions: np.ndarray  # cells N, touched by A2 only
-    s1: np.ndarray          # dense |G| x |G| Schur complements, symmetric
-    s2: np.ndarray
     load: np.ndarray        # reduced load g
     c1: float               # l_E . z_E
     c2: float               # l_N . z_N
@@ -301,12 +300,11 @@ class Interface:
             raise NumericalError(f"interface eigensolve failed at grid {disc.grid_n}: "
                                  f"LAPACK info {info}")
         # h from V as dsygvd returns it, in Fortran order
-        gamma, exterior, inclusions, s1, s2, load, eigenvalues, modes, modal_load = map(
-            _read_only, (gamma, exterior, inclusions, s1, s2, load,
-                         eigenvalues, modes, modes.T @ load))
-        return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions,
-                         s1=s1, s2=s2, load=load, c1=c1, c2=c2, eigenvalues=eigenvalues,
-                         modes=modes, modal_load=modal_load)
+        gamma, exterior, inclusions, load, eigenvalues, modes, modal_load = map(
+            _read_only, (gamma, exterior, inclusions, load, eigenvalues, modes, modes.T @ load))
+        return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions, load=load,
+                         c1=c1, c2=c2, eigenvalues=eigenvalues, modes=modes,
+                         modal_load=modal_load)
 
 
 def pde2d_solve(disc: Pde2dDiscretization, mu):

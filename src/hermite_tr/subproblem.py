@@ -12,9 +12,10 @@ yardstick the outer loop measures sufficient decrease against.
 Each line search forms its backtracking ladder, the trial points
 P(x + kappa_bt^j * d) for j = 0..j_max, once, as one array whose row j
 names trial j.  The surrogate scores the rows the search reaches CHUNK at
-a time, each chunk with one distance pass and one triangular solve
-(Surrogate.block); the values and power-function values have the bits of
-point queries, which are one-row blocks.
+a time, each chunk with one distance pass (Surrogate.block), and solves
+for a trial's power only where the search asks for it; the values and
+power-function values have the bits of point queries, which are one-row
+blocks.
 """
 
 from __future__ import annotations

@@ -226,34 +226,20 @@ def _potrs(factor, b):
     return x
 
 
-def _residual(solved, diag) -> float:
-    """Power function value from (scaled row, its solve), or cho_solve's error for None.
-
-    The quadratic form is clamped at zero before the square root since
-    roundoff can push it slightly negative near centers; sqrt is
-    correctly rounded, so math's gives numpy's bits.
-    """
-    if solved is None:
-        raise ValueError(NOT_FINITE)
-    bs, x = solved
-    return math.sqrt(max(diag - float(bs.dot(x)), 0.0))
-
-
 class PointBlock:
     """The surrogate at the rows of a (c, p) block; a point query is a one-row block.
 
     One distance-and-profile pass serves every row and every query: each
     value is its kernel row's dot product with the coefficients, and a
     gradient or a derivative power builds its row's derivative vectors
-    from the same pass.  The first plain power asked for solves, in one
-    triangular solve, for every row from there to the block's end: a line
-    search that needs the power at one trial tends to need it at the next.
-    A row's bits do not depend on the block around it.  A row whose scaled
-    kernel row is not finite raises ValueError when its power is asked for.
+    from the same pass.  A power solves its own kernel row, and only that
+    row, against the factor, so a row's bits do not depend on the block
+    around it.  A row whose scaled kernel row is not finite raises
+    ValueError when its power is asked for.
     """
 
     __slots__ = ("points", "dt", "k_vals", "g1", "g2", "rows", "values", "_kernel", "_coeffs",
-                 "_scale", "_factor", "_solved", "_powers", "_gradients")
+                 "_scale", "_factor", "_powers", "_gradients")
 
     def __init__(self, s: "Surrogate", points):
         # the block keeps what it reads of s, not s itself: s's memo holds a
@@ -265,7 +251,6 @@ class PointBlock:
         self.dt, self.k_vals, self.g1, self.g2 = s._profiles(self.points)
         self.rows = _kernel_rows(self.dt, self.k_vals, self.g1, self.g2)
         self.values = [float(row.dot(self._coeffs)) for row in self.rows]
-        self._solved = {}     # row -> (scaled row, its solve), None where not finite
         self._powers = {}     # (row, order) -> power
         self._gradients = {}  # row -> gradient
 
@@ -276,25 +261,6 @@ class PointBlock:
         """Generalized kernel vector of d1_order k(x, .) at row i."""
         return _kernel_rows(self.dt[i], self.k_vals[i], self.g1[i], self.g2[i], order)
 
-    def _solve_rows(self, rows) -> list:
-        """(scaled row, its solve against the factor) for each row of a (c, m) block.
-
-        A row whose scaled entries are not all finite gets None; the
-        others share one triangular solve.
-        """
-        bs = rows * self._scale
-        if math.isfinite(bs.sum()):      # a sum with an inf or a NaN is not finite
-            finite, rhs = range(len(bs)), bs
-        else:
-            finite = np.flatnonzero(np.isfinite(bs).all(axis=1))
-            rhs = bs[finite]
-        out = [None] * len(bs)
-        if len(rhs):
-            solved = _potrs(self._factor, rhs.T)
-            for i, b, x in zip(finite, rhs, solved.T):
-                out[i] = (b, x)
-        return out
-
     def gradient(self, i) -> np.ndarray:
         g = self._gradients.get(i)
         if g is None:
@@ -303,17 +269,25 @@ class PointBlock:
         return g.copy()
 
     def power(self, i, order=None) -> float:
-        """Projection-residual norm at row i; see Surrogate.power."""
+        """Projection-residual norm at row i; see Surrogate.power.
+
+        The quadratic form is clamped at zero before the square root since
+        roundoff can push it slightly negative near centers; sqrt is
+        correctly rounded, so math's gives numpy's bits.
+        """
         p = self._powers.get((i, order))
         if p is None:
             if order is None:
-                if i not in self._solved:
-                    self._solved.update(zip(range(i, len(self)), self._solve_rows(self.rows[i:])))
-                solved, diag = self._solved[i], self._kernel.diag_value
+                row, diag = self.rows[i], self._kernel.diag_value
             else:
-                [solved] = self._solve_rows(self._derivative_row(i, order)[None, :])
-                diag = self._kernel.cross_diag
-            p = self._powers[i, order] = _residual(solved, diag)
+                row, diag = self._derivative_row(i, order), self._kernel.cross_diag
+            bs = row * self._scale
+            # a sum with an inf or a NaN is not finite; a finite row whose
+            # sum overflows passes on its entries
+            if not math.isfinite(bs.sum()) and not np.isfinite(bs).all():
+                raise ValueError(NOT_FINITE)
+            x = _potrs(self._factor, bs)
+            p = self._powers[i, order] = math.sqrt(max(diag - float(bs.dot(x)), 0.0))
         return p
 
 

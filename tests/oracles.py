@@ -9,7 +9,8 @@ scipy.sparse forms them, whose bits the package's stencil arithmetic
 must keep.  plain_pde2d is the PDE solve as a sparse LU of the whole
 grid, without the condensation onto the material interface, and
 cholesky_pde2d the condensed solve without the interface's eigenbasis:
-a dense Cholesky of S(mu) per point.
+a dense Cholesky of S(mu) per point, from sparse_interface's S1 and S2,
+which the package drops once its eigensolve has read them.
 per_trial_backtrack and per_trial_solve are the line search and the
 inner solver with every trial formed and scored on its own, through the
 surrogate's one-point queries.
@@ -189,13 +190,13 @@ def plain_pde2d(disc, mu):
     return u, theta_j(mu) * fu, grad
 
 
-def cholesky_pde2d(disc, mu):
+def cholesky_pde2d(face, mu):
     """(u_G, J, grad J) at mu from a Cholesky factor of S(mu) = theta1 S1 + theta2 S2.
 
-    Raises NumericalError("linear solve failed ...") where S(mu) is not
+    face is sparse_interface's condensation.  Raises
+    NumericalError("linear solve failed ...") where S(mu) is not
     positive definite.
     """
-    face = disc.interface
     t1, t2 = theta1(mu), theta2(mu)
     factor, info = dpotrf(t1 * face.s1 + t2 * face.s2, lower=True)
     if info == 0:

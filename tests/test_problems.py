@@ -352,7 +352,8 @@ class TestPde2d:
             assert face.gamma.size == 248
         if grid_n == 12:
             assert face.inclusions.size == 0
-        for s in (face.s1, face.s2):
+        oracle = sparse_interface(disc)
+        for s in (oracle.s1, oracle.s2):
             assert s.shape == (face.gamma.size,) * 2
             assert np.array_equal(s, s.T)
         # the offline step runs once per discretization
@@ -372,13 +373,13 @@ class TestPde2d:
         # the eigenbasis solve is the dense Cholesky of S(mu) it replaced,
         # up to rounding: value, gradient and interface state
         disc = Pde2dDiscretization.build(grid_n)
-        modes = disc.interface.modes
+        modes, oracle = disc.interface.modes, sparse_interface(disc)
         rng = np.random.default_rng(grid_n + 1)
         for _ in range(20):
             mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
             r, val, f = pde2d_solve(disc, mu)
             grad = pde2d_gradient(disc, mu, r, f)
-            w0, val0, grad0 = cholesky_pde2d(disc, mu)
+            w0, val0, grad0 = cholesky_pde2d(oracle, mu)
             assert np.max(np.abs(modes @ r - w0)) <= 1e-12 * np.max(np.abs(w0))
             assert abs(val - val0) <= 1e-12 * abs(val0)
             assert np.max(np.abs(grad - grad0)) <= 1e-12 * np.max(np.abs(grad0))
@@ -387,12 +388,13 @@ class TestPde2d:
     def test_modes_diagonalize_the_pencil(self, grid_n):
         # V^T S1 V = I and V^T S2 V = diag(lambda); S2 is only semidefinite,
         # so lambda may dip below 0 by rounding, no further
-        face = Pde2dDiscretization.build(grid_n).interface
+        disc = Pde2dDiscretization.build(grid_n)
+        face, oracle = disc.interface, sparse_interface(disc)
         v, lam = face.modes, face.eigenvalues
         n = face.gamma.size
         assert v.shape == (n, n) and lam.shape == face.modal_load.shape == (n,)
         assert np.all(np.diff(lam) >= 0)
-        for s, diagonal in ((face.s1, np.ones(n)), (face.s2, lam)):
+        for s, diagonal in ((oracle.s1, np.ones(n)), (oracle.s2, lam)):
             residual = v.T @ s @ v - np.diag(diagonal)
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(diagonal)
         assert lam.min() >= -1e-12 * lam.max()
@@ -411,7 +413,7 @@ class TestPde2d:
         mu = np.array(mu)
         assert theta1(mu) < 0
         with pytest.raises(NumericalError, match="linear solve failed"):
-            cholesky_pde2d(disc, mu)
+            cholesky_pde2d(sparse_interface(disc), mu)
         with pytest.raises(NumericalError, match="linear solve failed"):
             pde2d_solve(disc, mu)
 
@@ -435,8 +437,15 @@ class TestPde2d:
     def test_condensation_keeps_scipy_sparse_bits(self, grid_n, monkeypatch):
         # the stencil condensation has the bits of the scipy.sparse one in
         # oracles, field by field, and hands gstrf what splu hands it for
-        # the oracle's a[cells][:, cells].tocsc()
+        # the oracle's a[cells][:, cells].tocsc(); S1 and S2, which the
+        # interface drops after its eigensolve, are pinned as _eliminate
+        # returns them
         calls = {"package": [], "splu": []}
+        eliminated, pde2d_eliminate = [], pde2d._eliminate
+
+        def eliminate(*args):
+            eliminated.append(pde2d_eliminate(*args))
+            return eliminated[-1]
 
         def recorder(gstrf, seen):
             def record(*args, csc_construct_func, **kwargs):
@@ -446,10 +455,13 @@ class TestPde2d:
 
         monkeypatch.setattr(pde2d, "gstrf", recorder(pde2d.gstrf, calls["package"]))
         monkeypatch.setattr(_superlu, "gstrf", recorder(_superlu.gstrf, calls["splu"]))
+        monkeypatch.setattr(pde2d, "_eliminate", eliminate)
         disc = Pde2dDiscretization.build(grid_n)
         face, oracle = disc.interface, sparse_interface(disc)
+        (s1, _, _), (s2, _, _) = eliminated
+        fields = dict(vars(face), s1=s1, s2=s2)
         for name in ("gamma", "exterior", "inclusions", "s1", "s2", "load", "c1", "c2"):
-            ours, theirs = np.asarray(getattr(face, name)), np.asarray(getattr(oracle, name))
+            ours, theirs = np.asarray(fields[name]), np.asarray(getattr(oracle, name))
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
         a1, a2 = sparse_blocks(grid_n)
         assert len(calls["package"]) == len(calls["splu"]) == 2
@@ -516,7 +528,7 @@ class TestSharedDiscretization:
         disc = pde2d.discretization(24)
         face = disc.interface
         for array in (disc.stencils, disc.load, face.gamma, face.exterior, face.inclusions,
-                      face.s1, face.s2, face.load):
+                      face.load, face.eigenvalues, face.modes, face.modal_load):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         # solves on the shared, read-only arrays, after any number of

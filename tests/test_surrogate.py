@@ -625,6 +625,33 @@ class TestPointBlock:
             assert _bits(value) == _bits(float(b @ s._coeffs))
             assert _bits(power) == _bits(float(np.sqrt(max(q, 0.0))))
 
+    def test_power_solves_only_its_own_row(self, rng, monkeypatch):
+        # a power query, plain or derivative, solves its own kernel row and
+        # no other, once: a repeated query reads the block's memo
+        s = self._surrogate("gaussian", 2, rng)
+        block = s.block(rng.uniform(-2, 2, (8, 2)))
+        columns, dpotrs = [], surrogate.dpotrs
+
+        def recording(factor, b, lower):
+            columns.append(1 if b.ndim == 1 else b.shape[1])
+            return dpotrs(factor, b, lower=lower)
+
+        monkeypatch.setattr(surrogate, "dpotrs", recording)
+        queries = [(3, None), (0, None), (5, None), (3, None), (5, 1)]
+        for i, order in queries:
+            block.power(i, order)
+        assert columns == [1] * len(set(queries))
+
+    def test_finite_row_whose_sum_overflows_is_solved(self, rng):
+        # the sum is only the cheap test for a non-finite entry; a row of
+        # finite entries gets its solve even where the sum overflows
+        s = self._surrogate("gaussian", 2, rng)
+        block = s.block(rng.uniform(-2, 2, (2, 2)))
+        block.rows[0, :2] = 1e308 / s._scale[:2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite((block.rows[0] * s._scale).sum())
+            block.power(0)                  # no ValueError: every entry is finite
+
     def test_non_finite_row_raises_power_error_only_when_asked(self, rng):
         # far enough out, the quadratic Matern profile is inf * 0 = nan
         s = self._surrogate("quad_matern", 2, rng)
