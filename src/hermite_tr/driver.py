@@ -207,12 +207,12 @@ def update_radius(rho_value: float, delta: float, cfg: TRConfig) -> float:
 
 
 def _eval_with_reuse(problem: Problem, history: TrainingSet, x):
-    """Objective data at x, reusing the stored datum for near-duplicate centers."""
+    """(J(x), history holding x, evaluated?); a near-duplicate center lends its datum."""
     idx = history.find_close(x)
     if idx is not None:
-        return history.values[idx], history.gradients[idx], history, False
+        return history.values[idx], history, False
     val, grad = problem.eval(x)
-    return val, grad, history.with_point(x, val, grad), True
+    return val, history.with_point(x, val, grad), True
 
 
 def _initial_data(problem: Problem, x, samples: TrainingSet | None) -> TrainingSet:
@@ -231,27 +231,24 @@ def _initial_data(problem: Problem, x, samples: TrainingSet | None) -> TrainingS
 
 
 def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Problem, box):
-    """Materialize the norm bound; returns (value, objective evals spent, samples).
+    """Materialize the norm bound; returns (value, samples).
 
     samples is the TrainingSet an estimated bound was fitted to, in draw
-    order, and None for a fixed or analytic bound.
+    order, and None for a fixed or analytic bound.  The estimate's
+    evaluations show in the problem's counter, also when it fails.
     """
     if norm_source.kind == "fixed":
-        return float(norm_source.value), 0, None
+        return float(norm_source.value), None
     if norm_source.kind == "analytic":
         # the closed form is the norm of one_d's objective, not of any 1D objective
         if kernel.family != GAUSSIAN or problem.name != "one_d":
             raise ConfigError("analytic norm source is only valid for the one_d Gaussian setup")
         try:
-            return analytic_norm_1d_gaussian(kernel.shape), 0, None
+            return analytic_norm_1d_gaussian(kernel.shape), None
         except ValueError as exc:
             raise ConfigError(f"analytic norm source: {exc}") from None
-    before = problem.counter
-    value, samples = estimate_norm(
-        kernel, problem, norm_source.n_samples, norm_source.seed,
-        norm_source.safety, box=box,
-    )
-    return value, problem.counter - before, samples
+    return estimate_norm(kernel, problem, norm_source.n_samples, norm_source.seed,
+                         norm_source.safety, box=box)
 
 
 def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
@@ -272,7 +269,7 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     eta_cand = s.norm_bound * s.power(cand)
     jhat_x, jhat_agc = s.block(np.array([state.iterate, result.agc])).values
 
-    j_cand, _, new_history, added = _eval_with_reuse(problem, s.training, cand)
+    j_cand, new_history, added = _eval_with_reuse(problem, s.training, cand)
     if added:
         state.surrogate = fit(s.kernel, new_history, s.norm_bound, previous=s)
 

@@ -162,10 +162,12 @@ _NORM_KEYS = {"kind": "norm_source", "n_samples": "norm_samples", "seed": "norm_
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config; unknown keys reject."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -279,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig):
         # source that does not fit the problem is a config error
         evals_before = problem.counter
         try:
-            norm_bound, _, samples = resolve_norm_bound(
+            norm_bound, samples = resolve_norm_bound(
                 cfg.norm_source, kernel, problem, box=cfg.start_box
             )
             failed = None

@@ -45,9 +45,11 @@ up to rounding.
 discretization(grid_n) shares one discretization per grid per process, so
 every problem on a grid shares that step too: a process that runs several
 experiments on one grid pays it once, and a single run pays it once as
-before.  An entry holds about 1.4 MB at n = 96 (the stencils, the load
-and V) and is never evicted; all its arrays are read-only.  S1 and S2
-are dropped once the eigensolve has read them.
+before.  An entry holds about 0.81 MB at n = 96, nearly all of it the
+stencils and the load, and is never evicted; all its arrays are
+read-only.  Of the condensation it keeps what a solve reads, lambda,
+h = V^T g, c_E and c_N: the cell partition, S1, S2, g and V are dropped
+once h is formed.
 
 Online, S(mu) is diagonal in the modes: V^T S(mu) V = diag(d) with
 d = theta1 + theta2 * lambda, and theta1 and theta2 stay above 1 on the
@@ -270,16 +272,11 @@ def _eliminate(stencil, offsets, cells, gamma, load):
 
 @dataclass(frozen=True)
 class Interface:
-    """A(mu) condensed onto the interface cells, in read-only arrays; see the module docstring."""
+    """What a solve reads of A(mu) condensed onto the interface; see the module docstring."""
 
-    gamma: np.ndarray       # interface cells G
-    exterior: np.ndarray    # cells E, touched by A1 only
-    inclusions: np.ndarray  # cells N, touched by A2 only
-    load: np.ndarray        # reduced load g
     c1: float               # l_E . z_E
     c2: float               # l_N . z_N
     eigenvalues: np.ndarray  # lambda, ascending
-    modes: np.ndarray       # V, |G| x |G|, column k the mode of lambda_k
     modal_load: np.ndarray  # h = V^T g
 
     @staticmethod
@@ -300,11 +297,8 @@ class Interface:
             raise NumericalError(f"interface eigensolve failed at grid {disc.grid_n}: "
                                  f"LAPACK info {info}")
         # h from V as dsygvd returns it, in Fortran order
-        gamma, exterior, inclusions, load, eigenvalues, modes, modal_load = map(
-            _read_only, (gamma, exterior, inclusions, load, eigenvalues, modes, modes.T @ load))
-        return Interface(gamma=gamma, exterior=exterior, inclusions=inclusions, load=load,
-                         c1=c1, c2=c2, eigenvalues=eigenvalues, modes=modes,
-                         modal_load=modal_load)
+        return Interface(c1=c1, c2=c2, eigenvalues=_read_only(eigenvalues),
+                         modal_load=_read_only(modes.T @ load))
 
 
 def pde2d_solve(disc: Pde2dDiscretization, mu):

@@ -246,7 +246,7 @@ class PointBlock:
         # block, and that cycle would keep each refit's Gram and factor
         # alive until the cyclic collector ran
         self._kernel, self._coeffs, self._scale, self._factor = (
-            s.kernel, s._coeffs, s._scale, s._cho[0])
+            s.kernel, s._coeffs, s._scale, s._factor)
         self.points = np.asarray(points, dtype=float)
         self.dt, self.k_vals, self.g1, self.g2 = s._profiles(self.points)
         self.rows = _kernel_rows(self.dt, self.k_vals, self.g1, self.g2)
@@ -316,7 +316,7 @@ class Surrogate:
     norm_bound: float
     jitter_used: float
     gram: np.ndarray = field(repr=False)          # unregularized
-    _cho: tuple = field(repr=False)               # factor of scaled, jittered Gram
+    _factor: np.ndarray = field(repr=False)       # lower factor of scaled, jittered Gram
     _scale: np.ndarray = field(repr=False)        # Jacobi scaling D^{-1/2}
     _coeffs: np.ndarray = field(repr=False)       # [alpha; beta.ravel()]
     # (bytes of x, block, x's row in it)
@@ -447,7 +447,7 @@ def fit(kernel: KernelSpec, training: TrainingSet, norm_bound: float,
         norm_bound=float(norm_bound),
         jitter_used=jitter,
         gram=M,
-        _cho=(factor, True),
+        _factor=factor,
         _scale=scale,
         _coeffs=coeffs,
     )

@@ -6,11 +6,13 @@ These helpers state the same quantities one pair or one point at a time,
 so tests can check the vectorized paths against them.  sparse_blocks
 and sparse_interface are pde2d's blocks and condensation as
 scipy.sparse forms them, whose bits the package's stencil arithmetic
-must keep.  plain_pde2d is the PDE solve as a sparse LU of the whole
-grid, without the condensation onto the material interface, and
+must keep; of the condensation, the package keeps only c_E and c_N
+once it has formed the modal load.  interface_eigenbasis is the
+eigenbasis of the pencil (S2, S1) that the package forms the modal load
+from and drops.  plain_pde2d is the PDE solve as a sparse LU of the
+whole grid, without the condensation onto the material interface, and
 cholesky_pde2d the condensed solve without the interface's eigenbasis:
-a dense Cholesky of S(mu) per point, from sparse_interface's S1 and S2,
-which the package drops once its eigensolve has read them.
+a dense Cholesky of S(mu) per point, from sparse_interface's S1 and S2.
 per_trial_backtrack and per_trial_solve are the line search and the
 inner solver with every trial formed and scored on its own, through the
 surrogate's one-point queries.
@@ -23,6 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
+from hermite_tr._lapack import dsygvd
 from hermite_tr.errors import AssumptionViolationError, LineSearchError, NumericalError
 from hermite_tr.kernels import KernelSpec, radial_profiles
 from hermite_tr.pde2d import (
@@ -161,10 +164,10 @@ def _eliminate(a, cells, gamma, load):
 
 
 def sparse_interface(disc):
-    """disc.interface's condensed fields, from sparse_blocks with scipy.sparse and splu.
+    """pde2d's condensation of disc, from sparse_blocks with scipy.sparse and splu.
 
-    The eigenbasis of the pencil (S2, S1) is left out: it is LAPACK's
-    output for S1 and S2, whose bits these fields pin.
+    The cell partition (gamma, exterior, inclusions), S1, S2, the reduced
+    load g and c_E, c_N as c1, c2.  The eigenbasis is interface_eigenbasis's.
     """
     a1, a2 = sparse_blocks(disc.grid_n)
     t1, t2 = _touched(a1), _touched(a2)
@@ -175,6 +178,18 @@ def sparse_interface(disc):
     s2, g2, c2 = _eliminate(a2, inclusions, gamma, disc.load)
     return SimpleNamespace(gamma=gamma, exterior=exterior, inclusions=inclusions,
                            s1=s1, s2=s2, load=disc.load[gamma] - g1 - g2, c1=c1, c2=c2)
+
+
+def interface_eigenbasis(face):
+    """(lambda, V) of the pencil (S2, S1) from sparse_interface's S1 and S2.
+
+    The package's one dsygvd call on the same S1 and S2, so lambda and V
+    have the bits of the eigenbasis the package forms h = V^T g from.
+    """
+    eigenvalues, modes, info = dsygvd(face.s2, face.s1, itype=1, jobz="V", uplo="L")
+    if info != 0:
+        raise NumericalError(f"interface eigensolve failed: LAPACK info {info}")
+    return eigenvalues, modes
 
 
 def plain_pde2d(disc, mu):

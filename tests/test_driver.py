@@ -128,6 +128,27 @@ class TestAcceptanceBranches:
         assert self.problem.counter == evals_before  # datum reused, no new call
         np.testing.assert_array_equal(state.iterate, [0.2])
 
+    def test_degenerate_model_decrease_accepts_without_a_ratio(self):
+        # the candidate is the iterate itself, a known center, and the
+        # inner point lies uphill of it: the step is certified, but the
+        # model decrease is zero, so no ratio is formed and the radius
+        # shrinks by beta_radius
+        cfg = cfg_1d(beta_radius=0.25)
+        state = _two_point_state(self.problem, self.kernel, [0.2, 1.5])
+        result = SubproblemResult(
+            candidate=np.array([0.2]), agc=np.array([1.0]), iterates=[np.array([1.0])],
+            termination=Termination.LINE_SEARCH_FAILED,
+        )
+        delta_before = state.delta
+        evals_before = self.problem.counter
+        record = acceptance_step(state, result, self.problem, cfg)
+        assert record.branch is Branch.ACCEPTED_BY_SUFFICIENT
+        assert record.sufficient_check_ok is True
+        assert record.note == "degenerate model decrease" and record.rho is None
+        assert state.delta == record.delta_after == cfg.beta_radius * delta_before
+        assert state.outer_iter == 1 and self.problem.counter == evals_before
+        np.testing.assert_array_equal(state.iterate, [0.2])
+
     def test_direct_rejection_shrinks(self):
         # candidate at a known center with a HIGHER value than the inner
         # point: the bound vanishes there, so the stored datum decides
@@ -243,8 +264,9 @@ class TestWarmStart:
     def samples(self, problem, n=12, seed=4):
         kernel = make_kernel("gaussian", 0.725, 1)
         source = NormSource(kind="estimated", n_samples=n, seed=seed)
-        norm_bound, evals, samples = resolve_norm_bound(source, kernel, problem, box=None)
-        assert evals == n and samples.n == n
+        evals_before = problem.counter
+        norm_bound, samples = resolve_norm_bound(source, kernel, problem, box=None)
+        assert problem.counter - evals_before == n and samples.n == n
         return kernel, norm_bound, samples
 
     @staticmethod
@@ -328,7 +350,7 @@ class TestWarmStart:
         monkeypatch.setattr(harness, "run", recording_run)
         monkeypatch.setattr(driver, "fit", recording_fit)
         harness.run_experiment(cfg)
-        [(_, _, samples)] = resolved
+        [(_, samples)] = resolved
         assert len(given) == 3 and all(s is samples for s in given)
         if trust_region["norm_source"] == "estimated":
             assert first_sizes == [13, 13, 13]
@@ -343,6 +365,32 @@ class TestRun:
         assert report.termination == "foc"
         assert report.outer_iters == 0
         assert report.fom_evals == 1
+
+    def test_repeated_rejected_candidate_is_a_fixed_point(self, monkeypatch):
+        # every inner solve returns the same known center, uphill of the
+        # start: the first is rejected with the stored datum, and the
+        # second, with no new data, ends the run as stagnation at the start
+        problem = problem_1d()
+        x0, center = np.array([0.2]), np.array([1.5])
+        val, grad = peek(problem, center)
+        samples = TrainingSet(center[None, :], np.array([val]), grad[None, :])
+        solves = []
+
+        def fixed_solve(s, x, delta, cfg, box):
+            solves.append(delta)
+            return SubproblemResult(candidate=center.copy(), agc=x.copy(), iterates=[],
+                                    termination=Termination.LINE_SEARCH_FAILED)
+
+        monkeypatch.setattr(driver, "solve", fixed_solve)
+        cfg = cfg_1d()
+        report = run(problem, make_kernel("gaussian", 0.725, 1), x0, cfg,
+                     analytic_norm_1d_gaussian(0.725), samples)
+        assert report.termination == "stagnation"
+        assert report.fom_evals == 1 and report.outer_iters == 0
+        np.testing.assert_array_equal(report.final_iterate, x0)
+        assert [r.branch for r in report.log] == [Branch.REJECTED_BY_DIRECT] * 2
+        assert [r.note for r in report.log] == ["", "fixed-point candidate"]
+        assert solves == [cfg.delta0, cfg.beta1_shrink * cfg.delta0]
 
     def test_seeded_multistart_accuracy(self):
         # five uniform starts; evaluation counts and accuracy at the level
@@ -517,13 +565,15 @@ class TestRun:
                             lambda x: (1.0 + 50.0 * x[0] ** 2, 100.0 * x))
         with pytest.raises(ConfigError, match="one_d"):
             resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), quadratic, box=None)
-        assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), problem_1d(),
-                                  box=None) \
-            == (analytic_norm_1d_gaussian(1.0), 0, None)
-        # a fixed bound spends no evaluations, whatever the kernel and problem
+        # neither a closed form nor a fixed bound spends evaluations,
+        # whatever the kernel and problem
+        one_d, rosenbrock = problem_1d(), problem_rosenbrock()
+        assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), one_d, box=None) \
+            == (analytic_norm_1d_gaussian(1.0), None)
         assert resolve_norm_bound(NormSource(kind="fixed", value=3.0),
-                                  make_kernel("gaussian", 1.0, 2), problem_rosenbrock(),
-                                  box=None) == (3.0, 0, None)
+                                  make_kernel("gaussian", 1.0, 2), rosenbrock,
+                                  box=None) == (3.0, None)
+        assert one_d.counter == rosenbrock.counter == 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

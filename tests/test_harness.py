@@ -555,7 +555,7 @@ class TestProtocol:
 
         def recording_resolve(*args, **kwargs):
             result = resolve(*args, **kwargs)
-            estimates.append(result[2] is not None)
+            estimates.append(result[1] is not None)
             return result
 
         monkeypatch.setattr(surrogate, "assemble_gram", counted_assemble)
@@ -832,6 +832,15 @@ class TestCli:
         ):
             bad.write_text(body)
             assert cli_main(["run", str(bad)]) == 2
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        # a directory and a file that is not UTF-8 exit as a missing file
+        # does, with a config error rather than a traceback
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes("problem: one_d\n# caf\xe9\n".encode("latin-1"))
+        for path in (tmp_path, latin1):
+            assert cli_main(["run", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
 
     def test_analytic_norm_on_rosenbrock_is_config_error(self, tmp_path):
         # the closed-form norm exists only for the 1D Gaussian setup; this

@@ -27,7 +27,14 @@ from hermite_tr.problems import (
 from hermite_tr.subproblem import SubproblemConfig
 from hermite_tr.surrogate import analytic_norm_1d_gaussian
 
-from oracles import cholesky_pde2d, peek, plain_pde2d, sparse_blocks, sparse_interface
+from oracles import (
+    cholesky_pde2d,
+    interface_eigenbasis,
+    peek,
+    plain_pde2d,
+    sparse_blocks,
+    sparse_interface,
+)
 
 
 def fd_gradient(problem, x, h=1e-6):
@@ -320,14 +327,15 @@ class TestPde2d:
         # gradient agree with a fresh splu and its sensitivity solves
         disc = Pde2dDiscretization.build(grid_n)
         problem = problem_pde2d(grid_n=grid_n)
-        face = disc.interface
+        face = sparse_interface(disc)
+        _, modes = interface_eigenbasis(face)
         rng = np.random.default_rng(grid_n)
         for _ in range(20):
             mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
             r, val, f = pde2d_solve(disc, mu)
             grad = pde2d_gradient(disc, mu, r, f)
             u0, val0, grad0 = plain_pde2d(disc, mu)
-            w, u_gamma = face.modes @ r, u0[face.gamma]
+            w, u_gamma = modes @ r, u0[face.gamma]
             assert np.max(np.abs(w - u_gamma)) <= 1e-12 * np.max(np.abs(u_gamma))
             assert abs(val - val0) <= 1e-12 * abs(val0)
             assert np.max(np.abs(grad - grad0)) <= 1e-12 * np.max(np.abs(grad0))
@@ -336,8 +344,10 @@ class TestPde2d:
 
     @pytest.mark.parametrize("grid_n", [12, 24, 96, 100])
     def test_interface_condensation_structure(self, grid_n):
+        # the package's partition and S1, S2 are the oracle's, bit for bit
+        # (test_condensation_keeps_scipy_sparse_bits)
         disc = Pde2dDiscretization.build(grid_n)
-        face = disc.interface
+        face = sparse_interface(disc)
         cells = np.concatenate([face.gamma, face.exterior, face.inclusions])
         assert np.array_equal(np.sort(cells), np.arange(grid_n**2))
         a = disc.system_matrix(np.array([1.3, 2.1])).tocsr()
@@ -352,12 +362,12 @@ class TestPde2d:
             assert face.gamma.size == 248
         if grid_n == 12:
             assert face.inclusions.size == 0
-        oracle = sparse_interface(disc)
-        for s in (oracle.s1, oracle.s2):
+        for s in (face.s1, face.s2):
             assert s.shape == (face.gamma.size,) * 2
             assert np.array_equal(s, s.T)
         # the offline step runs once per discretization
-        assert disc.interface is face
+        interface = disc.interface
+        assert disc.interface is interface
 
     def test_indefinite_operator_is_a_numerical_error(self):
         # outside the problem box theta1 can turn negative; S(mu) is then
@@ -373,7 +383,8 @@ class TestPde2d:
         # the eigenbasis solve is the dense Cholesky of S(mu) it replaced,
         # up to rounding: value, gradient and interface state
         disc = Pde2dDiscretization.build(grid_n)
-        modes, oracle = disc.interface.modes, sparse_interface(disc)
+        oracle = sparse_interface(disc)
+        _, modes = interface_eigenbasis(oracle)
         rng = np.random.default_rng(grid_n + 1)
         for _ in range(20):
             mu = rng.uniform([0.5, 0.5], [np.pi, np.pi])
@@ -387,21 +398,21 @@ class TestPde2d:
     @pytest.mark.parametrize("grid_n", [12, 24, 96, 100])
     def test_modes_diagonalize_the_pencil(self, grid_n):
         # V^T S1 V = I and V^T S2 V = diag(lambda); S2 is only semidefinite,
-        # so lambda may dip below 0 by rounding, no further
+        # so lambda may dip below 0 by rounding, no further.  The package
+        # keeps lambda and h = V^T g, read-only, and drops V, which has the
+        # oracle's bits (test_condensation_keeps_scipy_sparse_bits)
         disc = Pde2dDiscretization.build(grid_n)
         face, oracle = disc.interface, sparse_interface(disc)
-        v, lam = face.modes, face.eigenvalues
-        n = face.gamma.size
+        _, v = interface_eigenbasis(oracle)
+        lam = face.eigenvalues
+        n = oracle.gamma.size
         assert v.shape == (n, n) and lam.shape == face.modal_load.shape == (n,)
         assert np.all(np.diff(lam) >= 0)
         for s, diagonal in ((oracle.s1, np.ones(n)), (oracle.s2, lam)):
             residual = v.T @ s @ v - np.diag(diagonal)
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(diagonal)
         assert lam.min() >= -1e-12 * lam.max()
-        # V is held as dsygvd returns it, Fortran-ordered, and read-only
-        assert v.flags.f_contiguous
-        assert face.modal_load.tobytes() == (v.T @ face.load).tobytes()
-        for array in (v, lam, face.modal_load):
+        for array in (lam, face.modal_load):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
@@ -437,15 +448,17 @@ class TestPde2d:
     def test_condensation_keeps_scipy_sparse_bits(self, grid_n, monkeypatch):
         # the stencil condensation has the bits of the scipy.sparse one in
         # oracles, field by field, and hands gstrf what splu hands it for
-        # the oracle's a[cells][:, cells].tocsc(); S1 and S2, which the
-        # interface drops after its eigensolve, are pinned as _eliminate
-        # returns them
+        # the oracle's a[cells][:, cells].tocsc().  The fields the interface
+        # drops are pinned as _eliminate takes and returns them, g as
+        # condense combines them; lambda and h = V^T g have the bits of the
+        # oracle's eigenbasis
         calls = {"package": [], "splu": []}
         eliminated, pde2d_eliminate = [], pde2d._eliminate
 
-        def eliminate(*args):
-            eliminated.append(pde2d_eliminate(*args))
-            return eliminated[-1]
+        def eliminate(stencil, offsets, cells, gamma, load):
+            eliminated.append((cells, gamma,
+                               pde2d_eliminate(stencil, offsets, cells, gamma, load)))
+            return eliminated[-1][2]
 
         def recorder(gstrf, seen):
             def record(*args, csc_construct_func, **kwargs):
@@ -458,15 +471,20 @@ class TestPde2d:
         monkeypatch.setattr(pde2d, "_eliminate", eliminate)
         disc = Pde2dDiscretization.build(grid_n)
         face, oracle = disc.interface, sparse_interface(disc)
-        (s1, _, _), (s2, _, _) = eliminated
-        fields = dict(vars(face), s1=s1, s2=s2)
+        (exterior, gamma, (s1, g1, _)), (inclusions, gamma2, (s2, g2, _)) = eliminated
+        assert gamma2 is gamma
+        fields = dict(vars(face), gamma=gamma, exterior=exterior, inclusions=inclusions,
+                      s1=s1, s2=s2, load=disc.load[gamma] - g1 - g2)
         for name in ("gamma", "exterior", "inclusions", "s1", "s2", "load", "c1", "c2"):
             ours, theirs = np.asarray(fields[name]), np.asarray(getattr(oracle, name))
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        eigenvalues, modes = interface_eigenbasis(oracle)
+        assert face.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert face.modal_load.tobytes() == (modes.T @ oracle.load).tobytes()
         a1, a2 = sparse_blocks(grid_n)
         assert len(calls["package"]) == len(calls["splu"]) == 2
         for (ours, kwargs), (theirs, splu_kwargs), a, cells in zip(
-                calls["package"], calls["splu"], (a1, a2), (face.exterior, face.inclusions)):
+                calls["package"], calls["splu"], (a1, a2), (exterior, inclusions)):
             block = a[cells][:, cells].tocsc()
             assert ours[:2] == theirs[:2] == (cells.size, block.nnz)
             for mine, scipys, oracles in zip(ours[2:], theirs[2:],
@@ -527,8 +545,7 @@ class TestSharedDiscretization:
     def test_shared_arrays_are_read_only_and_keep_the_bits(self):
         disc = pde2d.discretization(24)
         face = disc.interface
-        for array in (disc.stencils, disc.load, face.gamma, face.exterior, face.inclusions,
-                      face.load, face.eigenvalues, face.modes, face.modal_load):
+        for array in (disc.stencils, disc.load, face.eigenvalues, face.modal_load):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         # solves on the shared, read-only arrays, after any number of

@@ -177,7 +177,7 @@ class TestFitAndEvaluate:
         M = assemble_gram(k, pts)
         Ms = M * s._scale[:, None] * s._scale[None, :]
         factor, _ = cho_factor(Ms + s.jitter_used * np.eye(len(M)), lower=True)
-        assert s._cho[0].tobytes() == factor.tobytes()
+        assert s._factor.tobytes() == factor.tobytes()
         if spacing < 0.1:
             assert s.jitter_used > 0
 
@@ -311,7 +311,7 @@ class TestGrowth:
         assert grown.jitter_used == fresh.jitter_used
         for name in ("gram", "_scale", "_coeffs"):
             assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes(), name
-        assert grown._cho[0].tobytes() == fresh._cho[0].tobytes()
+        assert grown._factor.tobytes() == fresh._factor.tobytes()
         lo, hi = pts.min() - 0.5, pts.max() + 0.5
         queries = ["value", "gradient", *(("power", o) for o in (None, *range(ts.dim)))]
         for x in np.vstack([pts, rng.uniform(lo, hi, (10, ts.dim))]):
@@ -393,7 +393,8 @@ class TestPowerFunction:
             direct = [s.power(x, order=o) for x in queries for o in (None, 0, 1)]
             with monkeypatch.context() as m:
                 # the call power made before: cho_solve on the stored factor
-                m.setattr(surrogate, "dpotrs", lambda c, b, lower: (cho_solve(s._cho, b), 0))
+                m.setattr(surrogate, "dpotrs",
+                          lambda c, b, lower: (cho_solve((s._factor, True), b), 0))
                 fresh = dataclasses.replace(s)      # starts with an empty memo
                 wrapped = [fresh.power(x, order=o) for x in queries for o in (None, 0, 1)]
             assert np.array(direct).tobytes() == np.array(wrapped).tobytes()
@@ -621,7 +622,7 @@ class TestPointBlock:
             b = block.rows[i]
             assert b[: s.training.n].tobytes() == surrogate.radial_profiles(s.kernel, r)[0].tobytes()
             bs = b * s._scale
-            q = s.kernel.diag_value - float(bs @ cho_solve(s._cho, bs))
+            q = s.kernel.diag_value - float(bs @ cho_solve((s._factor, True), bs))
             assert _bits(value) == _bits(float(b @ s._coeffs))
             assert _bits(power) == _bits(float(np.sqrt(max(q, 0.0))))
 
