@@ -132,7 +132,7 @@ class IterationRecord:
     rho: Optional[float] = None
     delta_before: float = 0.0
     delta_after: float = 0.0
-    foc_measure: Optional[float] = None
+    foc_measure: Optional[float] = None          # J's projected gradient at the new iterate
     j_value: Optional[float] = None
     sufficient_check_ok: Optional[bool] = None   # a-posteriori audit of branch 1
     note: str = ""
@@ -255,19 +255,19 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
                     cfg: TRConfig) -> IterationRecord:
     """Decide the candidate's fate and update the state in place.
 
-    The objective is evaluated at the candidate (unless it duplicates a
-    history point) and the refit model, its Gram grown from the current
-    one's, is kept whatever the outcome.  An
+    The current surrogate scores the candidate, the iterate and the first
+    inner point in one block.  The objective is evaluated at the candidate
+    (unless it duplicates a history point) and the refit model, its Gram
+    grown from the current one's, is kept whatever the outcome.  An
     accepted step moves the iterate and the radius follows the ratio law;
     a rejection shrinks the radius by the rejection factor.  Returns the
     log record; record.branch tells which case decided.
     """
     s = state.surrogate
     cand = np.asarray(result.candidate, dtype=float)
-    # the candidate from the memo the inner solve leaves, the others from one block
-    jhat_cand = s.value(cand)
-    eta_cand = s.norm_bound * s.power(cand)
-    jhat_x, jhat_agc = s.block(np.array([state.iterate, result.agc])).values
+    scored = s.block(np.array([cand, state.iterate, result.agc]))
+    jhat_cand, jhat_x, jhat_agc = scored.values
+    eta_cand = s.norm_bound * scored.power(0)
 
     j_cand, new_history, added = _eval_with_reuse(problem, s.training, cand)
     if added:
@@ -320,12 +320,14 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     holds the start's datum, then the samples in their order; a start
     within DISTINCT_TOL of a sample takes that sample's datum without an
     evaluation.
-    Termination: projected surrogate-gradient measure at the current
-    iterate below tau_foc, relative objective decrease at an accepted step
-    below tau_j (stagnation), a rejected candidate repeating itself with
-    no new information (a fixed point of the loop, reported as
-    stagnation), or i_max accepted iterations.  A NumericalError after the
-    first model's fit leaves with the partial report (see NumericalError).
+    Termination: projected gradient of the objective at the current
+    iterate below tau_foc (the iterate is a center, so the history holds
+    that gradient; see _stationarity), relative objective decrease at an
+    accepted step below tau_j (stagnation), a rejected candidate
+    repeating itself with no new information (a fixed point of the loop,
+    reported as stagnation), or i_max accepted iterations.  A
+    NumericalError after the first model's fit leaves with the partial
+    report (see NumericalError).
     """
     box = (problem.lower, problem.upper)
     x0 = np.asarray(x0, dtype=float)
@@ -344,10 +346,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     solver_failed_before = False
     try:
         while state.outer_iter < cfg.i_max:
-            foc = projected_gradient_norm(
-                state.iterate, state.surrogate.gradient(state.iterate), box
-            )
-            if foc <= cfg.tau_foc:
+            if _stationarity(state, box) <= cfg.tau_foc:
                 termination = "foc"
                 break
 
@@ -383,9 +382,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                 if record.branch is not Branch.REJECTED_BY_DIRECT:
                     rejects = 0
                     last_rejected = None
-                    record.foc_measure = projected_gradient_norm(
-                        state.iterate, state.surrogate.gradient(state.iterate), box
-                    )
+                    record.foc_measure = _stationarity(state, box)
                     if relative_decrease(j_before, state.current_j) <= cfg.tau_j:
                         termination = "stagnation"
                         break
@@ -416,12 +413,21 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                          evals_before=evals_before)
 
 
-def _build_report(state: TRState, problem: Problem, termination: str,
-                  evals_before: int) -> RunReport:
+def _stationarity(state: TRState, box) -> float:
+    """Projected inf-norm of the objective's gradient at the iterate.
+
+    The iterate is always a center (or within DISTINCT_TOL of the one
+    whose datum it took), so the gradient is the history's, with no
+    evaluation and no surrogate query.
+    """
     history = state.surrogate.training
     true_grad = history.gradients[history.find_close(state.iterate)]
-    final_foc = projected_gradient_norm(state.iterate, true_grad,
-                                        (problem.lower, problem.upper))
+    return projected_gradient_norm(state.iterate, true_grad, box)
+
+
+def _build_report(state: TRState, problem: Problem, termination: str,
+                  evals_before: int) -> RunReport:
+    final_foc = _stationarity(state, (problem.lower, problem.upper))
     audit_failures = sum(
         1 for r in state.log if r.sufficient_check_ok is False
     )

@@ -15,7 +15,9 @@ names trial j.  The surrogate scores the rows the search reaches CHUNK at
 a time, each chunk with one distance pass (Surrogate.block), and solves
 for a trial's power only where the search asks for it; the values and
 power-function values have the bits of point queries, which are one-row
-blocks.
+blocks.  The solver's current point is a (block, row) pair: the start's
+one-row block, then the accepted trial's row of its ladder block, so the
+gradient and the trust-region ratio there need no second distance pass.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionViolationError, ConfigError, LineSearchError, require_finite
-from .surrogate import Surrogate
+from .surrogate import PointBlock, Surrogate
 
 # Surrogate values at or below this floor make the constraint ratio
 # meaningless (it diverges as the value approaches zero from above).
@@ -95,15 +97,13 @@ def projected_gradient_norm(x, grad, box) -> float:
     return float(np.max(np.abs(x - project_box(x - grad, box))))
 
 
-def constraint_value(s: Surrogate, delta: float, x) -> float:
-    """Trust-region slack delta - norm_bound * power(x) / s(x)."""
-    val = s.value(x)
-    if val <= POSITIVITY_FLOOR:
-        raise AssumptionViolationError(
-            f"surrogate value {val:.3e} at {np.asarray(x)} is below the positivity "
-            "floor; the objective may need a larger additive offset"
-        )
-    return delta - s.norm_bound * s.power(x) / val
+def trust_region_ratio(norm_bound: float, block: PointBlock, i) -> float:
+    """norm_bound * power / value at row i of block, the ratio the radius bounds.
+
+    The ratio diverges as the value approaches zero from above, so each
+    caller first holds the value to POSITIVITY_FLOOR by its own policy.
+    """
+    return norm_bound * block.power(i) / block.values[i]
 
 
 def backtracking_ladder(x, direction, cfg: SubproblemConfig, box) -> np.ndarray:
@@ -159,8 +159,7 @@ class _LadderScores:
     block gets the next CHUNK rows from there scored as one PointBlock,
     which becomes the current block.  A trial at or below the positivity
     floor counts as infeasible (the constraint ratio diverges there), so
-    backtracking continues past it; the slack is constraint_value's, on
-    the one value read.
+    backtracking continues past it.
     """
 
     def __init__(self, s: Surrogate, delta: float, ladder):
@@ -179,9 +178,8 @@ class _LadderScores:
 
     def feasible(self, j) -> bool:
         block, i = self.row(j)
-        val = block.values[i]
-        return (val > POSITIVITY_FLOOR
-                and self.delta - self.s.norm_bound * block.power(i) / val >= 0.0)
+        return (block.values[i] > POSITIVITY_FLOOR
+                and self.delta - trust_region_ratio(self.s.norm_bound, block, i) >= 0.0)
 
 
 def _norm(v) -> float:
@@ -232,16 +230,24 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
     directions reset the recursion to steepest descent (a reset direction
     is always descent, so resets cannot repeat back to back).  Stops on
     inner stationarity, on entering the near-boundary window
-    beta2*delta <= ratio <= delta, or after l_max accepted steps.
+    beta2*delta <= ratio <= delta, or after l_max accepted steps.  A start
+    at or below the positivity floor, or outside the trust region, raises
+    AssumptionViolationError.
     """
     x = np.asarray(x0, dtype=float).copy()
-    start_slack = constraint_value(s, delta, x)
+    block, i = s.block(x[None, :]), 0           # the current point's row
+    if block.values[i] <= POSITIVITY_FLOOR:
+        raise AssumptionViolationError(
+            f"surrogate value {block.values[i]:.3e} at {x} is below the positivity "
+            "floor; the objective may need a larger additive offset"
+        )
+    start_slack = delta - trust_region_ratio(s.norm_bound, block, i)
     if start_slack <= 0.0:
         raise AssumptionViolationError(
             f"subproblem started infeasible: constraint {start_slack:.3e} at {x}"
         )
     dim = x.shape[0]
-    grad = s.gradient(x)
+    grad = block.gradient(i)
     if projected_gradient_norm(x, grad, box) <= cfg.tau_sub:
         return SubproblemResult(candidate=x, agc=x.copy(), iterates=[],
                                 termination=Termination.STATIONARY_INNER)
@@ -268,7 +274,7 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
         scores = _LadderScores(s, delta, ladder)
         try:
             x_new, _, j = armijo_backtrack(
-                scores.value, x, s.value(x),
+                scores.value, x, block.values[i],
                 angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi),
                 ladder, feasible=scores.feasible,
             )
@@ -278,12 +284,11 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             termination = Termination.LINE_SEARCH_FAILED
             break
 
-        # the accepted trial's gradient and trust-region reads come next
-        s.remember(*scores.row(j))
+        block, i = scores.row(j)
         iterates.append(x_new.copy())
         if agc is None:
             agc = x_new.copy()
-        grad_new = s.gradient(x_new)
+        grad_new = block.gradient(i)
 
         hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
         x, grad = x_new, grad_new
@@ -291,8 +296,8 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
         if projected_gradient_norm(x, grad, box) <= cfg.tau_sub:
             termination = Termination.STATIONARY_INNER
             break
-        ratio = s.norm_bound * s.power(x) / s.value(x)
-        if cfg.beta2 * delta <= ratio <= delta:
+        # an accepted trial is above the floor
+        if cfg.beta2 * delta <= trust_region_ratio(s.norm_bound, block, i) <= delta:
             termination = Termination.NEAR_BOUNDARY
             break
 

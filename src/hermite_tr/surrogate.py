@@ -242,9 +242,8 @@ class PointBlock:
                  "_scale", "_factor", "_powers", "_gradients")
 
     def __init__(self, s: "Surrogate", points):
-        # the block keeps what it reads of s, not s itself: s's memo holds a
-        # block, and that cycle would keep each refit's Gram and factor
-        # alive until the cyclic collector ran
+        # the block keeps what it reads of s, not s itself, so a block kept
+        # past a refit keeps no Gram alive
         self._kernel, self._coeffs, self._scale, self._factor = (
             s.kernel, s._coeffs, s._scale, s._factor)
         self.points = np.asarray(points, dtype=float)
@@ -302,13 +301,10 @@ class Surrogate:
     assemble_gram grows by one center when this surrogate is the previous
     one of a refit.
 
-    Every query is a PointBlock's.  value, gradient and power at x read a
-    one-row block, which the memo keeps for the most recently queried
-    point, keyed by the exact float64 bytes of x (no tolerance); the memo
-    stores nothing scaled by norm_bound and is not an init field, so
-    dataclasses.replace starts with an empty one.  block(points) scores
-    many points in one pass, and remember(block, i) makes its row i the
-    memo's point, so the queries that follow there need no second pass.
+    Every query is a PointBlock's, and the surrogate keeps none: value,
+    gradient and power at x each score a one-row block of their own, and
+    block(points) scores many points in one pass.  A caller that reads
+    several quantities at a point keeps its block.
     """
 
     kernel: KernelSpec
@@ -319,8 +315,6 @@ class Surrogate:
     _factor: np.ndarray = field(repr=False)       # lower factor of scaled, jittered Gram
     _scale: np.ndarray = field(repr=False)        # Jacobi scaling D^{-1/2}
     _coeffs: np.ndarray = field(repr=False)       # [alpha; beta.ravel()]
-    # (bytes of x, block, x's row in it)
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- evaluation ----------------------------------------------------
 
@@ -337,29 +331,15 @@ class Surrogate:
         dt = points[..., :, None] - self._points_t       # (c, p, n)
         return (dt, *radial_profiles(self.kernel, _distances(dt.swapaxes(0, -2))))
 
-    def _row(self, x):
-        """(block, row) of x, after one distance-and-profile pass if x is new."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if self._memo is None or self._memo[0] != key:
-            self._memo = (key, PointBlock(self, x[None, :]), 0)
-        return self._memo[1:]
-
     def block(self, points) -> PointBlock:
         """The surrogate at the rows of points, in one pass."""
         return PointBlock(self, points)
 
-    def remember(self, block: PointBlock, i) -> None:
-        """Make row i of block the memo's point."""
-        self._memo = (block.points[i].tobytes(), block, i)
-
     def value(self, x) -> float:
-        block, i = self._row(x)
-        return block.values[i]
+        return self.block([x]).values[0]
 
     def gradient(self, x) -> np.ndarray:
-        block, i = self._row(x)
-        return block.gradient(i)
+        return self.block([x]).gradient(0)
 
     # -- error machinery -----------------------------------------------
 
@@ -369,14 +349,13 @@ class Surrogate:
         order=None is the plain (value) case; an integer selects the unit
         derivative direction.
         """
-        block, i = self._row(x)
-        return block.power(i, order)
+        return self.block([x]).power(0, order)
 
     def error_bounds(self, x):
         """(value_bound, gradient_bound) at x, both scaled by norm_bound."""
-        p = self.training.dim
-        value_bound = self.norm_bound * self.power(x)
-        grad_sq = sum(self.power(x, order=l) ** 2 for l in range(p))
+        block = self.block([x])
+        value_bound = self.norm_bound * block.power(0)
+        grad_sq = sum(block.power(0, order=l) ** 2 for l in range(self.training.dim))
         return value_bound, self.norm_bound * float(np.sqrt(grad_sq))
 
     def rkhs_norm(self) -> float:

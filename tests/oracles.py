@@ -15,7 +15,8 @@ cholesky_pde2d the condensed solve without the interface's eigenbasis:
 a dense Cholesky of S(mu) per point, from sparse_interface's S1 and S2.
 per_trial_backtrack and per_trial_solve are the line search and the
 inner solver with every trial formed and scored on its own, through the
-surrogate's one-point queries.
+surrogate's one-point queries, and constraint_value is the trust-region
+slack at a point from those queries.
 """
 
 from types import SimpleNamespace
@@ -45,7 +46,6 @@ from hermite_tr.subproblem import (
     Termination,
     angle_decrease_rule,
     bfgs_inverse_update,
-    constraint_value,
     project_box,
     projected_gradient_norm,
 )
@@ -246,6 +246,17 @@ def per_trial_backtrack(fun, x, fx, required_decrease, direction, cfg, box,
             if feasible is None or feasible(trial):
                 return trial, f_trial, j
     raise LineSearchError(f"no acceptable point within {cfg.j_max} backtracking steps")
+
+
+def constraint_value(s, delta, x) -> float:
+    """Trust-region slack delta - norm_bound * power(x) / s(x), from point queries."""
+    val = s.value(x)
+    if val <= POSITIVITY_FLOOR:
+        raise AssumptionViolationError(
+            f"surrogate value {val:.3e} at {np.asarray(x)} is below the positivity "
+            "floor; the objective may need a larger additive offset"
+        )
+    return delta - s.norm_bound * s.power(x) / val
 
 
 def per_trial_solve(s, x0, delta, cfg, box):

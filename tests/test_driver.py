@@ -30,7 +30,13 @@ from hermite_tr.errors import (
 )
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import Problem, problem_1d
-from hermite_tr.subproblem import SubproblemConfig, SubproblemResult, Termination, solve
+from hermite_tr.subproblem import (
+    SubproblemConfig,
+    SubproblemResult,
+    Termination,
+    projected_gradient_norm,
+    solve,
+)
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 
 from oracles import peek
@@ -222,11 +228,10 @@ class TestAcceptanceBranches:
         assert state.surrogate.training.find_close(cand) is not None
 
     def test_iterate_and_agc_cost_one_distance_pass(self, monkeypatch):
-        # after a real inner solve, the candidate's value and power come
-        # from the memo it leaves, and the iterate's and the AGC point's
-        # values from one two-row block; the only other pass is the refit
-        # growing the Gram by the candidate.  (Two point queries cost one
-        # pass each.)  The decrease ratio has the bits of point queries.
+        # after a real inner solve, the candidate's value and power and the
+        # iterate's and the AGC point's values come from one three-row
+        # block; the only other pass is the refit growing the Gram by the
+        # candidate.  The decrease ratio has the bits of point queries.
         state = _two_point_state(self.problem, self.kernel, [1.5, 0.9])
         s = state.surrogate
         result = solve(s, state.iterate, state.delta, self.cfg.sub,
@@ -391,6 +396,30 @@ class TestRun:
         assert [r.branch for r in report.log] == [Branch.REJECTED_BY_DIRECT] * 2
         assert [r.note for r in report.log] == ["", "fixed-point candidate"]
         assert solves == [cfg.delta0, cfg.beta1_shrink * cfg.delta0]
+
+    @pytest.mark.parametrize("x0", [-1.9, -0.7, 1.3, 1.8])
+    def test_stops_on_the_objective_gradient_at_the_iterate(self, x0, monkeypatch):
+        # the iterate is a center, so stationarity reads the objective's
+        # gradient stored there: each accepted step's foc_measure and the
+        # final foc are J's projected gradient at the iterate, and the run
+        # makes no point query of the surrogate
+        def point_query(*args, **kwargs):
+            raise AssertionError("the run made a point query")
+
+        for name in ("value", "gradient", "power"):
+            monkeypatch.setattr(surrogate.Surrogate, name, point_query)
+        problem = problem_1d()
+        box = (problem.lower, problem.upper)
+        cfg = cfg_1d()
+        report = run_1d(problem, 0.725, [x0], cfg)
+        accepted = [r for r in report.log
+                    if r.branch in (Branch.ACCEPTED_BY_SUFFICIENT, Branch.ACCEPTED_BY_DIRECT)]
+        assert accepted
+        for r in accepted:
+            x = np.array(r.candidate)
+            assert r.foc_measure == projected_gradient_norm(x, peek(problem, x)[1], box)
+        assert report.final_foc == accepted[-1].foc_measure
+        assert report.termination == "foc" and report.final_foc <= cfg.tau_foc
 
     def test_seeded_multistart_accuracy(self):
         # five uniform starts; evaluation counts and accuracy at the level

@@ -713,13 +713,14 @@ class TestGoldenOutputs:
     SMALL_PDE2D_SHA256 = "6d909df4403d86027dabdbeaa2381529c109c979f9827c0d6f288513d9c41848"
 
     # tree_digest of the whole output of `hermite-tr run`: summary.csv
-    # rounds to 12 significant digits, the run records keep every bit
+    # rounds to 12 significant digits, the run records keep every bit.
+    # foc_measure reads the objective's gradient stored at the iterate
     TREE_SHA256 = {
-        "one_d": "eab28b05a10b10cb64ec050cc1ab41b0be871818886278d1a3f140294bedb3fa",
-        "one_d_sweep": "b6a6a36586f37495eec7c1b8ecac3e4191f688a1224c2fa830c1f3dfe41ae8f8",
-        "pde2d": "b93dc2207916f09f41604a23422b34e8fa642e1dc253e28159f4ce00b6e6bc73",
-        "rosenbrock": "143947804a80cd50e583d7cb3408cfd48a4df229bdde59effb9e4f152b7e88dd",
-        "small_pde2d": "711310b86b8f450c4cf066032bb1900d6e1bc62159274ce3d03451f7135db5ff",
+        "one_d": "372bd3b8774bfc6aa6cc67c8750f6979fa410f4bceadf739f64fc95888cca4ea",
+        "one_d_sweep": "4c2c4f9f1fc2ce43164ab55aa6ff940d7069cfc5750bde4cdf472bc6693c9528",
+        "pde2d": "3c92c8306942517e5ca775d860c53dbad760183a5b9d674bd2238f8e5375ee61",
+        "rosenbrock": "16bc9d3905dfa95629c352a27f5ea4b0c03471583a73f5232972fb7abae63878",
+        "small_pde2d": "c45a2db2032537ecdf93421fd9d3ccdf37b062e430c6da3039e418c1f11cfa18",
     }
 
     @pytest.fixture(scope="class")

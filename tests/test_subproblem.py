@@ -17,16 +17,16 @@ from hermite_tr.subproblem import (
     angle_decrease_rule,
     armijo_backtrack,
     backtracking_ladder,
-    constraint_value,
     project_box,
     projected_decrease_rule,
     projected_gradient_norm,
     solve,
+    trust_region_ratio,
 )
 from hermite_tr.surrogate import TrainingSet, fit
 
 from conftest import kernel_for
-from oracles import peek, per_trial_backtrack, per_trial_solve
+from oracles import constraint_value, peek, per_trial_backtrack, per_trial_solve
 
 
 def unbounded(dim):
@@ -74,10 +74,11 @@ class TestProjection:
 
 
 class TestConstraint:
-    def test_equals_delta_at_center(self):
+    def test_ratio_vanishes_at_center(self):
         s = quadratic_surrogate()
         center = s.training.points[3]
-        assert constraint_value(s, 0.5, center) == pytest.approx(0.5, abs=1e-6)
+        assert trust_region_ratio(s.norm_bound, s.block([center]), 0) == pytest.approx(
+            0.0, abs=1e-6)
 
     def test_arithmetic(self):
         # pick norm_bound so the error/value ratio at a probe point is 0.2,
@@ -87,14 +88,27 @@ class TestConstraint:
         ratio_unit = s.power(x) / s.value(x)
         k = s.kernel
         scaled = fit(k, s.training, norm_bound=0.2 / ratio_unit)
+        assert trust_region_ratio(scaled.norm_bound, scaled.block([x]), 0) == pytest.approx(
+            0.2, rel=1e-12)
         assert constraint_value(scaled, 0.5, x) == pytest.approx(0.3, rel=1e-12)
 
+    def test_oracle_slack_is_delta_minus_the_ratio(self, rng):
+        # every row of a block gives the point oracle's slack, to the bit
+        s = quadratic_surrogate()
+        points = rng.uniform(-2.5, 2.5, (20, 1))
+        block = s.block(points)
+        for i, x in enumerate(points):
+            assert 0.5 - trust_region_ratio(s.norm_bound, block, i) == constraint_value(s, 0.5, x)
+
     def test_positivity_floor(self):
+        # the start below the floor raises, before any power is solved for
         k = make_kernel("gaussian", 1.0, 1)
         ts = TrainingSet(np.array([[0.0]]), np.array([-1.0]), np.zeros((1, 1)))
         s = fit(k, ts, norm_bound=1.0)
-        with pytest.raises(AssumptionViolationError):
+        with pytest.raises(AssumptionViolationError, match="positivity floor"):
             constraint_value(s, 0.5, np.array([0.0]))
+        with pytest.raises(AssumptionViolationError, match="positivity floor"):
+            solve(s, np.array([0.0]), 0.5, SubproblemConfig(), unbounded(1))
 
 
 def surrogate_backtrack(s, x, direction, cfg, box):
@@ -221,6 +235,7 @@ class TestRowProtocol:
         s = fit(make_kernel("gaussian", 1.0, 2),
                 TrainingSet(np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([2.0, 3.0]),
                             np.array([[1.0, 0.0], [0.0, 1.0]])), norm_bound=1.0)
+        values = [s.value(row) for row in ladder[:55]]
         scored = []
         block = s.block
         monkeypatch.setattr(s, "block", lambda points: scored.append(points) or block(points))
@@ -228,7 +243,7 @@ class TestRowProtocol:
         for j in range(55):
             got, i = scores.row(j)
             assert got.points[i].tobytes() == ladder[j].tobytes()
-            assert got.values[i] == s.value(ladder[j])
+            assert got.values[i] == values[j]
             assert i == j % CHUNK
         assert len(scored) == -(-55 // CHUNK)
 
@@ -562,37 +577,35 @@ class TestChunkedSearch:
             assert asked[0] == asked[1]
 
     def test_accepted_trials_need_no_second_distance_pass(self, family, monkeypatch):
-        # the memo takes each accepted trial from its block, so the
-        # gradient and trust-region reads there pass over no distances:
-        # the only one-row block a point query builds is the start's
+        # the solver reads each accepted trial's gradient and trust-region
+        # ratio from its row of the ladder block, and makes no point query:
+        # besides the start's one-row block, every block is a ladder's chunk
         kernel = kernel_for(family, 2, 0.8)
         pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
         s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
-        built = []              # (points, whether s.block built the block)
-        in_block = []
-        block = s.block
+        built, ladders = [], []
+        ladder = subproblem.backtracking_ladder
 
         class Recorded(surrogate.PointBlock):
             __slots__ = ()
 
             def __init__(self, owner, points):
-                built.append((np.array(points), bool(in_block)))
+                built.append(np.array(points))
                 super().__init__(owner, points)
 
-        def recorded_block(points):
-            in_block.append(points)
-            try:
-                return block(points)
-            finally:
-                in_block.pop()
+        def point_query(*args, **kwargs):
+            raise AssertionError("the inner solver made a point query")
 
         monkeypatch.setattr(surrogate, "PointBlock", Recorded)
-        monkeypatch.setattr(s, "block", recorded_block)
+        monkeypatch.setattr(subproblem, "backtracking_ladder",
+                            lambda *args: ladders.append(ladder(*args)) or ladders[-1])
+        for name in ("value", "gradient", "power"):
+            monkeypatch.setattr(surrogate.Surrogate, name, point_query)
         res = solve(s, pts[0], 0.5, SubproblemConfig(), unbounded(2))
-        assert len(res.iterates) >= 2
-        queried = [points for points, by_block in built if not by_block]
-        assert [q.tobytes() for q in queried] == [pts[0][None, :].tobytes()]
-        assert len(built) > 1                          # the ladder's blocks
+        assert len(res.iterates) >= 2 and len(built) > 1
+        assert built[0].tobytes() == pts[0][None, :].tobytes()
+        chunks = {rows[j : j + CHUNK].tobytes() for rows in ladders for j in range(len(rows))}
+        assert all(points.tobytes() in chunks for points in built[1:])
 
     @staticmethod
     def _scored(s, delta, ladder):

@@ -395,7 +395,7 @@ class TestPowerFunction:
                 # the call power made before: cho_solve on the stored factor
                 m.setattr(surrogate, "dpotrs",
                           lambda c, b, lower: (cho_solve((s._factor, True), b), 0))
-                fresh = dataclasses.replace(s)      # starts with an empty memo
+                fresh = dataclasses.replace(s)
                 wrapped = [fresh.power(x, order=o) for x in queries for o in (None, 0, 1)]
             assert np.array(direct).tobytes() == np.array(wrapped).tobytes()
 
@@ -430,11 +430,22 @@ def _query(s, x, what):
     return np.asarray(result).tobytes()
 
 
+def _row_query(block, i, what):
+    """_query's answer read from row i of a PointBlock."""
+    if what == "value":
+        result = block.values[i]
+    elif what == "gradient":
+        result = block.gradient(i)
+    else:
+        result = block.power(i, order=what[1])
+    return np.asarray(result).tobytes()
+
+
 QUERIES = ("value", "gradient", ("power", None), ("power", 0), ("power", 1))
 
 
-class TestPointMemo:
-    """The per-point memo only ever returns what a fresh surrogate computes."""
+class TestPointQueries:
+    """A point query returns what a fresh surrogate computes, whatever came before."""
 
     @staticmethod
     def _setup(family, rng):
@@ -478,9 +489,8 @@ class TestPointMemo:
         for what in QUERIES:
             assert _query(refit, x1, what) == _query(fit(k, bigger, 1.0), x1, what)
 
-        # replace starts with an empty memo: negated coefficients negate
-        # value and gradient exactly, the power is unchanged, and the new
-        # norm_bound scales the error bound
+        # negated coefficients negate value and gradient exactly, the power
+        # is unchanged, and the new norm_bound scales the error bound
         other = dataclasses.replace(s, norm_bound=7.0, _coeffs=-s._coeffs)
         assert other.value(x1) == -s.value(x1)
         assert np.array_equal(other.gradient(x1), -s.gradient(x1))
@@ -523,7 +533,7 @@ class TestPointBlock:
         block = s.block(points)
         assert len(block) == len(points)
         for i, x in enumerate(points):
-            twin = dataclasses.replace(s)       # starts with an empty memo
+            twin = dataclasses.replace(s)
             assert _bits(block.values[i]) == _bits(twin.value(x)), (i, x)
             assert _bits(block.power(i)) == _bits(twin.power(x)), (i, x)
         # on a center the quadratic form is zero up to rounding, of either
@@ -544,51 +554,51 @@ class TestPointBlock:
             assert _bits(block.values[i]) == _bits(twin.value(points[i]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_remembered_row_serves_every_query(self, family, dim, rng, monkeypatch):
+    def test_block_row_serves_every_query(self, family, dim, rng, monkeypatch):
+        # a block's row answers value, gradient and every power with the
+        # bits of the point query, and with no second distance pass: the
+        # inner solver reads an accepted trial's gradient and ratio there
         s = self._surrogate(family, dim, rng)
         points = self._awkward_points(s, rng, count=5)
         block = s.block(points)
+        queries = ["value", "gradient", *(("power", o) for o in (None, *range(dim)))]
         for i, x in enumerate(points):
-            block.power(i)
-            s.remember(block, i)
-            twin = dataclasses.replace(s)
             profiles, radial_profiles = [], surrogate.radial_profiles
             with monkeypatch.context() as m:
                 m.setattr(surrogate, "radial_profiles",
                           lambda *a: profiles.append(1) or radial_profiles(*a))
-                queries = [_query(s, x.copy(), what) for what in ("value", ("power", None))]
-            assert profiles == []      # no second distance pass at x
-            assert queries == [_query(twin, x, what) for what in ("value", ("power", None))]
-            for what in ("gradient",) + tuple(("power", l) for l in range(dim)):
-                assert _query(s, x, what) == _query(dataclasses.replace(s), x, what)
+                got = [_row_query(block, i, what) for what in queries]
+            assert profiles == [], (i, x)
+            assert got == [_query(s, x, what) for what in queries], (i, x)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_point_queries_share_one_distance_pass(self, family, dim, rng, monkeypatch):
-        # value, gradient and every power at a fresh point read one one-row
-        # block: one distance pass between them, whichever query comes
-        # first, and each has the bits of the same query on a fresh twin
+    def test_each_point_query_is_its_own_pass(self, family, dim, rng, monkeypatch):
+        # value, gradient and every power each score a one-row block of
+        # their own, also right after a query at the same point, and leave
+        # the surrogate as they found it
         s = self._surrogate(family, dim, rng)
         queries = ["value", "gradient", *(("power", o) for o in (None, *range(dim)))]
+        s.value(np.zeros(dim))                  # computes the lazy transposed centers
+        fields = dict(vars(s))
         for i, x in enumerate(self._awkward_points(s, rng, count=5)):
-            fresh = dataclasses.replace(s)
             order = queries[i % len(queries):] + queries[: i % len(queries)]
             profiles, radial_profiles = [], surrogate.radial_profiles
             with monkeypatch.context() as m:
                 m.setattr(surrogate, "radial_profiles",
                           lambda *a: profiles.append(1) or radial_profiles(*a))
-                got = [_query(fresh, x, what) for what in order]
-            assert profiles == [1], (i, x)
+                got = [_query(s, x, what) for what in order]
+            assert profiles == [1] * len(order), (i, x)
             assert got == [_query(dataclasses.replace(s), x, what) for what in order], (i, x)
+        assert vars(s).keys() == fields.keys()
+        assert all(vars(s)[k] is v for k, v in fields.items())
 
-    @pytest.mark.parametrize("remembered", [False, True])
-    def test_memo_frees_with_its_surrogate(self, remembered, rng):
-        # a block holds no reference to its surrogate, so a surrogate whose
-        # memo holds a block goes with its last reference, Gram and factor
-        # included, without waiting for the cyclic collector
+    def test_surrogate_frees_while_its_block_lives(self, rng):
+        # a block holds no reference to its surrogate, so a surrogate goes
+        # with its last reference, Gram and factor included, without
+        # waiting for the cyclic collector, while a block of it is kept
         s = self._surrogate("gaussian", 2, rng)
         s.gradient(np.zeros(2))                       # a point query's block
-        if remembered:
-            s.remember(s.block(rng.uniform(-1, 1, (3, 2))), 1)
+        block = s.block(rng.uniform(-1, 1, (3, 2)))
         ref = weakref.ref(s)
         gc.disable()
         try:
@@ -596,6 +606,7 @@ class TestPointBlock:
             assert ref() is None
         finally:
             gc.enable()
+        assert len(block) == 3 and block.power(1) >= 0.0
 
     def test_kernel_rows_of_a_block_are_the_one_point_rows(self, family, rng):
         s = self._surrogate(family, 3, rng)
@@ -617,9 +628,10 @@ class TestPointBlock:
             r = np.linalg.norm(x - s.training.points, axis=1)
             twin = dataclasses.replace(s)
             value, power = twin.value(x), twin.power(x)
-            _, block, i = twin._memo              # the point query's one-row block
+            block = twin.block([x])               # the block a point query scores
             assert len(block) == 1
-            b = block.rows[i]
+            assert (_bits(block.values[0]), _bits(block.power(0))) == (_bits(value), _bits(power))
+            b = block.rows[0]
             assert b[: s.training.n].tobytes() == surrogate.radial_profiles(s.kernel, r)[0].tobytes()
             bs = b * s._scale
             q = s.kernel.diag_value - float(bs @ cho_solve((s._factor, True), bs))
@@ -628,7 +640,7 @@ class TestPointBlock:
 
     def test_power_solves_only_its_own_row(self, rng, monkeypatch):
         # a power query, plain or derivative, solves its own kernel row and
-        # no other, once: a repeated query reads the block's memo
+        # no other, once: a repeated query reads the power the block stored
         s = self._surrogate("gaussian", 2, rng)
         block = s.block(rng.uniform(-2, 2, (8, 2)))
         columns, dpotrs = [], surrogate.dpotrs
@@ -667,9 +679,9 @@ class TestPointBlock:
         assert np.isnan(block.values[1])
         for i in (0, 2):
             assert _bits(block.power(i)) == _bits(dataclasses.replace(s).power(points[i]))
-        s.remember(block, 1)                          # no power to carry over
+        # a failed solve stores no power: the row raises again
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-            s.power(points[1])
+            block.power(1)
 
 
 class TestErrorBounds:
