@@ -597,7 +597,7 @@ class TestPointBlock:
         # with its last reference, Gram and factor included, without
         # waiting for the cyclic collector, while a block of it is kept
         s = self._surrogate("gaussian", 2, rng)
-        s.gradient(np.zeros(2))                       # a point query's block
+        s.gradient(np.zeros(2))                       # a point query keeps nothing
         block = s.block(rng.uniform(-1, 1, (3, 2)))
         ref = weakref.ref(s)
         gc.disable()
