@@ -149,6 +149,7 @@ class TRState:
     current_j: float
     delta: float
     surrogate: Surrogate
+    row: int = 0          # the iterate's row in the surrogate's training set
     outer_iter: int = 0
     log: list = field(default_factory=list)
 
@@ -207,12 +208,12 @@ def update_radius(rho_value: float, delta: float, cfg: TRConfig) -> float:
 
 
 def _eval_with_reuse(problem: Problem, history: TrainingSet, x):
-    """(J(x), history holding x, evaluated?); a near-duplicate center lends its datum."""
+    """(J(x), history holding x, x's row in it); a near-duplicate center lends its datum."""
     idx = history.find_close(x)
     if idx is not None:
-        return history.values[idx], history, False
+        return history.values[idx], history, idx
     val, grad = problem.eval(x)
-    return val, history.with_point(x, val, grad), True
+    return val, history.with_point(x, val, grad), history.n
 
 
 def _initial_data(problem: Problem, x, samples: TrainingSet | None) -> TrainingSet:
@@ -266,11 +267,11 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     s = state.surrogate
     cand = np.asarray(result.candidate, dtype=float)
     scored = s.block(np.array([cand, state.iterate, result.agc]))
-    jhat_cand, jhat_x, jhat_agc = scored.values
+    jhat_cand, jhat_x, jhat_agc = map(scored.value, range(3))
     eta_cand = s.norm_bound * scored.power(0)
 
-    j_cand, new_history, added = _eval_with_reuse(problem, s.training, cand)
-    if added:
+    j_cand, new_history, row = _eval_with_reuse(problem, s.training, cand)
+    if new_history is not s.training:
         state.surrogate = fit(s.kernel, new_history, s.norm_bound, previous=s)
 
     record = IterationRecord(
@@ -302,7 +303,7 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
         else:
             record.rho = rho(state.current_j, j_cand, jhat_x, jhat_cand)
             state.delta = update_radius(record.rho, state.delta, cfg)
-        state.iterate = cand
+        state.iterate, state.row = cand, row
         state.current_j = float(j_cand)
         state.outer_iter += 1
 
@@ -339,6 +340,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     surrogate = fit(kernel, _initial_data(problem, x, samples), norm_bound)
     j0 = float(surrogate.training.values[0])
     state = TRState(iterate=x, current_j=j0, delta=cfg.delta0, surrogate=surrogate)
+    foc = _stationarity(state, box)     # at the current iterate, once per iterate
 
     termination = "max_iters"
     rejects = 0
@@ -346,7 +348,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     solver_failed_before = False
     try:
         while state.outer_iter < cfg.i_max:
-            if _stationarity(state, box) <= cfg.tau_foc:
+            if foc <= cfg.tau_foc:
                 termination = "foc"
                 break
 
@@ -382,7 +384,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                 if record.branch is not Branch.REJECTED_BY_DIRECT:
                     rejects = 0
                     last_rejected = None
-                    record.foc_measure = _stationarity(state, box)
+                    foc = record.foc_measure = _stationarity(state, box)
                     if relative_decrease(j_before, state.current_j) <= cfg.tau_j:
                         termination = "stagnation"
                         break
@@ -405,11 +407,11 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
             if rejects >= cfg.max_rejects:
                 raise StalledError(f"{cfg.max_rejects} consecutive rejections") from cause
     except NumericalError as exc:
-        exc.report = _build_report(state, problem, termination="stalled",
+        exc.report = _build_report(state, problem, foc, termination="stalled",
                                    evals_before=evals_before)
         raise
 
-    return _build_report(state, problem, termination=termination,
+    return _build_report(state, problem, foc, termination=termination,
                          evals_before=evals_before)
 
 
@@ -417,17 +419,15 @@ def _stationarity(state: TRState, box) -> float:
     """Projected inf-norm of the objective's gradient at the iterate.
 
     The iterate is always a center (or within DISTINCT_TOL of the one
-    whose datum it took), so the gradient is the history's, with no
-    evaluation and no surrogate query.
+    whose datum it took), so the gradient is the one stored at state.row,
+    with no evaluation and no surrogate query.
     """
-    history = state.surrogate.training
-    true_grad = history.gradients[history.find_close(state.iterate)]
+    true_grad = state.surrogate.training.gradients[state.row]
     return projected_gradient_norm(state.iterate, true_grad, box)
 
 
-def _build_report(state: TRState, problem: Problem, termination: str,
+def _build_report(state: TRState, problem: Problem, final_foc: float, termination: str,
                   evals_before: int) -> RunReport:
-    final_foc = _stationarity(state, (problem.lower, problem.upper))
     audit_failures = sum(
         1 for r in state.log if r.sufficient_check_ok is False
     )

@@ -87,8 +87,12 @@ OMEGA_Y_LOW = (-2.0 / 3.0, -1.0 / 3.0)
 OMEGA_Y_HIGH = (1.0 / 3.0, 2.0 / 3.0)
 # columns per block solve when forming S1 and S2, which bounds the dense
 # work array at (cells eliminated) x SCHUR_CHUNK.  SuperLU may solve a
-# block of right-hand sides with BLAS-3, so the chunk is part of the bits.
-SCHUR_CHUNK = 32
+# block of right-hand sides with BLAS-3, so the chunk is part of the bits:
+# at n = 96, lambda, h, c_E and c_N are the same at 4, 8, 16 and 32, not
+# at 2.  The condensation takes as long at 8 as at 32, and a pde2d
+# experiment's peak RSS falls by about 3.6 MB (of 56), since the
+# exterior's right-hand-side blocks no longer sit on top of its factor.
+SCHUR_CHUNK = 8
 # splu's defaults: COLAMD ordering, SuperLU's own pivot threshold and sizes
 SPLU_OPTIONS = {"DiagPivotThresh": None, "ColPerm": None, "PanelSize": None, "Relax": None}
 

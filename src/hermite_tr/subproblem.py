@@ -11,13 +11,13 @@ yardstick the outer loop measures sufficient decrease against.
 
 Each line search forms its backtracking ladder, the trial points
 P(x + kappa_bt^j * d) for j = 0..j_max, once, as one array whose row j
-names trial j.  The surrogate scores the rows the search reaches CHUNK at
-a time, each chunk with one distance pass (Surrogate.block), and solves
-for a trial's power only where the search asks for it; the values and
-power-function values have the bits of point queries, which are one-row
-blocks.  The solver's current point is a (block, row) pair: the start's
-one-row block, then the accepted trial's row of its ladder block, so the
-gradient and the trust-region ratio there need no second distance pass.
+names trial j, and the surrogate scores the whole ladder as one block
+(Surrogate.block): one distance pass, then a value and a power only at
+the rows the search reaches.  These have the bits of point queries,
+which are one-row blocks.  The solver's current point is a (block, row)
+pair: the start's one-row block, then the accepted trial's row of its
+ladder block, so the gradient and the trust-region ratio there need no
+second distance pass.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .surrogate import PointBlock, Surrogate
 POSITIVITY_FLOOR = 1e-12
 # Descent-angle floor; directions with smaller cos(angle) are reset.
 COS_FLOOR = 1e-8
-# Ladder trials the surrogate scores per block in the inner line search.
-CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,8 @@ class SubproblemConfig:
     tau_sub: float = 1e-8      # inner stationarity tolerance
     beta2: float = 0.95        # near-boundary window lower fraction, in (0, 1)
     l_max: int = 50            # max inner iterations
-    j_max: int = 30            # max backtracking steps
+    j_max: int = 30            # max backtracking steps; each search's distance
+                               # pass covers all j_max + 1 trials
 
     def __post_init__(self):
         require_finite(self)
@@ -103,7 +102,17 @@ def trust_region_ratio(norm_bound: float, block: PointBlock, i) -> float:
     The ratio diverges as the value approaches zero from above, so each
     caller first holds the value to POSITIVITY_FLOOR by its own policy.
     """
-    return norm_bound * block.power(i) / block.values[i]
+    return norm_bound * block.power(i) / block.value(i)
+
+
+def in_trust_region(norm_bound: float, delta: float, block: PointBlock, i) -> bool:
+    """Whether row i of block is feasible for radius delta.
+
+    A trial at or below the positivity floor is not, since the constraint
+    ratio diverges there, so backtracking continues past it.
+    """
+    return (block.value(i) > POSITIVITY_FLOOR
+            and delta - trust_region_ratio(norm_bound, block, i) >= 0.0)
 
 
 def backtracking_ladder(x, direction, cfg: SubproblemConfig, box) -> np.ndarray:
@@ -150,36 +159,6 @@ def armijo_backtrack(fun, x, fx, required_decrease, ladder, feasible=None, resol
     raise LineSearchError(
         f"no acceptable point within {len(ladder) - 1} backtracking steps"
     )
-
-
-class _LadderScores:
-    """The surrogate's value and trust-region test along one ladder, CHUNK rows a block.
-
-    The search asks for rows in ladder order; a row past the current
-    block gets the next CHUNK rows from there scored as one PointBlock,
-    which becomes the current block.  A trial at or below the positivity
-    floor counts as infeasible (the constraint ratio diverges there), so
-    backtracking continues past it.
-    """
-
-    def __init__(self, s: Surrogate, delta: float, ladder):
-        self.s, self.delta, self.ladder = s, delta, ladder
-        self.block, self.start = None, 0       # the current block and its first row
-
-    def row(self, j):
-        """(block, row in it) of ladder row j, j at or past the current block's first."""
-        if self.block is None or j >= self.start + len(self.block):
-            self.block, self.start = self.s.block(self.ladder[j : j + CHUNK]), j
-        return self.block, j - self.start
-
-    def value(self, j) -> float:
-        block, i = self.row(j)
-        return block.values[i]
-
-    def feasible(self, j) -> bool:
-        block, i = self.row(j)
-        return (block.values[i] > POSITIVITY_FLOOR
-                and self.delta - trust_region_ratio(self.s.norm_bound, block, i) >= 0.0)
 
 
 def _norm(v) -> float:
@@ -236,9 +215,9 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
     """
     x = np.asarray(x0, dtype=float).copy()
     block, i = s.block(x[None, :]), 0           # the current point's row
-    if block.values[i] <= POSITIVITY_FLOOR:
+    if block.value(i) <= POSITIVITY_FLOOR:
         raise AssumptionViolationError(
-            f"surrogate value {block.values[i]:.3e} at {x} is below the positivity "
+            f"surrogate value {block.value(i):.3e} at {x} is below the positivity "
             "floor; the objective may need a larger additive offset"
         )
     start_slack = delta - trust_region_ratio(s.norm_bound, block, i)
@@ -271,12 +250,12 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             assert float(grad @ direction) < 0.0
 
         ladder = backtracking_ladder(x, direction, cfg, box)
-        scores = _LadderScores(s, delta, ladder)
+        trials = s.block(ladder)
         try:
             x_new, _, j = armijo_backtrack(
-                scores.value, x, block.values[i],
+                trials.value, x, block.value(i),
                 angle_decrease_rule(cfg.kappa_arm, grad_norm, cos_phi),
-                ladder, feasible=scores.feasible,
+                ladder, feasible=lambda j: in_trust_region(s.norm_bound, delta, trials, j),
             )
         except LineSearchError:
             if agc is None:
@@ -284,7 +263,7 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             termination = Termination.LINE_SEARCH_FAILED
             break
 
-        block, i = scores.row(j)
+        block, i = trials, j
         iterates.append(x_new.copy())
         if agc is None:
             agc = x_new.copy()

@@ -229,17 +229,19 @@ def _potrs(factor, b):
 class PointBlock:
     """The surrogate at the rows of a (c, p) block; a point query is a one-row block.
 
-    One distance-and-profile pass serves every row and every query: each
-    value is its kernel row's dot product with the coefficients, and a
-    gradient or a derivative power builds its row's derivative vectors
-    from the same pass.  A power solves its own kernel row, and only that
-    row, against the factor, so a row's bits do not depend on the block
-    around it.  A row whose scaled kernel row is not finite raises
+    One distance-and-profile pass serves every row and every query, and
+    each query works on its own row only, on first read: a value is its
+    kernel row's dot product with the coefficients, a gradient or a
+    derivative power builds its row's derivative vectors from the pass,
+    and a power solves its own kernel row against the factor.  So a row's
+    bits do not depend on the block around it, and a block of many
+    trials costs a dot product only at the rows read.  Values and powers
+    are kept per row; a row whose scaled kernel row is not finite raises
     ValueError when its power is asked for.
     """
 
-    __slots__ = ("points", "dt", "k_vals", "g1", "g2", "rows", "values", "_kernel", "_coeffs",
-                 "_scale", "_factor", "_powers", "_gradients")
+    __slots__ = ("points", "dt", "k_vals", "g1", "g2", "rows", "_kernel", "_coeffs",
+                 "_scale", "_factor", "_values", "_powers")
 
     def __init__(self, s: "Surrogate", points):
         # the block keeps what it reads of s, not s itself, so a block kept
@@ -249,23 +251,25 @@ class PointBlock:
         self.points = np.asarray(points, dtype=float)
         self.dt, self.k_vals, self.g1, self.g2 = s._profiles(self.points)
         self.rows = _kernel_rows(self.dt, self.k_vals, self.g1, self.g2)
-        self.values = [float(row.dot(self._coeffs)) for row in self.rows]
+        self._values = {}     # row -> value
         self._powers = {}     # (row, order) -> power
-        self._gradients = {}  # row -> gradient
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.rows)
 
     def _derivative_row(self, i, order):
         """Generalized kernel vector of d1_order k(x, .) at row i."""
         return _kernel_rows(self.dt[i], self.k_vals[i], self.g1[i], self.g2[i], order)
 
+    def value(self, i) -> float:
+        v = self._values.get(i)
+        if v is None:
+            v = self._values[i] = float(self.rows[i].dot(self._coeffs))
+        return v
+
     def gradient(self, i) -> np.ndarray:
-        g = self._gradients.get(i)
-        if g is None:
-            g = self._gradients[i] = np.array([self._derivative_row(i, l) @ self._coeffs
-                                               for l in range(self.dt.shape[1])])
-        return g.copy()
+        return np.array([self._derivative_row(i, l) @ self._coeffs
+                         for l in range(self.dt.shape[1])])
 
     def power(self, i, order=None) -> float:
         """Projection-residual norm at row i; see Surrogate.power.
@@ -336,7 +340,7 @@ class Surrogate:
         return PointBlock(self, points)
 
     def value(self, x) -> float:
-        return self.block([x]).values[0]
+        return self.block([x]).value(0)
 
     def gradient(self, x) -> np.ndarray:
         return self.block([x]).gradient(0)

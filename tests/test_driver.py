@@ -1,6 +1,7 @@
 """Outer loop: ratio, radius law, acceptance branches, full runs."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hermite_tr.errors import (
     LineSearchError,
     StalledError,
 )
+from hermite_tr.harness import load_config, run_experiment
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import Problem, problem_1d
 from hermite_tr.subproblem import (
@@ -40,6 +42,8 @@ from hermite_tr.subproblem import (
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 
 from oracles import peek
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def cfg_1d(**overrides):
@@ -420,6 +424,19 @@ class TestRun:
             assert r.foc_measure == projected_gradient_norm(x, peek(problem, x)[1], box)
         assert report.final_foc == accepted[-1].foc_measure
         assert report.termination == "foc" and report.final_foc <= cfg.tau_foc
+
+    def test_stationarity_once_per_iterate(self, monkeypatch):
+        # the bundled one_d runs: the start and each accepted step's iterate
+        # get one stationarity measure, which the loop's test, the record
+        # and the report share
+        calls, stationarity = [], driver._stationarity
+        monkeypatch.setattr(driver, "_stationarity",
+                            lambda *a: calls.append(1) or stationarity(*a))
+        _, reports, _ = run_experiment(load_config(CONFIG_DIR / "one_d.yaml"))
+        runs = [r for group in reports.values() for _, r in group
+                if isinstance(r, RunReport) and r.method == "kernel_tr"]
+        assert len(runs) == 5 and all(r.outer_iters > 0 for r in runs)
+        assert len(calls) == sum(1 + r.outer_iters for r in runs)
 
     def test_seeded_multistart_accuracy(self):
         # five uniform starts; evaluation counts and accuracy at the level

@@ -10,7 +10,6 @@ from hermite_tr.errors import AssumptionViolationError, ConfigError, LineSearchE
 from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import problem_rosenbrock
 from hermite_tr.subproblem import (
-    CHUNK,
     POSITIVITY_FLOOR,
     SubproblemConfig,
     Termination,
@@ -228,25 +227,6 @@ class TestRowProtocol:
         point[:] = 7.0                       # a copy, not a view of the ladder
         assert ladder[4, 0] == 0.0
 
-    def test_scores_find_each_row_by_index(self, monkeypatch):
-        # byte-equal rows each get their own row of a block, and blocks of
-        # CHUNK rows start at the first row past the current one
-        x, ladder = self.clamped_ladder()
-        s = fit(make_kernel("gaussian", 1.0, 2),
-                TrainingSet(np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([2.0, 3.0]),
-                            np.array([[1.0, 0.0], [0.0, 1.0]])), norm_bound=1.0)
-        values = [s.value(row) for row in ladder[:55]]
-        scored = []
-        block = s.block
-        monkeypatch.setattr(s, "block", lambda points: scored.append(points) or block(points))
-        scores = subproblem._LadderScores(s, 0.5, ladder)
-        for j in range(55):
-            got, i = scores.row(j)
-            assert got.points[i].tobytes() == ladder[j].tobytes()
-            assert got.values[i] == values[j]
-            assert i == j % CHUNK
-        assert len(scored) == -(-55 // CHUNK)
-
 
 class TestSolve:
     def test_stationary_start(self):
@@ -428,8 +408,8 @@ def outcome(run, *args):
             [p.tobytes() for p in res.iterates], res.termination)
 
 
-class TestChunkedSearch:
-    """The ladder scored a chunk at a time decides as the per-trial loop does, bit for bit."""
+class TestLadderSearch:
+    """The ladder scored as one block decides as the per-trial loop does, bit for bit."""
 
     def test_ladder_rows_are_the_per_trial_points(self, rng):
         for dim in (1, 2, 3):
@@ -522,12 +502,12 @@ class TestChunkedSearch:
     def test_deep_search_matches_oracle(self, family):
         # from a center with a radius below any power away from it, every
         # trial is infeasible until the power rounds to zero: the search
-        # runs through several chunks, or fails after a short j_max
+        # runs deep into its ladder block, or fails after a short j_max
         kernel = kernel_for(family, 2, 0.8)
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2))
         s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
         outcomes = set()
-        for j_max in (5, 2 * CHUNK + 3, 80):
+        for j_max in (5, 19, 80):
             for delta in (1e-300, 1e-9):
                 args = (pts[0], delta, SubproblemConfig(j_max=j_max, l_max=2), unbounded(2))
                 got = outcome(solve, s, *args)
@@ -579,7 +559,7 @@ class TestChunkedSearch:
     def test_accepted_trials_need_no_second_distance_pass(self, family, monkeypatch):
         # the solver reads each accepted trial's gradient and trust-region
         # ratio from its row of the ladder block, and makes no point query:
-        # besides the start's one-row block, every block is a ladder's chunk
+        # besides the start's one-row block, the blocks are the ladders
         kernel = kernel_for(family, 2, 0.8)
         pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 2))
         s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
@@ -604,13 +584,34 @@ class TestChunkedSearch:
         res = solve(s, pts[0], 0.5, SubproblemConfig(), unbounded(2))
         assert len(res.iterates) >= 2 and len(built) > 1
         assert built[0].tobytes() == pts[0][None, :].tobytes()
-        chunks = {rows[j : j + CHUNK].tobytes() for rows in ladders for j in range(len(rows))}
-        assert all(points.tobytes() in chunks for points in built[1:])
+        assert [points.tobytes() for points in built[1:]] == [rows.tobytes() for rows in ladders]
+
+    def test_one_distance_pass_per_line_search(self, family, monkeypatch):
+        # the start's pass, then one per search, however many of the
+        # ladder's rows the search reaches and whether or not it accepts
+        kernel = kernel_for(family, 2, 0.8)
+        pts = np.random.default_rng(6).uniform(-1.0, 1.0, (6, 2))
+        s = fit(kernel, TrainingSet(pts, (pts**2).sum(axis=1) + 1.0, 2.0 * pts), norm_bound=3.0)
+        passes, searches = [], []
+        radial_profiles, backtrack = surrogate.radial_profiles, subproblem.armijo_backtrack
+        monkeypatch.setattr(surrogate, "radial_profiles",
+                            lambda *a: passes.append(1) or radial_profiles(*a))
+        monkeypatch.setattr(subproblem, "armijo_backtrack",
+                            lambda *a, **k: searches.append(1) or backtrack(*a, **k))
+        ends = set()
+        for delta in (1e-9, 1e-3, 0.5):
+            for x0 in pts[:3]:
+                passes.clear(), searches.clear()
+                got = outcome(solve, s, x0, delta, SubproblemConfig(), unbounded(2))
+                assert len(passes) == 1 + len(searches), (delta, x0)
+                if searches:
+                    ends.add(got[-1])
+        assert Termination.LINE_SEARCH_FAILED in ends and len(ends) > 1
 
     @staticmethod
     def _scored(s, delta, ladder):
-        scores = subproblem._LadderScores(s, delta, ladder)
-        return scores.value, scores.feasible
+        block = s.block(ladder)
+        return block.value, lambda j: subproblem.in_trust_region(s.norm_bound, delta, block, j)
 
     @staticmethod
     def _per_point(s, delta):

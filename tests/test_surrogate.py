@@ -433,7 +433,7 @@ def _query(s, x, what):
 def _row_query(block, i, what):
     """_query's answer read from row i of a PointBlock."""
     if what == "value":
-        result = block.values[i]
+        result = block.value(i)
     elif what == "gradient":
         result = block.gradient(i)
     else:
@@ -534,7 +534,7 @@ class TestPointBlock:
         assert len(block) == len(points)
         for i, x in enumerate(points):
             twin = dataclasses.replace(s)
-            assert _bits(block.values[i]) == _bits(twin.value(x)), (i, x)
+            assert _bits(block.value(i)) == _bits(twin.value(x)), (i, x)
             assert _bits(block.power(i)) == _bits(twin.power(x)), (i, x)
         # on a center the quadratic form is zero up to rounding, of either
         # sign; both paths clamp the negative ones to a power of 0
@@ -551,7 +551,7 @@ class TestPointBlock:
         for i in order:
             twin = dataclasses.replace(s)
             assert _bits(block.power(i)) == _bits(twin.power(points[i]))
-            assert _bits(block.values[i]) == _bits(twin.value(points[i]))
+            assert _bits(block.value(i)) == _bits(twin.value(points[i]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_block_row_serves_every_query(self, family, dim, rng, monkeypatch):
@@ -630,7 +630,7 @@ class TestPointBlock:
             value, power = twin.value(x), twin.power(x)
             block = twin.block([x])               # the block a point query scores
             assert len(block) == 1
-            assert (_bits(block.values[0]), _bits(block.power(0))) == (_bits(value), _bits(power))
+            assert (_bits(block.value(0)), _bits(block.power(0))) == (_bits(value), _bits(power))
             b = block.rows[0]
             assert b[: s.training.n].tobytes() == surrogate.radial_profiles(s.kernel, r)[0].tobytes()
             bs = b * s._scale
@@ -655,6 +655,21 @@ class TestPointBlock:
             block.power(i, order)
         assert columns == [1] * len(set(queries))
 
+    def test_value_is_computed_only_for_the_rows_asked(self, family, rng):
+        # a value is its own row's dot product, taken at the row's first
+        # read with the bits of a one-row block, and kept after that
+        s = self._surrogate(family, 2, rng)
+        points = rng.uniform(-2, 2, (9, 2))
+        block = s.block(points)
+        asked = [6, 2, 6]
+        block.rows[[i for i in range(len(points)) if i not in asked]] = np.nan
+        expected = [_bits(s.value(points[i])) for i in asked]
+        assert [_bits(block.value(i)) for i in asked] == expected
+        block.rows[asked] = np.nan
+        assert [_bits(block.value(i)) for i in asked] == expected
+        # a row not read so far is computed now, from the row as it is now
+        assert np.isnan(block.value(0))
+
     def test_finite_row_whose_sum_overflows_is_solved(self, rng):
         # the sum is only the cheap test for a non-finite entry; a row of
         # finite entries gets its solve even where the sum overflows
@@ -676,7 +691,7 @@ class TestPointBlock:
             with pytest.raises(ValueError, match="infs or NaNs") as from_point:
                 dataclasses.replace(s).power(points[1])
         assert str(from_block.value) == str(from_point.value)
-        assert np.isnan(block.values[1])
+        assert np.isnan(block.value(1))
         for i in (0, 2):
             assert _bits(block.power(i)) == _bits(dataclasses.replace(s).power(points[i]))
         # a failed solve stores no power: the row raises again
