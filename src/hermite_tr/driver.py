@@ -10,6 +10,9 @@ candidate's fate using the error bound eta = norm_bound * power:
   2. otherwise compare the objective at the candidate with that value
      directly: accept if it is no larger, else reject.
 
+The decision reads the surrogate's values and power from the
+subproblem's result; the outer loop fits models and queries none.
+
 The objective is evaluated at every candidate (or its stored datum
 reused when it is a known center), because an acceptance needs the data
 for the refit and the decrease ratio and a rejection keeps the new point
@@ -256,19 +259,18 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
                     cfg: TRConfig) -> IterationRecord:
     """Decide the candidate's fate and update the state in place.
 
-    The current surrogate scores the candidate, the iterate and the first
-    inner point in one block.  The objective is evaluated at the candidate
-    (unless it duplicates a history point) and the refit model, its Gram
-    grown from the current one's, is kept whatever the outcome.  An
-    accepted step moves the iterate and the radius follows the ratio law;
-    a rejection shrinks the radius by the rejection factor.  Returns the
-    log record; record.branch tells which case decided.
+    The surrogate's scores come from result, as the inner solve read them.
+    The objective is evaluated at the candidate (unless it duplicates a
+    history point) and the refit model, its Gram grown from the current
+    one's, is kept whatever the outcome.  An accepted step moves the
+    iterate and the radius follows the ratio law; a rejection shrinks the
+    radius by the rejection factor.  Returns the log record; record.branch
+    tells which case decided.
     """
     s = state.surrogate
-    cand = np.asarray(result.candidate, dtype=float)
-    scored = s.block(np.array([cand, state.iterate, result.agc]))
-    jhat_cand, jhat_x, jhat_agc = map(scored.value, range(3))
-    eta_cand = s.norm_bound * scored.power(0)
+    cand = result.candidate
+    jhat_cand, jhat_agc = result.candidate_value, result.agc_value
+    eta_cand = s.norm_bound * result.candidate_power
 
     j_cand, new_history, row = _eval_with_reuse(problem, s.training, cand)
     if new_history is not s.training:
@@ -297,11 +299,11 @@ def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,
     if record.branch is Branch.REJECTED_BY_DIRECT:
         state.delta = cfg.beta1_shrink * state.delta
     else:
-        if model_decrease_degenerate(jhat_x, jhat_cand):
+        if model_decrease_degenerate(result.start_value, jhat_cand):
             state.delta = cfg.beta_radius * state.delta
             record.note = "degenerate model decrease"
         else:
-            record.rho = rho(state.current_j, j_cand, jhat_x, jhat_cand)
+            record.rho = rho(state.current_j, j_cand, result.start_value, jhat_cand)
             state.delta = update_radius(record.rho, state.delta, cfg)
         state.iterate, state.row = cand, row
         state.current_j = float(j_cand)
@@ -390,7 +392,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                         break
                     continue
 
-                cand = np.asarray(result.candidate, dtype=float)
+                cand = result.candidate
                 added = state.surrogate.training.n > history_size_before
                 if (last_rejected is not None and not added
                         and coincide(np.linalg.norm(cand - last_rejected), cand)):

@@ -17,14 +17,17 @@ the rows the search reaches.  These have the bits of point queries,
 which are one-row blocks.  The solver's current point is a (block, row)
 pair: the start's one-row block, then the accepted trial's row of its
 ladder block, so the gradient and the trust-region ratio there need no
-second distance pass.
+second distance pass.  The solve hands the outer loop the scores its
+acceptance test reads, each from the row that holds it: the value at the
+start, at the first accepted inner point and at the candidate, and the
+power at the candidate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,10 +82,19 @@ class Termination(enum.Enum):
 
 @dataclass
 class SubproblemResult:
+    """A solve's candidate and the surrogate's scores the outer loop decides on.
+
+    The first accepted inner point (the AGC point) is iterates[0], or the
+    start when no step was accepted; agc_value is the surrogate there.
+    """
+
     candidate: np.ndarray
-    agc: np.ndarray                    # first accepted inner iterate
-    iterates: list = field(default_factory=list)
-    termination: Termination = Termination.MAX_INNER_ITERS
+    iterates: list
+    termination: Termination
+    start_value: float        # surrogate value at the start
+    agc_value: float          # surrogate value at the AGC point
+    candidate_value: float    # surrogate value at the candidate
+    candidate_power: float    # power at the candidate
 
 
 def project_box(x, box):
@@ -215,9 +227,10 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
     """
     x = np.asarray(x0, dtype=float).copy()
     block, i = s.block(x[None, :]), 0           # the current point's row
-    if block.value(i) <= POSITIVITY_FLOOR:
+    start_value = block.value(i)
+    if start_value <= POSITIVITY_FLOOR:
         raise AssumptionViolationError(
-            f"surrogate value {block.value(i):.3e} at {x} is below the positivity "
+            f"surrogate value {start_value:.3e} at {x} is below the positivity "
             "floor; the objective may need a larger additive offset"
         )
     start_slack = delta - trust_region_ratio(s.norm_bound, block, i)
@@ -228,12 +241,12 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
     dim = x.shape[0]
     grad = block.gradient(i)
     if projected_gradient_norm(x, grad, box) <= cfg.tau_sub:
-        return SubproblemResult(candidate=x, agc=x.copy(), iterates=[],
-                                termination=Termination.STATIONARY_INNER)
+        return SubproblemResult(x, [], Termination.STATIONARY_INNER, start_value,
+                                start_value, start_value, block.power(i))
 
     hinv = np.eye(dim)
     iterates: list = []
-    agc = None
+    agc_value = None
     termination = Termination.MAX_INNER_ITERS
     for _ in range(cfg.l_max):
         direction = -hinv @ grad
@@ -258,15 +271,15 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
                 ladder, feasible=lambda j: in_trust_region(s.norm_bound, delta, trials, j),
             )
         except LineSearchError:
-            if agc is None:
+            if agc_value is None:
                 raise
             termination = Termination.LINE_SEARCH_FAILED
             break
 
         block, i = trials, j
         iterates.append(x_new.copy())
-        if agc is None:
-            agc = x_new.copy()
+        if agc_value is None:
+            agc_value = block.value(i)
         grad_new = block.gradient(i)
 
         hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
@@ -280,4 +293,6 @@ def solve(s: Surrogate, x0, delta: float, cfg: SubproblemConfig, box) -> Subprob
             termination = Termination.NEAR_BOUNDARY
             break
 
-    return SubproblemResult(candidate=x, agc=agc, iterates=iterates, termination=termination)
+    # the candidate is an accepted trial, whose feasibility test read its power
+    return SubproblemResult(x, iterates, termination, start_value, agc_value,
+                            block.value(i), block.power(i))

@@ -15,8 +15,9 @@ cholesky_pde2d the condensed solve without the interface's eigenbasis:
 a dense Cholesky of S(mu) per point, from sparse_interface's S1 and S2.
 per_trial_backtrack and per_trial_solve are the line search and the
 inner solver with every trial formed and scored on its own, through the
-surrogate's one-point queries, and constraint_value is the trust-region
-slack at a point from those queries.
+surrogate's one-point queries, constraint_value is the trust-region
+slack at a point from those queries, and scored_result a
+SubproblemResult whose scores are those queries.
 """
 
 from types import SimpleNamespace
@@ -259,9 +260,19 @@ def constraint_value(s, delta, x) -> float:
     return delta - s.norm_bound * s.power(x) / val
 
 
+def scored_result(s, start, candidate, iterates, termination):
+    """SubproblemResult with its scores from point queries of s.
+
+    The AGC point is iterates[0], or start when iterates is empty.
+    """
+    agc = iterates[0] if iterates else start
+    return SubproblemResult(candidate, iterates, termination, s.value(start), s.value(agc),
+                            s.value(candidate), s.power(candidate))
+
+
 def per_trial_solve(s, x0, delta, cfg, box):
     """subproblem.solve with every trial scored by s.value and s.power, one point at a time."""
-    x = np.asarray(x0, dtype=float).copy()
+    x = start = np.asarray(x0, dtype=float).copy()
     start_slack = constraint_value(s, delta, x)
     if start_slack <= 0.0:
         raise AssumptionViolationError(
@@ -270,8 +281,7 @@ def per_trial_solve(s, x0, delta, cfg, box):
     dim = x.shape[0]
     grad = s.gradient(x)
     if projected_gradient_norm(x, grad, box) <= cfg.tau_sub:
-        return SubproblemResult(candidate=x, agc=x.copy(), iterates=[],
-                                termination=Termination.STATIONARY_INNER)
+        return scored_result(s, start, x, [], Termination.STATIONARY_INNER)
 
     def feasible(trial):
         val = s.value(trial)
@@ -279,7 +289,6 @@ def per_trial_solve(s, x0, delta, cfg, box):
 
     hinv = np.eye(dim)
     iterates = []
-    agc = None
     termination = Termination.MAX_INNER_ITERS
     for _ in range(cfg.l_max):
         direction = -hinv @ grad
@@ -297,13 +306,11 @@ def per_trial_solve(s, x0, delta, cfg, box):
                 direction, cfg, box, feasible=feasible,
             )
         except LineSearchError:
-            if agc is None:
+            if not iterates:
                 raise
             termination = Termination.LINE_SEARCH_FAILED
             break
         iterates.append(x_new.copy())
-        if agc is None:
-            agc = x_new.copy()
         grad_new = s.gradient(x_new)
         hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
         x, grad = x_new, grad_new
@@ -314,4 +321,4 @@ def per_trial_solve(s, x0, delta, cfg, box):
         if cfg.beta2 * delta <= ratio <= delta:
             termination = Termination.NEAR_BOUNDARY
             break
-    return SubproblemResult(candidate=x, agc=agc, iterates=iterates, termination=termination)
+    return scored_result(s, start, x, iterates, termination)

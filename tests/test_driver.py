@@ -34,14 +34,13 @@ from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import Problem, problem_1d
 from hermite_tr.subproblem import (
     SubproblemConfig,
-    SubproblemResult,
     Termination,
     projected_gradient_norm,
     solve,
 )
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
 
-from oracles import peek
+from oracles import peek, scored_result
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -126,11 +125,8 @@ class TestAcceptanceBranches:
         # candidate at an existing center: error bound vanishes, and its
         # surrogate value undercuts the one at the (farther) inner point
         state = _two_point_state(self.problem, self.kernel, [1.5, 0.2])
-        result = SubproblemResult(
-            candidate=np.array([0.2]), agc=np.array([1.0]),
-            iterates=[np.array([1.0]), np.array([0.2])],
-            termination=Termination.STATIONARY_INNER,
-        )
+        result = scored_result(state.surrogate, state.iterate, np.array([0.2]),
+                               [np.array([1.0]), np.array([0.2])], Termination.STATIONARY_INNER)
         evals_before = self.problem.counter
         record = acceptance_step(state, result, self.problem, self.cfg)
         assert record.branch is Branch.ACCEPTED_BY_SUFFICIENT
@@ -145,10 +141,8 @@ class TestAcceptanceBranches:
         # shrinks by beta_radius
         cfg = cfg_1d(beta_radius=0.25)
         state = _two_point_state(self.problem, self.kernel, [0.2, 1.5])
-        result = SubproblemResult(
-            candidate=np.array([0.2]), agc=np.array([1.0]), iterates=[np.array([1.0])],
-            termination=Termination.LINE_SEARCH_FAILED,
-        )
+        result = scored_result(state.surrogate, state.iterate, np.array([0.2]),
+                               [np.array([1.0])], Termination.LINE_SEARCH_FAILED)
         delta_before = state.delta
         evals_before = self.problem.counter
         record = acceptance_step(state, result, self.problem, cfg)
@@ -163,11 +157,8 @@ class TestAcceptanceBranches:
         # candidate at a known center with a HIGHER value than the inner
         # point: the bound vanishes there, so the stored datum decides
         state = _two_point_state(self.problem, self.kernel, [0.2, 1.5])
-        result = SubproblemResult(
-            candidate=np.array([1.5]), agc=np.array([0.2]),
-            iterates=[np.array([0.2])],
-            termination=Termination.STATIONARY_INNER,
-        )
+        result = scored_result(state.surrogate, state.iterate, np.array([1.5]),
+                               [np.array([0.2])], Termination.STATIONARY_INNER)
         delta_before = state.delta
         evals_before = self.problem.counter
         record = acceptance_step(state, result, self.problem, self.cfg)
@@ -196,8 +187,7 @@ class TestAcceptanceBranches:
                 cand = x
                 break
         assert cand is not None, "no inconclusive candidate on the probe grid"
-        result = SubproblemResult(candidate=cand, agc=agc, iterates=[agc, cand],
-                                  termination=Termination.NEAR_BOUNDARY)
+        result = scored_result(s, state.iterate, cand, [agc, cand], Termination.NEAR_BOUNDARY)
         j_true = peek(self.problem, cand)[0]
         record = acceptance_step(state, result, self.problem, self.cfg)
         expected = (Branch.ACCEPTED_BY_DIRECT if j_true <= jhat_agc
@@ -220,8 +210,7 @@ class TestAcceptanceBranches:
             if s.value(x) + s.norm_bound * s.power(x) <= jhat_agc
             and peek(self.problem, x)[0] > jhat_agc + 1e-8 * (1.0 + abs(jhat_agc))
         )
-        result = SubproblemResult(candidate=cand, agc=agc, iterates=[agc, cand],
-                                  termination=Termination.NEAR_BOUNDARY)
+        result = scored_result(s, state.iterate, cand, [agc, cand], Termination.NEAR_BOUNDARY)
         delta_before = state.delta
         record = acceptance_step(state, result, self.problem, self.cfg)
         assert record.branch is Branch.REJECTED_BY_DIRECT
@@ -231,11 +220,11 @@ class TestAcceptanceBranches:
         np.testing.assert_array_equal(state.iterate, [0.95])
         assert state.surrogate.training.find_close(cand) is not None
 
-    def test_iterate_and_agc_cost_one_distance_pass(self, monkeypatch):
-        # after a real inner solve, the candidate's value and power and the
-        # iterate's and the AGC point's values come from one three-row
-        # block; the only other pass is the refit growing the Gram by the
-        # candidate.  The decrease ratio has the bits of point queries.
+    def test_acceptance_makes_no_surrogate_query(self, monkeypatch):
+        # after a real inner solve, every score the decision reads comes
+        # with the result: the step builds no PointBlock, and its only
+        # distance pass is the refit growing the Gram by the candidate.
+        # The decrease ratio has the bits of point queries.
         state = _two_point_state(self.problem, self.kernel, [1.5, 0.9])
         s = state.surrogate
         result = solve(s, state.iterate, state.delta, self.cfg.sub,
@@ -245,12 +234,17 @@ class TestAcceptanceBranches:
                            fresh.value(state.iterate), fresh.value(result.candidate))
         passes = []
         profiles = surrogate.radial_profiles
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("acceptance_step built a PointBlock")
+
+        monkeypatch.setattr(surrogate, "PointBlock", no_block)
         monkeypatch.setattr(surrogate, "radial_profiles",
                             lambda *args: passes.append(args) or profiles(*args))
         record = acceptance_step(state, result, self.problem, self.cfg)
         assert record.branch is Branch.ACCEPTED_BY_DIRECT
         assert state.surrogate.training.n == 3
-        assert len(passes) == 2
+        assert len(passes) == 1
         assert record.rho == expected_rho
 
     @pytest.mark.parametrize("x0", [-1.9, -0.95, 0.475, 1.425])
@@ -387,8 +381,7 @@ class TestRun:
 
         def fixed_solve(s, x, delta, cfg, box):
             solves.append(delta)
-            return SubproblemResult(candidate=center.copy(), agc=x.copy(), iterates=[],
-                                    termination=Termination.LINE_SEARCH_FAILED)
+            return scored_result(s, x, center.copy(), [], Termination.LINE_SEARCH_FAILED)
 
         monkeypatch.setattr(driver, "solve", fixed_solve)
         cfg = cfg_1d()

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
 from hermite_tr import _lapack, pde2d, surrogate
+from hermite_tr.kernels import make_kernel
+from hermite_tr.surrogate import TrainingSet
 
 REPO = Path(__file__).resolve().parent.parent
 ONE_D = REPO / "scripts" / "configs" / "one_d.yaml"
@@ -141,3 +145,27 @@ except ImportError as exc:
 """
     assert last_json_line(script, tmp_path) == ["scipy.linalg._flapack", False]
 
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (14, 1), (55, 2), (81, 2)])
+def test_batched_dpotrs_columns_have_one_column_bits(n, dim):
+    """dpotrs on many right-hand sides gives each column a one-column call's bits.
+
+    The factors are fitted surrogates' (the package's dpotrf), of order
+    m = n(1 + dim) = 2, 28, 165 and 243, and the right-hand sides a
+    block's scaled kernel rows, which PointBlock.power solves one row at a
+    time.  A power batched over a block's rows keeps its bits only while
+    this holds.  Like the golden output hashes, it rests on the CPU's BLAS
+    kernels: an OpenBLAS that picks another kernel for a many-column
+    triangular solve can fail it on unchanged code.
+    """
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1.5, 1.5, (n, dim))
+    s = surrogate.fit(make_kernel("gaussian", 2.0, dim),
+                      TrainingSet(pts, rng.normal(size=n), rng.normal(size=(n, dim))), 1.0)
+    assert len(s._factor) == n * (1 + dim)
+    for rows in (2, 8, 31):
+        rhs = s.block(rng.uniform(-2.0, 2.0, (rows, dim))).rows * s._scale
+        batched, info = _lapack.dpotrs(s._factor, rhs.T, lower=True)
+        assert info == 0
+        for i, b in enumerate(rhs):
+            assert batched[:, i].tobytes() == surrogate._potrs(s._factor, b).tobytes(), (rows, i)

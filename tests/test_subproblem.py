@@ -235,8 +235,11 @@ class TestSolve:
         res = solve(s, np.array([0.0]), delta=1.0, cfg=cfg, box=unbounded(1))
         assert res.termination is Termination.STATIONARY_INNER
         np.testing.assert_array_equal(res.candidate, [0.0])
-        np.testing.assert_array_equal(res.agc, [0.0])
         assert res.iterates == []
+        # the start is the AGC point and the candidate
+        start = s.value(np.array([0.0]))
+        assert res.start_value == res.agc_value == res.candidate_value == start
+        assert res.candidate_power == s.power(np.array([0.0]))
 
     def test_converges_to_quadratic_minimizer(self):
         # closed-form oracle: the bowl's minimizer is its center
@@ -281,8 +284,9 @@ class TestSolve:
         x0 = np.array([1.4])
         res = solve(s, x0, delta=10.0, cfg=cfg, box=unbounded(1))
         g0 = s.gradient(x0)
-        lhs = s.value(x0) - s.value(res.agc)
-        rhs = cfg.kappa_arm * np.linalg.norm(g0) * np.linalg.norm(x0 - res.agc)
+        agc = res.iterates[0]
+        lhs = s.value(x0) - s.value(agc)
+        rhs = cfg.kappa_arm * np.linalg.norm(g0) * np.linalg.norm(x0 - agc)
         assert lhs >= rhs
 
     def test_feasibility_at_accepted_iterates(self):
@@ -307,8 +311,9 @@ class TestSolve:
     def test_agc_is_first_iterate(self):
         s = quadratic_surrogate(center=0.6)
         res = solve(s, np.array([1.9]), delta=1e3, cfg=SubproblemConfig(), box=unbounded(1))
-        assert res.iterates, "expected at least one accepted inner step"
-        np.testing.assert_array_equal(res.agc, res.iterates[0])
+        assert len(res.iterates) > 1, "expected more than one accepted inner step"
+        assert res.agc_value == s.value(res.iterates[0])
+        assert res.agc_value > res.candidate_value
 
     def test_infeasible_start_raises(self):
         s = quadratic_surrogate()
@@ -340,10 +345,11 @@ class TestSolve:
         res = solve(s, np.array([0.0]), delta=delta, cfg=SubproblemConfig(l_max=1),
                     box=unbounded(1))
         assert s.value(trials[0]) <= POSITIVITY_FLOOR
-        np.testing.assert_array_equal(res.agc, trials[-1])
+        [agc] = res.iterates
+        np.testing.assert_array_equal(agc, trials[-1])
         assert len(trials) > 1
-        assert s.value(res.agc) > POSITIVITY_FLOOR
-        assert constraint_value(s, delta, res.agc) >= 0.0
+        assert s.value(agc) > POSITIVITY_FLOOR
+        assert constraint_value(s, delta, agc) >= 0.0
 
     def test_non_descent_direction_resets_to_steepest_descent(self, monkeypatch):
         # an update that returns -I turns every BFGS direction uphill; each
@@ -393,19 +399,23 @@ class TestSolve:
                         except (LineSearchError, AssumptionViolationError):
                             continue
                         terminations.add(res.termination)
-                        assert s.value(res.candidate) <= s.value(res.agc)
+                        assert res.candidate_value <= res.agc_value
+                        assert res.candidate_value == s.value(res.candidate)
+                        assert res.agc_value == s.value(res.iterates[0])
         assert Termination.LINE_SEARCH_FAILED in terminations
         assert Termination.NEAR_BOUNDARY in terminations
 
 
 def outcome(run, *args):
-    """A solve's result as bytes, or its error's type and message."""
+    """A solve's result as bytes, its scores included, or its error's type and message."""
     try:
         res = run(*args)
     except (LineSearchError, AssumptionViolationError) as exc:
         return type(exc).__name__, str(exc)
-    return (res.candidate.tobytes(), res.agc.tobytes(),
-            [p.tobytes() for p in res.iterates], res.termination)
+    scores = np.array([res.start_value, res.agc_value, res.candidate_value,
+                       res.candidate_power])
+    return (res.candidate.tobytes(), [p.tobytes() for p in res.iterates], scores.tobytes(),
+            res.termination)
 
 
 class TestLadderSearch:
