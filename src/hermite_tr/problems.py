@@ -2,16 +2,15 @@
 
 Every objective evaluation goes through Problem.eval and increments the
 counter by exactly one; the counter is the cost metric reported by the
-experiment harness, and nothing reads J or its gradient without it.  A
-memo keyed by the exact bytes of the point serves a repeated point without
-calling the objective again; it saves wall time only, since each request
-still counts.
+experiment harness, and nothing reads J or its gradient without it.  Each
+request calls the objective once, a repeated point too; the only reuse of
+an evaluated datum is the driver's, at a model center.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import AssumptionViolationError, ConfigError, NonFiniteError
 
 @dataclass
 class Problem:
-    """Objective with box bounds, an evaluation counter and a memo of evaluated points.
+    """Objective with box bounds and an evaluation counter.
 
     fn maps a point to (J, grad J).
     """
@@ -31,8 +30,6 @@ class Problem:
     upper: np.ndarray
     fn: Callable[[np.ndarray], tuple]
     counter: int = 0
-    # x.tobytes() -> (J, grad J)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -41,30 +38,26 @@ class Problem:
     def eval(self, x):
         """Counted evaluation of (J, grad J) at x; the gradient is a fresh array.
 
+        Each call counts one and calls fn once, at a repeated point too.
         A non-finite J or gradient raises NonFiniteError and a J that is not
-        positive AssumptionViolationError; either still counts, and neither
-        is memoized.
+        positive AssumptionViolationError; either still counts.
         """
         x = np.array(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
         self.counter += 1
-        key = x.tobytes()
-        entry = self._memo.get(key)
-        if entry is None:
-            val, grad = self.fn(x)
-            val, grad = float(val), np.asarray(grad, dtype=float)
-            if not (math.isfinite(val) and np.isfinite(grad).all()):
-                raise NonFiniteError(
-                    f"{self.name}: non-finite objective at {x}: J = {val!r}, grad J = {grad}"
-                )
-            if not val > 0.0:
-                raise AssumptionViolationError(
-                    f"{self.name}: objective value {val:.3e} at {x} is not strictly "
-                    "positive; add a larger additive offset"
-                )
-            entry = self._memo[key] = (val, grad)
-        return entry[0], entry[1].copy()
+        val, grad = self.fn(x)
+        val, grad = float(val), np.array(grad, dtype=float)
+        if not (math.isfinite(val) and np.isfinite(grad).all()):
+            raise NonFiniteError(
+                f"{self.name}: non-finite objective at {x}: J = {val!r}, grad J = {grad}"
+            )
+        if not val > 0.0:
+            raise AssumptionViolationError(
+                f"{self.name}: objective value {val:.3e} at {x} is not strictly "
+                "positive; add a larger additive offset"
+            )
+        return val, grad
 
 
 # name -> (lower, upper) bounds; a problem's dimension is their length, so
@@ -111,7 +104,7 @@ def problem_pde2d(grid_n: int) -> Problem:
     """Diffusion-control objective driven by the 2D elliptic solver.
 
     Problems on one grid share its discretization, which holds nothing
-    that depends on mu; each keeps its own counter and memo.
+    that depends on mu; each keeps its own counter.
     """
     from .pde2d import discretization, pde2d_gradient, pde2d_solve
 

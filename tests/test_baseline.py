@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hermite_tr import baseline
-from hermite_tr.baseline import BaselineConfig, minimize, reference_solution
-from hermite_tr.errors import HermiteTrError
+from hermite_tr.baseline import REFERENCE, BaselineConfig, minimize, reference_solution
+from hermite_tr.errors import HermiteTrError, NumericalError
 from hermite_tr.harness import load_config, sample_starts
 from hermite_tr.problems import Problem, make_problem, problem_1d, problem_rosenbrock
 from hermite_tr.subproblem import SubproblemConfig, projected_gradient_norm
@@ -166,6 +166,37 @@ class TestReference:
         assert j_ref == pytest.approx(self.GOLDEN_PDE96_J, rel=1e-9)
         assert x_ref[0] == pytest.approx(self.GOLDEN_PDE96_X[0], abs=1e-3)
         assert x_ref[1] == pytest.approx(self.GOLDEN_PDE96_X[1], abs=1e-8)
+
+
+class TestRetracesReference:
+    """From a shared start the baseline walks the reference's path and stops on it.
+
+    Both backtrack with the one line search and differ only in when they
+    stop, so the baseline's accepted iterates are the first of the
+    reference's, bit for bit, and cost no more evaluations.
+    """
+
+    @staticmethod
+    def report(cfg, x0, baseline_cfg):
+        """minimize's report from x0 on a fresh problem, the partial one if the run stalls."""
+        problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+        try:
+            return minimize(problem, x0, baseline_cfg, cfg.tr.sub)
+        except NumericalError as exc:
+            return exc.report
+
+    @pytest.mark.parametrize("name,grid_n", [("one_d", None), ("rosenbrock", None),
+                                             ("pde2d", 24)])
+    def test_baseline_log_is_a_prefix_of_the_reference_log(self, name, grid_n):
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        if grid_n is not None:
+            cfg = replace(cfg, grid_n=grid_n)
+        for x0 in sample_starts(cfg, make_problem(cfg.problem, grid_n=cfg.grid_n)):
+            base, ref = (self.report(cfg, x0, c) for c in (cfg.baseline, REFERENCE))
+            assert 0 < len(base.log) <= len(ref.log)
+            for b, r in zip(base.log, ref.log):
+                assert np.array(b.candidate).tobytes() == np.array(r.candidate).tobytes()
+            assert base.fom_evals <= ref.fom_evals
 
 
 def noisy_bowl():

@@ -146,8 +146,7 @@ FAILURES = {
 def fail_evaluation(monkeypatch, at, failure):
     """Make run_experiment's problem apply failure at its evaluation number at.
 
-    Returns a list that gains an entry when the failure fires; a memoized
-    evaluation calls no objective and cannot fire it.
+    Returns a list that gains an entry when the failure fires.
     """
     fired = []
 
@@ -497,23 +496,24 @@ class TestProtocol:
         for name, seen in received.items():
             assert all(c is cfg.tr.sub for c in seen), name
 
-    def test_pde2d_solves_once_per_distinct_point(self):
+    def test_pde2d_solves_once_per_evaluation(self):
         # the small pde2d experiment of TestGoldenOutputs, run as there in a
         # fresh process with one BLAS thread: 94 counted evaluations at 77
-        # distinct points.  (Two threads read 92 at 75; 96 at 79 before the
-        # solve in the interface eigenbasis, 103 at 86 before the condensed
-        # solve and the warm start from the norm samples, 191 at 170 before
-        # the reference's line searches stopped at the objective's
-        # rounding level.)
+        # distinct points, and each of the 17 repeats costs a solve too.
+        # (Two threads read 92 at 75; 96 at 79 before the solve in the
+        # interface eigenbasis, 103 at 86 before the condensed solve and the
+        # warm start from the norm samples, 191 at 170 before the
+        # reference's line searches stopped at the objective's rounding
+        # level.)
         script = ("import json, test_harness; "
                   "print(json.dumps(test_harness.small_pde2d_solve_counts()))")
         out = subprocess.run([sys.executable, "-c", script], env=one_blas_thread_env(TESTS),
                              check=True, capture_output=True, text=True)
         evals, recorded, distinct, solves, gradients = json.loads(out.stdout)
-        assert evals == recorded == 94
         # every solve computes its gradient with the value, the rejected
         # line-search trials of the reference and baseline runs too
-        assert solves == distinct == gradients == 77
+        assert evals == recorded == solves == gradients == 94
+        assert distinct == 77
 
     def test_failed_inner_solves_leave_no_cyclic_garbage(self):
         # the bundled rosenbrock experiment, in a fresh process with one

@@ -130,6 +130,19 @@ def refused(case):
     return pytest.raises(AssumptionViolationError, match="not strictly positive")
 
 
+def counting(problem):
+    """problem with its fn wrapped to record the points it is called at."""
+    calls = []
+    fn = problem.fn
+
+    def counted(x):
+        calls.append(x.tobytes())
+        return fn(x)
+
+    problem.fn = counted
+    return problem, calls
+
+
 def non_finite_1d(case, bad=lambda call: call > 1):
     """problem_1d whose objective fails, as FAILING[case], at the calls
     (counted from 1) where bad holds; by default after its first call."""
@@ -148,16 +161,16 @@ def non_finite_1d(case, bad=lambda call: call > 1):
 @pytest.mark.parametrize("case", sorted(FAILING))
 class TestNonFinite:
     """A non-finite or non-positive objective is a typed NumericalError,
-    counted and never memoized; the baseline rejects it at a line-search
+    counted like any evaluation; the baseline rejects it at a line-search
     trial, and the error carries a report once the run has an iterate."""
 
     def test_eval(self, case):
-        p = non_finite_1d(case)
+        p, calls = counting(non_finite_1d(case))
         p.eval(np.array([1.5]))
         for attempt in (2, 3):
             with refused(case):
                 p.eval(np.array([1.0]))
-            assert p.counter == attempt and len(p._memo) == 1
+            assert p.counter == len(calls) == attempt
 
     def test_run_attaches_a_partial_report(self, case):
         # the start is the first evaluation, the first candidate the second
@@ -204,34 +217,21 @@ class TestNonFinite:
         assert runs[1]["fom_evals"] == p.counter - 1 and np.isfinite(j)
 
 
-class TestMemo:
-    """Repeated points save work, never a count or a bit."""
+class TestRepeatedPoint:
+    """A repeated point is one more objective call and one more count, with the same bits."""
 
-    @staticmethod
-    def counting(problem):
-        """problem with its fn wrapped to count the objective calls it makes."""
-        calls = []
-        fn = problem.fn
-
-        def counted(x):
-            calls.append(x.tobytes())
-            return fn(x)
-
-        problem.fn = counted
-        return problem, calls
-
-    def test_hit_counts_and_returns_equal_bits_in_a_fresh_array(self):
-        p, calls = self.counting(problem_pde2d(grid_n=24))
+    def test_repeat_calls_again_and_returns_equal_bits_in_a_fresh_array(self):
+        p, calls = counting(problem_pde2d(grid_n=24))
         x = np.array([1.3, 2.2])
         val, grad = p.eval(x)
         grad_copy = grad.copy()
         grad[:] = 0.0                       # the caller's array is its own
         val2, grad2 = p.eval(x.copy())
-        assert p.counter == 2 and len(calls) == 1
+        assert p.counter == 2 and calls == [x.tobytes()] * 2
         assert val2 == val
         assert grad2.tobytes() == grad_copy.tobytes()
 
-    def test_failed_evaluation_not_memoized(self):
+    def test_failed_evaluation_calls_again(self):
         calls = []
 
         def fn(x):
@@ -520,11 +520,10 @@ class TestSharedDiscretization:
         monkeypatch.setattr(pde2d, "pde2d_solve", recording)
         first, second = (make_problem("pde2d", grid_n=24) for _ in range(2))
         val, grad = first.eval(self.MU)
-        assert (first.counter, second.counter) == (1, 0) and not second._memo
-        val2, grad2 = second.eval(self.MU)     # a miss in second's own memo
+        assert (first.counter, second.counter) == (1, 0)
+        val2, grad2 = second.eval(self.MU)
         assert (first.counter, second.counter) == (1, 1)
         assert val2 == val and grad2.tobytes() == grad.tobytes()
-        assert first._memo is not second._memo and len(first._memo) == len(second._memo) == 1
         a, b = seen
         assert a is b is pde2d.discretization(24)
         assert a.interface is b.interface
