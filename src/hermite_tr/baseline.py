@@ -7,6 +7,12 @@ search and settings, and it stops by the trust region's tolerances; the
 accepted trial keeps the gradient its own evaluation returned.  Also
 provides tight-tolerance reference solutions for accuracy reporting.
 
+One run can stop by several rules (minimize_each): each rule's report is
+taken when it fires, and the run goes on until the last has fired.  The
+experiment's baseline is such a rule of the reference's run from the same
+start, whose path it would otherwise retrace, so that every point on the
+shared path is evaluated once.
+
 A line search here ends, without evaluating the trial, once the decrease
 a trial predicts, grad @ (x - trial), is at most one rounding unit of
 J(x), eps * |J(x)| with eps the float64 machine epsilon: below that the
@@ -24,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import Branch, IterationRecord, RunReport, TRConfig
-from .errors import ConfigError, LineSearchError, NumericalError, StalledError, require_finite
+from .errors import (
+    ConfigError,
+    LineSearchError,
+    NumericalError,
+    StalledError,
+    failure_text,
+    require_finite,
+)
 from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
@@ -59,12 +72,31 @@ class BaselineConfig:
 
 def minimize(problem: Problem, x0, cfg: BaselineConfig,
              ls_cfg: SubproblemConfig) -> RunReport:
-    """Projected BFGS with Armijo backtracking by ls_cfg on the objective itself."""
-    box = (problem.lower, problem.upper)
-    evals_before = problem.counter
+    """Projected BFGS with Armijo backtracking by ls_cfg on the objective itself.
 
-    x = project_box(np.asarray(x0, dtype=float), box)
-    fx, grad = problem.eval(x)
+    Stops by cfg.  A NumericalError leaves with the partial report (see
+    NumericalError).
+    """
+    report, = minimize_each(problem, x0, (cfg,), ls_cfg)
+    return report
+
+
+def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
+    """One projected-BFGS run from x0 that stops by each of cfgs: a RunReport per rule.
+
+    Rule k's report is the run as it stood when cfgs[k] fired, which is
+    minimize's report for cfgs[k] alone, bit for bit.  The run ends once
+    every rule has fired.  A NumericalError leaves with the partial report
+    and, as fired, the reports of the rules that fired before it (None for
+    the others).
+    """
+    box = (problem.lower, problem.upper)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.dim,):
+        raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
+    evals_before = problem.counter
+    x = project_box(x0, box)
+    fx = grad = None
     dim = x.shape[0]
     hinv = np.eye(dim)
 
@@ -83,14 +115,21 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
         x_new, f_new, j = armijo_backtrack(fun, x, fx, rule, ladder, resolution=resolution)
         return x_new, f_new, grads[j]
 
-    termination = "max_iters"
     iters = 0
+    j_diff = math.inf
     log = []
+    reports = [None] * len(cfgs)
     try:
-        for _ in range(cfg.i_max):
-            if projected_gradient_norm(x, grad, box) <= cfg.tau_foc:
-                termination = "foc"
-                break
+        fx, grad = problem.eval(x)
+        while True:
+            foc = projected_gradient_norm(x, grad, box)
+            for k, cfg in enumerate(cfgs):
+                termination = _termination(cfg, iters, foc, j_diff)
+                if reports[k] is None and termination is not None:
+                    reports[k] = _report(problem, x, fx, grad, box, iters, evals_before,
+                                          termination, log)
+            if all(r is not None for r in reports):
+                return reports
 
             # components pinned at a bound with the gradient pushing outward
             # carry no usable descent; mask them out of the direction
@@ -134,14 +173,25 @@ def minimize(problem: Problem, x0, cfg: BaselineConfig,
                 outer_iter=iters, branch=Branch.ACCEPTED_BY_DIRECT,
                 candidate=np.asarray(x).tolist(), j_value=float(fx),
             ))
-            if j_diff <= cfg.tau_j:
-                termination = "stagnation"
-                break
     except NumericalError as exc:
-        exc.report = _report(problem, x, fx, grad, box, iters, evals_before, "stalled", log)
+        if fx is not None:
+            exc.report = _report(problem, x, fx, grad, box, iters, evals_before, "stalled", log)
+        exc.fired = reports
         raise
 
-    return _report(problem, x, fx, grad, box, iters, evals_before, termination, log)
+
+def _termination(cfg, iters, foc, j_diff):
+    """The rule cfg's verdict at an iterate iters steps in, or None to go on.
+
+    The step that reached it decreased J by j_diff relative (inf at the start).
+    """
+    if j_diff <= cfg.tau_j:
+        return "stagnation"
+    if iters == cfg.i_max:
+        return "max_iters"
+    if foc <= cfg.tau_foc:
+        return "foc"
+    return None
 
 
 def _report(problem, x, fx, grad, box, iters, evals_before, termination, log):
@@ -162,31 +212,47 @@ def _report(problem, x, fx, grad, box, iters, evals_before, termination, log):
 REFERENCE = BaselineConfig(tau_foc=1e-10, tau_j=1e-16, i_max=500)
 
 
-def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig):
+def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig,
+                       baseline: BaselineConfig | None = None):
     """Best minimizer over REFERENCE baseline runs from each start, backtracking by ls_cfg.
 
     Returns (iterate, J, runs), with one {start, fom_evals, termination}
-    per start.  termination is foc, stagnation or max_iters; stalled when
-    the run raised a NumericalError, whose partial report still offers its
-    iterate, as when the line searches reach the objective's rounding level
-    before the gradient test fires; or failed when the start's own
-    evaluation raised one.  Raises StalledError if every start failed.
+    per start.  fom_evals counts the start's run; termination is foc,
+    stagnation or max_iters; stalled when the run raised a NumericalError,
+    whose partial report still offers its iterate, as when the line
+    searches reach the objective's rounding level before the gradient test
+    fires; or failed when the start's own evaluation raised one.  Raises
+    StalledError if every start failed.
+
+    Given a baseline config, each start's run stops by it too, and a fourth
+    value follows: the baseline group, one (start, RunReport) per start, or
+    (start, failure_text) where the run raised before the baseline's rule
+    fired.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if starts.shape[0] < 1:
+    starts = np.asarray(starts, dtype=float)
+    if starts.size == 0:
         raise ValueError("need at least one start")
+    starts = np.atleast_2d(starts)
+    rules = (REFERENCE,) if baseline is None else (REFERENCE, baseline)
     best = None
     runs = []
+    group = []
     for k, x0 in enumerate(starts):
         evals_before = problem.counter
         try:
-            report = minimize(problem, x0, REFERENCE, ls_cfg)
+            report, *watched = minimize_each(problem, x0, rules, ls_cfg)
         except NumericalError as exc:
-            report = exc.report
+            report, *watched = exc.fired
+            if report is None:
+                report = exc.report
+            watched = [failure_text(exc) if r is None else r for r in watched]
         runs.append({"start": k, "fom_evals": problem.counter - evals_before,
                      "termination": "failed" if report is None else report.termination})
+        group += [(k, r) for r in watched]
         if report is not None and (best is None or report.final_j < best.final_j):
             best = report
     if best is None:
         raise StalledError("all reference runs stalled without a usable iterate")
-    return best.final_iterate, best.final_j, runs
+    if baseline is None:
+        return best.final_iterate, best.final_j, runs
+    return best.final_iterate, best.final_j, runs, group

@@ -47,6 +47,11 @@ class NumericalError(HermiteTrError):
     report = None
 
 
+def failure_text(exc) -> str:
+    """A failed run's record: the error's type and text."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 class NonFiniteError(NumericalError):
     """The objective returned an infinite or NaN value or gradient."""
 

@@ -1,15 +1,23 @@
 """Direct projected BFGS reference optimizer."""
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hermite_tr import baseline
-from hermite_tr.baseline import REFERENCE, BaselineConfig, minimize, reference_solution
-from hermite_tr.errors import HermiteTrError, NumericalError
-from hermite_tr.harness import load_config, sample_starts
+from hermite_tr.baseline import (
+    REFERENCE,
+    BaselineConfig,
+    minimize,
+    minimize_each,
+    reference_solution,
+)
+from hermite_tr.errors import ConfigError, HermiteTrError, NumericalError, failure_text
+from hermite_tr.harness import config_from_dict, load_config, run_experiment, sample_starts
 from hermite_tr.problems import Problem, make_problem, problem_1d, problem_rosenbrock
 from hermite_tr.subproblem import SubproblemConfig, projected_gradient_norm
 
@@ -41,6 +49,11 @@ class TestOneD:
         p = problem_1d()
         report = minimize(p, np.array([1.0]), BaselineConfig(), LS)
         assert report.fom_evals == p.counter
+
+    def test_the_last_step_ends_stagnation_when_it_stagnates(self):
+        # the stagnation test of a step comes before the iteration budget
+        report = minimize(problem_1d(), np.array([1.7]), BaselineConfig(tau_j=1.0, i_max=1), LS)
+        assert (report.outer_iters, report.termination) == (1, "stagnation")
 
 
 class TestRosenbrock:
@@ -150,6 +163,20 @@ class TestReference:
         with pytest.raises(ValueError):
             reference_solution(problem_1d(), np.empty((0, 1)), LS)
 
+    def test_an_empty_start_list_is_no_start(self):
+        with pytest.raises(ValueError, match="need at least one start"):
+            reference_solution(problem_1d(), [], LS)
+
+    @pytest.mark.parametrize("solver", ["minimize", "reference_solution"])
+    def test_start_of_the_wrong_dimension_refused_before_any_evaluation(self, solver):
+        p = problem_1d()
+        with pytest.raises(ConfigError, match=r"x0 must have shape \(1,\), got \(2,\)"):
+            if solver == "minimize":
+                minimize(p, np.array([0.5, 1.0]), BaselineConfig(), LS)
+            else:
+                reference_solution(p, [[0.5, 1.0], [1.5, -1.0]], LS)
+        assert p.counter == 0
+
     # Golden value for the diffusion benchmark on the 96-cell grid, frozen
     # from this very operation (tight-tolerance multistart); the optimizer
     # sits on the upper bound of the second component.
@@ -197,6 +224,88 @@ class TestRetracesReference:
             for b, r in zip(base.log, ref.log):
                 assert np.array(b.candidate).tobytes() == np.array(r.candidate).tobytes()
             assert base.fom_evals <= ref.fom_evals
+
+
+def standalone(cfg, x0, rule):
+    """(evaluations, termination, report JSON or failure text) of minimize by rule
+    from x0 on a fresh problem of cfg's."""
+    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+    try:
+        report = minimize(problem, x0, rule, cfg.tr.sub)
+    except NumericalError as exc:
+        termination = "failed" if exc.report is None else exc.report.termination
+        return problem.counter, termination, failure_text(exc)
+    return report.fom_evals, report.termination, json.dumps(report.to_dict())
+
+
+def bundled(name, **over):
+    """A bundled config's mapping with the sections in over merged into it."""
+    data = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+    for key, value in over.items():
+        data[key] = {**data.get(key, {}), **value} if isinstance(value, dict) else value
+    return data
+
+
+# one_d's baseline with tau_foc below REFERENCE's: at start 0 the reference
+# ends foc and the run then stalls before the baseline's rule fires
+TIGHT_ONE_D = {"trust_region": {"tau_foc": 1.0e-12}}
+
+
+class TestSharedRun:
+    """One run per start gives the baseline and the reference what their own runs give."""
+
+    @pytest.mark.parametrize("rules", [
+        (BaselineConfig(i_max=5), BaselineConfig(i_max=12)),
+        (BaselineConfig(i_max=12), BaselineConfig(i_max=5)),
+        (REFERENCE, BaselineConfig(tau_foc=1e-5, tau_j=1e-15)),
+    ])
+    def test_each_rule_reports_as_its_standalone_run(self, rules):
+        cfg = config_from_dict(bundled("rosenbrock"))
+        x0 = np.array([-1.2, 1.0])
+        problem = problem_rosenbrock()
+        try:
+            outcomes = [(r.fom_evals, r.termination, json.dumps(r.to_dict()))
+                        for r in minimize_each(problem, x0, rules, cfg.tr.sub)]
+        except NumericalError as exc:
+            outcomes = [(r.fom_evals, r.termination, json.dumps(r.to_dict())) if r is not None else
+                        (problem.counter, exc.report.termination, failure_text(exc))
+                        for r in exc.fired]
+        alone = [standalone(cfg, x0, rule) for rule in rules]
+        assert outcomes == alone
+        assert problem.counter == max(evals for evals, _, _ in alone)
+
+    @pytest.mark.parametrize("name,over", [
+        ("one_d", {}),
+        ("rosenbrock", {}),
+        ("pde2d", {"grid_n": 24}),
+        ("one_d", TIGHT_ONE_D),
+        ("rosenbrock", {"baseline": {"i_max": 600}}),
+    ], ids=["one_d", "rosenbrock", "pde2d-24", "one_d-tau_foc-1e-12", "rosenbrock-i_max-600"])
+    def test_experiment_reports_and_charges_as_standalone_runs(self, name, over):
+        # the baseline's records are its standalone runs', bytes for bytes;
+        # each start's run lasts until both rules fired, and the reference
+        # is charged what the baseline's reports leave of it
+        cfg = config_from_dict(bundled(name, **over))
+        _, reports, meta = run_experiment(cfg)
+        charged = 0
+        for (k, item), x0, run in zip(reports["baseline"], meta["starts"], meta["reference_runs"]):
+            base_evals, _, base = standalone(cfg, np.array(x0), cfg.baseline)
+            ref_evals, ref_termination, _ = standalone(cfg, np.array(x0), REFERENCE)
+            assert (item if isinstance(item, str) else json.dumps(item.to_dict())) == base
+            assert run == {"start": k, "fom_evals": max(base_evals, ref_evals),
+                           "termination": ref_termination}
+            charged += run["fom_evals"] - (0 if isinstance(item, str) else item.fom_evals)
+        assert meta["reference_fom_evals"] == charged
+
+    def test_a_run_that_stalls_before_the_baseline_fires_fails_the_baseline(self):
+        cfg = config_from_dict(bundled("one_d", **TIGHT_ONE_D))
+        x0 = sample_starts(cfg, problem_1d())[0]
+        problem = problem_1d()
+        _, _, runs, [(k, failure)] = reference_solution(problem, x0[None, :], cfg.tr.sub,
+                                                       cfg.baseline)
+        assert k == 0 and runs[0]["termination"] == "foc"
+        assert failure == standalone(cfg, x0, cfg.baseline)[2] \
+            == "StalledError: line search failed along steepest descent"
 
 
 def noisy_bowl():

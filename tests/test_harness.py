@@ -361,9 +361,11 @@ class TestProtocol:
     def test_failed_norm_estimate_fails_only_its_shape(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, trust_region={"norm_source": "estimated",
                                                   "norm_samples": 5})
-        _, _, meta_clean = run_experiment(cfg)
-        # the reference runs first, so the first norm sample is the next evaluation
-        first_sample = meta_clean["reference_fom_evals"] + 1
+        _, reports_clean, meta_clean = run_experiment(cfg)
+        # the reference and baseline runs come first, so the first norm
+        # sample is the next evaluation
+        first_sample = meta_clean["reference_fom_evals"] + sum(
+            r.fom_evals for _, r in reports_clean["baseline"]) + 1
         fired = fail_evaluation(monkeypatch, first_sample, FAILURES["NaN J"])
         rows, reports, meta = run_experiment(cfg)
         assert fired == [first_sample]
@@ -393,12 +395,17 @@ class TestProtocol:
         assert sorted(p.name for p in (out / "runs").iterdir())
 
     def test_reference_runs_account_for_the_reference_evaluations(self, tmp_path):
+        # each start's run serves the reference and the baseline: the
+        # baseline's reports keep their evaluations, the reference is
+        # charged the rest
         cfg = tiny_config(tmp_path, n_starts=3)
-        out = emit_outputs(*run_experiment(cfg), cfg)
+        rows, reports, meta = run_experiment(cfg)
+        out = emit_outputs(rows, reports, meta, cfg)
         meta = json.loads((out / "experiment.json").read_text())
         runs = meta["reference_runs"]
         assert [r["start"] for r in runs] == [0, 1, 2]
-        assert sum(r["fom_evals"] for r in runs) == meta["reference_fom_evals"]
+        assert sum(r["fom_evals"] for r in runs) == meta["reference_fom_evals"] + sum(
+            r.fom_evals for _, r in reports["baseline"])
         assert {r["termination"] for r in runs} <= {"foc", "stagnation", "max_iters",
                                                      "stalled"}
 
@@ -463,12 +470,14 @@ class TestProtocol:
         assert not (tmp_path / "out").exists()
 
     def test_baseline_and_reference_backtrack_like_the_inner_solver(self, monkeypatch):
-        # solve, minimize and reference_solution all get cfg.tr.sub, and
-        # every line search of the experiment runs on that one object
+        # solve, the one run per start that serves the reference and the
+        # baseline, and reference_solution all get cfg.tr.sub, and every
+        # line search of the experiment runs on that one object
         cfg = config_from_dict({**MINIMAL, "n_starts": 2,
                                 "trust_region": {"norm_source": "analytic"},
                                 "subproblem": {"kappa_bt": 0.3}})
-        received = {"solve": [], "minimize": [], "reference_solution": [], "backtrack": []}
+        received = {"solve": [], "minimize": [], "minimize_each": [], "reference_solution": [],
+                    "backtrack": []}
 
         def recording(module, name, position):
             fn = getattr(module, name)
@@ -481,6 +490,7 @@ class TestProtocol:
 
         recording(driver, "solve", 3)
         recording(harness, "minimize", 3)
+        recording(baseline, "minimize_each", 3)
         recording(harness, "reference_solution", 2)
         ladder = subproblem.backtracking_ladder
 
@@ -491,16 +501,18 @@ class TestProtocol:
         monkeypatch.setattr(subproblem, "backtracking_ladder", recording_ladder)
         monkeypatch.setattr(baseline, "backtracking_ladder", recording_ladder)
         run_experiment(cfg)
-        assert [len(received[name]) for name in ("minimize", "reference_solution")] == [2, 1]
+        assert [len(received[name]) for name in ("minimize", "minimize_each",
+                                                 "reference_solution")] == [0, 2, 1]
         assert received["solve"] and received["backtrack"]
         for name, seen in received.items():
             assert all(c is cfg.tr.sub for c in seen), name
 
     def test_pde2d_solves_once_per_evaluation(self):
         # the small pde2d experiment of TestGoldenOutputs, run as there in a
-        # fresh process with one BLAS thread: 94 counted evaluations at 77
-        # distinct points, and each of the 17 repeats costs a solve too.
-        # (Two threads read 92 at 75; 96 at 79 before the solve in the
+        # fresh process with one BLAS thread: 79 counted evaluations at 77
+        # distinct points, and each of the 2 repeats costs a solve too.
+        # (94 at 77 before the baseline shared the reference's runs; two
+        # threads then read 92 at 75; 96 at 79 before the solve in the
         # interface eigenbasis, 103 at 86 before the condensed solve and the
         # warm start from the norm samples, 191 at 170 before the
         # reference's line searches stopped at the objective's rounding
@@ -512,7 +524,7 @@ class TestProtocol:
         evals, recorded, distinct, solves, gradients = json.loads(out.stdout)
         # every solve computes its gradient with the value, the rejected
         # line-search trials of the reference and baseline runs too
-        assert evals == recorded == solves == gradients == 94
+        assert evals == recorded == solves == gradients == 79
         assert distinct == 77
 
     def test_failed_inner_solves_leave_no_cyclic_garbage(self):
@@ -714,13 +726,15 @@ class TestGoldenOutputs:
 
     # tree_digest of the whole output of `hermite-tr run`: summary.csv
     # rounds to 12 significant digits, the run records keep every bit.
-    # foc_measure reads the objective's gradient stored at the iterate
+    # foc_measure reads the objective's gradient stored at the iterate;
+    # experiment.json's reference_fom_evals leaves out the evaluations of
+    # the baseline, which shares the reference's runs
     TREE_SHA256 = {
-        "one_d": "372bd3b8774bfc6aa6cc67c8750f6979fa410f4bceadf739f64fc95888cca4ea",
-        "one_d_sweep": "4c2c4f9f1fc2ce43164ab55aa6ff940d7069cfc5750bde4cdf472bc6693c9528",
-        "pde2d": "3c92c8306942517e5ca775d860c53dbad760183a5b9d674bd2238f8e5375ee61",
-        "rosenbrock": "16bc9d3905dfa95629c352a27f5ea4b0c03471583a73f5232972fb7abae63878",
-        "small_pde2d": "c45a2db2032537ecdf93421fd9d3ccdf37b062e430c6da3039e418c1f11cfa18",
+        "one_d": "a9369718cdabebd37963dd93530d07ffc4b7a1acce084ea348fbdc472724787d",
+        "one_d_sweep": "4a96fab763f08d63e3fc97e6108c70845ddbff83e9a0226561715474a7952d7b",
+        "pde2d": "6e8cf3d3598c9d05f66aff213de5e7eb2d1071d6051b4134cf253a4cea7d3b70",
+        "rosenbrock": "bbc554a9f77ceee75ae9b1952156703d6de75fab299e900b2d8ddbe96e97f487",
+        "small_pde2d": "6ba5740b6955d3bcf8297c2a82d481c93da33e79e4cbb6aabd13c9fd35ccedb5",
     }
 
     @pytest.fixture(scope="class")
