@@ -7,11 +7,11 @@ search and settings, and it stops by the trust region's tolerances; the
 accepted trial keeps the gradient its own evaluation returned.  Also
 provides tight-tolerance reference solutions for accuracy reporting.
 
-One run can stop by several rules (minimize_each): each rule's report is
-taken when it fires, and the run goes on until the last has fired.  The
-experiment's baseline is such a rule of the reference's run from the same
-start, whose path it would otherwise retrace, so that every point on the
-shared path is evaluated once.
+A run stops by one or more rules (minimize): each rule's report is taken
+when it fires, and the run goes on until the last has fired.  The
+baseline is such a rule of the reference's run from the same start, whose
+path it would otherwise retrace, so that every point on the shared path
+is evaluated once; every reference, the CLI's included, comes from it.
 
 A line search here ends, without evaluating the trial, once the decrease
 a trial predicts, grad @ (x - trial), is at most one rounding unit of
@@ -70,25 +70,15 @@ class BaselineConfig:
             raise ConfigError("i_max must be positive")
 
 
-def minimize(problem: Problem, x0, cfg: BaselineConfig,
-             ls_cfg: SubproblemConfig) -> RunReport:
-    """Projected BFGS with Armijo backtracking by ls_cfg on the objective itself.
+def minimize(problem: Problem, x0, rules, ls_cfg: SubproblemConfig) -> list:
+    """Projected BFGS from x0 with Armijo backtracking by ls_cfg on the objective itself.
 
-    Stops by cfg.  A NumericalError leaves with the partial report (see
-    NumericalError).
-    """
-    report, = minimize_each(problem, x0, (cfg,), ls_cfg)
-    return report
-
-
-def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
-    """One projected-BFGS run from x0 that stops by each of cfgs: a RunReport per rule.
-
-    Rule k's report is the run as it stood when cfgs[k] fired, which is
-    minimize's report for cfgs[k] alone, bit for bit.  The run ends once
-    every rule has fired.  A NumericalError leaves with the partial report
-    and, as fired, the reports of the rules that fired before it (None for
-    the others).
+    One run that stops by each BaselineConfig of rules: a RunReport per
+    rule.  Rule k's report is the run as it stood when rules[k] fired,
+    which is this run's report for rules[k] alone, bit for bit.  The run
+    ends once every rule has fired.  A NumericalError leaves with the
+    partial report and, as fired, the reports of the rules that fired
+    before it (None for the others).
     """
     box = (problem.lower, problem.upper)
     x0 = np.asarray(x0, dtype=float)
@@ -97,8 +87,7 @@ def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
     evals_before = problem.counter
     x = project_box(x0, box)
     fx = grad = None
-    dim = x.shape[0]
-    hinv = np.eye(dim)
+    hinv = np.eye(problem.dim)
 
     def search(direction):
         """(accepted trial, its J, its gradient) of a line search from the current x."""
@@ -115,19 +104,32 @@ def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
         x_new, f_new, j = armijo_backtrack(fun, x, fx, rule, ladder, resolution=resolution)
         return x_new, f_new, grads[j]
 
+    def report(termination):
+        """The run's RunReport at the current x."""
+        return RunReport(
+            final_iterate=np.asarray(x).copy(),
+            final_j=float(fx),
+            final_foc=projected_gradient_norm(x, grad, box),
+            fom_evals=problem.counter - evals_before,
+            outer_iters=iters,
+            termination=termination,
+            norm_bound=0.0,
+            log=list(log),
+            method="baseline_bfgs",
+        )
+
     iters = 0
     j_diff = math.inf
     log = []
-    reports = [None] * len(cfgs)
+    reports = [None] * len(rules)
     try:
         fx, grad = problem.eval(x)
         while True:
             foc = projected_gradient_norm(x, grad, box)
-            for k, cfg in enumerate(cfgs):
+            for k, cfg in enumerate(rules):
                 termination = _termination(cfg, iters, foc, j_diff)
                 if reports[k] is None and termination is not None:
-                    reports[k] = _report(problem, x, fx, grad, box, iters, evals_before,
-                                          termination, log)
+                    reports[k] = report(termination)
             if all(r is not None for r in reports):
                 return reports
 
@@ -140,7 +142,7 @@ def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
             slope = float(g_eff @ direction)
             if not slope < 0.0:
                 direction = -g_eff
-                hinv = np.eye(dim)
+                hinv = np.eye(problem.dim)
             # projected-step decrease reference: stays satisfiable when bound
             # clipping kills the dominant gradient component
             rule = projected_decrease_rule(ls_cfg.kappa_arm, grad)
@@ -154,7 +156,7 @@ def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
                     if np.array_equal(direction, -g_eff):
                         raise
                     # retry once from a fresh steepest-descent direction
-                    hinv = np.eye(dim)
+                    hinv = np.eye(problem.dim)
                     x_new, f_new, grad_new = search(-g_eff)
             except LineSearchError:
                 raise StalledError("line search failed along steepest descent") from None
@@ -162,7 +164,7 @@ def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
             clipped = bool(np.any((x_new <= problem.lower) | (x_new >= problem.upper)))
             if clipped and not np.any((x <= problem.lower) | (x >= problem.upper)):
                 # step just landed on a face: curvature pairs straddle the kink
-                hinv = np.eye(dim)
+                hinv = np.eye(problem.dim)
             else:
                 hinv = bfgs_inverse_update(hinv, x_new - x, grad_new - grad)
 
@@ -175,7 +177,7 @@ def minimize_each(problem: Problem, x0, cfgs, ls_cfg: SubproblemConfig) -> list:
             ))
     except NumericalError as exc:
         if fx is not None:
-            exc.report = _report(problem, x, fx, grad, box, iters, evals_before, "stalled", log)
+            exc.report = report("stalled")
         exc.fired = reports
         raise
 
@@ -194,65 +196,44 @@ def _termination(cfg, iters, foc, j_diff):
     return None
 
 
-def _report(problem, x, fx, grad, box, iters, evals_before, termination, log):
-    return RunReport(
-        final_iterate=np.asarray(x).copy(),
-        final_j=float(fx),
-        final_foc=projected_gradient_norm(x, grad, box),
-        fom_evals=problem.counter - evals_before,
-        outer_iters=iters,
-        termination=termination,
-        norm_bound=0.0,
-        log=list(log),
-        method="baseline_bfgs",
-    )
-
-
 # tight tolerances and a long budget for the reference solution
 REFERENCE = BaselineConfig(tau_foc=1e-10, tau_j=1e-16, i_max=500)
 
 
 def reference_solution(problem: Problem, starts, ls_cfg: SubproblemConfig,
-                       baseline: BaselineConfig | None = None):
-    """Best minimizer over REFERENCE baseline runs from each start, backtracking by ls_cfg.
+                       baseline: BaselineConfig):
+    """Best minimizer over runs by ls_cfg from each start that stop by REFERENCE and baseline.
 
-    Returns (iterate, J, runs), with one {start, fom_evals, termination}
-    per start.  fom_evals counts the start's run; termination is foc,
-    stagnation or max_iters; stalled when the run raised a NumericalError,
-    whose partial report still offers its iterate, as when the line
-    searches reach the objective's rounding level before the gradient test
-    fires; or failed when the start's own evaluation raised one.  Raises
-    StalledError if every start failed.
-
-    Given a baseline config, each start's run stops by it too, and a fourth
-    value follows: the baseline group, one (start, RunReport) per start, or
-    (start, failure_text) where the run raised before the baseline's rule
-    fired.
+    Returns (iterate, J, runs, group), with one {start, fom_evals,
+    termination} per start in runs: fom_evals counts the start's run;
+    termination is REFERENCE's, foc, stagnation or max_iters; stalled when
+    the run raised a NumericalError first, whose partial report still
+    offers its iterate, as when the line searches reach the objective's
+    rounding level before the gradient test fires; or failed when the
+    start's own evaluation raised one.  group is baseline's: one (start,
+    RunReport) per start, or (start, failure_text) where the run raised
+    before baseline fired.  Raises StalledError if every start failed.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.size == 0:
         raise ValueError("need at least one start")
     starts = np.atleast_2d(starts)
-    rules = (REFERENCE,) if baseline is None else (REFERENCE, baseline)
     best = None
     runs = []
     group = []
     for k, x0 in enumerate(starts):
         evals_before = problem.counter
         try:
-            report, *watched = minimize_each(problem, x0, rules, ls_cfg)
+            report, base = minimize(problem, x0, (REFERENCE, baseline), ls_cfg)
         except NumericalError as exc:
-            report, *watched = exc.fired
-            if report is None:
-                report = exc.report
-            watched = [failure_text(exc) if r is None else r for r in watched]
+            report, base = exc.fired
+            report = report or exc.report
+            base = base or failure_text(exc)
         runs.append({"start": k, "fom_evals": problem.counter - evals_before,
                      "termination": "failed" if report is None else report.termination})
-        group += [(k, r) for r in watched]
+        group.append((k, base))
         if report is not None and (best is None or report.final_j < best.final_j):
             best = report
     if best is None:
         raise StalledError("all reference runs stalled without a usable iterate")
-    if baseline is None:
-        return best.final_iterate, best.final_j, runs
     return best.final_iterate, best.final_j, runs, group

@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>           full experiment: sweep + baseline + reference, write outputs
-  reference <config>     tight-tolerance reference solution only
+  reference <config>     tight-tolerance reference solution only, from run's shared runs
   compare <config>       surrogate method vs. baseline evaluation-count table
   power-field <config>   export the power function of a small seeded fit on a grid
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,9 +33,22 @@ from .harness import (
 from .problems import make_problem
 
 
+def _load(args):
+    """args.config's config, refused if its output location cannot be a directory.
+
+    The check evaluates nothing and creates nothing: a later failure leaves no directory.
+    """
+    cfg = load_config(args.config)
+    out = output_dir(cfg).absolute()
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot create {out}: {existing} is not a writable directory")
+    return cfg
+
+
 def _cmd_run(args):
     """Run the experiment and write its outputs; compare adds the gap to the baseline."""
-    cfg = load_config(args.config)
+    cfg = _load(args)
     rows, reports, meta = run_experiment(cfg)
     out = emit_outputs(rows, reports, meta, cfg)
     print(format_table(rows))
@@ -54,9 +68,11 @@ def _cmd_run(args):
 
 
 def _cmd_reference(args):
-    cfg = load_config(args.config)
+    """The reference of run's experiment: the same runs, stopped by the baseline's rule too."""
+    cfg = _load(args)
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-    x_ref, j_ref, runs = reference_solution(problem, sample_starts(cfg, problem), cfg.tr.sub)
+    x_ref, j_ref, runs, _ = reference_solution(problem, sample_starts(cfg, problem),
+                                               cfg.tr.sub, cfg.baseline)
     payload = {
         "reference_iterate": np.asarray(x_ref).tolist(),
         "reference_j": float(j_ref),
@@ -72,7 +88,7 @@ def _cmd_reference(args):
 
 
 def _cmd_power_field(args):
-    cfg = load_config(args.config)
+    cfg = _load(args)
     path = export_power_field(cfg, grid=args.grid, centers=args.centers)
     print(f"power field written to {path}")
     return 0

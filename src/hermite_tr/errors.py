@@ -42,9 +42,11 @@ class NumericalError(HermiteTrError):
 
     report is the raising run's partial RunReport, ending "stalled" at its
     last iterate, or None if the run failed before it had an iterate.
+    fired (baseline.minimize): per rule, its RunReport if it fired before the error, else None.
     """
 
     report = None
+    fired = None
 
 
 def failure_text(exc) -> str:

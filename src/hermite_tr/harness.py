@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-# unused here but bound: perfbench tracing patches harness.minimize, failing if it is gone
+# minimize is unused here; perfbench/tracing.py patches harness.minimize, failing if gone
 from .baseline import BaselineConfig, minimize, reference_solution  # noqa: F401
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
 from .errors import ConfigError, NumericalError, failure_text, integral, require_finite

@@ -13,10 +13,9 @@ from hermite_tr.baseline import (
     REFERENCE,
     BaselineConfig,
     minimize,
-    minimize_each,
     reference_solution,
 )
-from hermite_tr.errors import ConfigError, HermiteTrError, NumericalError, failure_text
+from hermite_tr.errors import ConfigError, NumericalError, failure_text
 from hermite_tr.harness import config_from_dict, load_config, run_experiment, sample_starts
 from hermite_tr.problems import Problem, make_problem, problem_1d, problem_rosenbrock
 from hermite_tr.subproblem import SubproblemConfig, projected_gradient_norm
@@ -33,34 +32,35 @@ class TestOneD:
     def test_converges_from_random_starts(self, rng):
         for _ in range(5):
             p = problem_1d()
-            report = minimize(p, rng.uniform(-2, 2, 1),
-                              BaselineConfig(tau_foc=1e-7, tau_j=1e-14), LS)
+            report, = minimize(p, rng.uniform(-2, 2, 1),
+                               (BaselineConfig(tau_foc=1e-7, tau_j=1e-14),), LS)
             assert abs(report.final_iterate[0]) <= 1e-6
             assert abs(report.final_j - 2.0) <= 1e-12
 
     def test_accepted_values_monotone(self, rng):
         p = problem_1d()
-        report = minimize(p, np.array([1.7]), BaselineConfig(tau_foc=1e-7), LS)
+        report, = minimize(p, np.array([1.7]), (BaselineConfig(tau_foc=1e-7),), LS)
         js = [r.j_value for r in report.log]
         for a, b in zip(js, js[1:]):
             assert b <= a
 
     def test_counts_every_call(self):
         p = problem_1d()
-        report = minimize(p, np.array([1.0]), BaselineConfig(), LS)
+        report, = minimize(p, np.array([1.0]), (BaselineConfig(),), LS)
         assert report.fom_evals == p.counter
 
     def test_the_last_step_ends_stagnation_when_it_stagnates(self):
         # the stagnation test of a step comes before the iteration budget
-        report = minimize(problem_1d(), np.array([1.7]), BaselineConfig(tau_j=1.0, i_max=1), LS)
+        report, = minimize(problem_1d(), np.array([1.7]),
+                           (BaselineConfig(tau_j=1.0, i_max=1),), LS)
         assert (report.outer_iters, report.termination) == (1, "stagnation")
 
 
 class TestRosenbrock:
     def test_reaches_global_minimum(self):
         p = problem_rosenbrock()
-        report = minimize(p, np.array([-1.2, 1.0]),
-                          BaselineConfig(tau_foc=1e-7, tau_j=1e-16, i_max=500), LS)
+        report, = minimize(p, np.array([-1.2, 1.0]),
+                           (BaselineConfig(tau_foc=1e-7, tau_j=1e-16, i_max=500),), LS)
         assert report.final_j <= 1.0 + 1e-8
 
     def test_non_descent_direction_resets_to_steepest_descent(self, monkeypatch):
@@ -77,7 +77,7 @@ class TestRosenbrock:
 
         monkeypatch.setattr(baseline, "backtracking_ladder", recording)
         p = problem_rosenbrock()
-        minimize(p, np.array([-1.2, 1.0]), BaselineConfig(i_max=3), LS)
+        minimize(p, np.array([-1.2, 1.0]), (BaselineConfig(i_max=3),), LS)
         assert len(searches) == 3
         for x, direction in searches:
             np.testing.assert_array_equal(direction, -peek(p, x)[1])
@@ -105,7 +105,7 @@ class TestAcceptedGradient:
             return measure(x, grad, box)
 
         monkeypatch.setattr(baseline, "projected_gradient_norm", recording)
-        report = minimize(problem, np.array(x0), BaselineConfig(i_max=25), LS)
+        report, = minimize(problem, np.array(x0), (BaselineConfig(i_max=25),), LS)
         # the start, then each accepted trial (the last may be read twice)
         steps = len(report.log)
         assert steps >= 5
@@ -129,19 +129,19 @@ class TestBoxConstrained:
         # unconstrained minimizer (3, 0.5) is outside; the constrained
         # optimum (1, 0.5) follows in closed form
         p = self.make_bowl()
-        report = minimize(p, np.array([-0.5, -0.5]), BaselineConfig(tau_foc=1e-8), LS)
+        report, = minimize(p, np.array([-0.5, -0.5]), (BaselineConfig(tau_foc=1e-8),), LS)
         np.testing.assert_allclose(report.final_iterate, [1.0, 0.5], atol=1e-6)
         assert report.final_foc <= 1e-8
 
     def test_iterates_stay_in_box(self):
         p = self.make_bowl()
-        report = minimize(p, np.array([0.0, 0.0]), BaselineConfig(tau_foc=1e-8), LS)
+        report, = minimize(p, np.array([0.0, 0.0]), (BaselineConfig(tau_foc=1e-8),), LS)
         for rec in report.log:
             assert np.all(np.abs(rec.candidate) <= 1.0 + 1e-15)
 
     def test_clamps_start(self):
         p = self.make_bowl()
-        report = minimize(p, np.array([9.0, 9.0]), BaselineConfig(tau_foc=1e-8), LS)
+        report, = minimize(p, np.array([9.0, 9.0]), (BaselineConfig(tau_foc=1e-8),), LS)
         assert report.final_foc <= 1e-8
 
 
@@ -149,32 +149,33 @@ class TestReference:
     def test_one_d_reference(self, rng):
         p = problem_1d()
         starts = rng.uniform(-2, 2, (3, 1))
-        x_ref, j_ref, _ = reference_solution(p, starts, LS)
+        x_ref, j_ref, _, _ = reference_solution(p, starts, LS, REFERENCE)
         assert abs(x_ref[0]) <= 1e-8
         assert j_ref == pytest.approx(2.0, abs=1e-14)
 
     def test_rosenbrock_reference(self):
         p = problem_rosenbrock()
-        x_ref, j_ref, _ = reference_solution(p, np.array([[-1.2, 1.0], [0.0, 0.0]]), LS)
+        x_ref, j_ref, _, _ = reference_solution(p, np.array([[-1.2, 1.0], [0.0, 0.0]]), LS,
+                                                REFERENCE)
         np.testing.assert_allclose(x_ref, [1.0, 1.0], atol=1e-5)
         assert j_ref == pytest.approx(1.0, abs=1e-10)
 
     def test_needs_at_least_one_start(self):
         with pytest.raises(ValueError):
-            reference_solution(problem_1d(), np.empty((0, 1)), LS)
+            reference_solution(problem_1d(), np.empty((0, 1)), LS, REFERENCE)
 
     def test_an_empty_start_list_is_no_start(self):
         with pytest.raises(ValueError, match="need at least one start"):
-            reference_solution(problem_1d(), [], LS)
+            reference_solution(problem_1d(), [], LS, REFERENCE)
 
     @pytest.mark.parametrize("solver", ["minimize", "reference_solution"])
     def test_start_of_the_wrong_dimension_refused_before_any_evaluation(self, solver):
         p = problem_1d()
         with pytest.raises(ConfigError, match=r"x0 must have shape \(1,\), got \(2,\)"):
             if solver == "minimize":
-                minimize(p, np.array([0.5, 1.0]), BaselineConfig(), LS)
+                minimize(p, np.array([0.5, 1.0]), (BaselineConfig(),), LS)
             else:
-                reference_solution(p, [[0.5, 1.0], [1.5, -1.0]], LS)
+                reference_solution(p, [[0.5, 1.0], [1.5, -1.0]], LS, REFERENCE)
         assert p.counter == 0
 
     # Golden value for the diffusion benchmark on the 96-cell grid, frozen
@@ -189,7 +190,7 @@ class TestReference:
         rng = np.random.default_rng(7)
         starts = rng.uniform([0.5, 0.5], [np.pi, np.pi], (3, 2))
         p = problem_pde2d(96)
-        x_ref, j_ref, _ = reference_solution(p, starts, LS)
+        x_ref, j_ref, _, _ = reference_solution(p, starts, LS, REFERENCE)
         assert j_ref == pytest.approx(self.GOLDEN_PDE96_J, rel=1e-9)
         assert x_ref[0] == pytest.approx(self.GOLDEN_PDE96_X[0], abs=1e-3)
         assert x_ref[1] == pytest.approx(self.GOLDEN_PDE96_X[1], abs=1e-8)
@@ -208,9 +209,10 @@ class TestRetracesReference:
         """minimize's report from x0 on a fresh problem, the partial one if the run stalls."""
         problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
         try:
-            return minimize(problem, x0, baseline_cfg, cfg.tr.sub)
+            report, = minimize(problem, x0, (baseline_cfg,), cfg.tr.sub)
         except NumericalError as exc:
             return exc.report
+        return report
 
     @pytest.mark.parametrize("name,grid_n", [("one_d", None), ("rosenbrock", None),
                                              ("pde2d", 24)])
@@ -231,7 +233,7 @@ def standalone(cfg, x0, rule):
     from x0 on a fresh problem of cfg's."""
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
     try:
-        report = minimize(problem, x0, rule, cfg.tr.sub)
+        report, = minimize(problem, x0, (rule,), cfg.tr.sub)
     except NumericalError as exc:
         termination = "failed" if exc.report is None else exc.report.termination
         return problem.counter, termination, failure_text(exc)
@@ -265,7 +267,7 @@ class TestSharedRun:
         problem = problem_rosenbrock()
         try:
             outcomes = [(r.fom_evals, r.termination, json.dumps(r.to_dict()))
-                        for r in minimize_each(problem, x0, rules, cfg.tr.sub)]
+                        for r in minimize(problem, x0, rules, cfg.tr.sub)]
         except NumericalError as exc:
             outcomes = [(r.fom_evals, r.termination, json.dumps(r.to_dict())) if r is not None else
                         (problem.counter, exc.report.termination, failure_text(exc))
@@ -351,7 +353,7 @@ class TestRoundingStop:
             return backtrack(fun, x, fx, *args, **kwargs)
 
         monkeypatch.setattr(baseline, "armijo_backtrack", recording)
-        minimize(problem_rosenbrock(), np.array([-1.2, 1.0]), BaselineConfig(i_max=20), LS)
+        minimize(problem_rosenbrock(), np.array([-1.2, 1.0]), (BaselineConfig(i_max=20),), LS)
         assert len(calls) >= 20
         for fx, resolution in calls:
             assert resolution == LS.kappa_arm * np.finfo(float).eps * abs(fx)
@@ -366,7 +368,7 @@ class TestRoundingStop:
         past_floor = []
         for x0 in rng.uniform(-2.0, 2.0, (20, 2)):
             problem, seen = noisy_bowl()
-            _, j_ref, runs = reference_solution(problem, x0[None, :], LS)
+            _, j_ref, runs, _ = reference_solution(problem, x0[None, :], LS, REFERENCE)
             gaps = np.array(seen) - 2.0
             assert np.any(gaps <= 2e-13)
             past_floor.append(len(seen) - 1 - int(np.argmax(gaps <= 2e-13)))
@@ -377,20 +379,17 @@ class TestRoundingStop:
     @pytest.mark.parametrize("name,seeds", [("one_d", range(30)), ("rosenbrock", range(15))])
     def test_seed_scan_baseline_unchanged_reference_cheaper(self, name, seeds, monkeypatch):
         # over these seeds of the bundled config, the stop changes no
-        # baseline run and no reference J; it only saves reference evaluations
+        # baseline report and no reference J; it only saves evaluations of
+        # the runs the two share
         def scan():
             out = []
             for seed in seeds:
                 cfg = replace(load_config(CONFIG_DIR / f"{name}.yaml"), seed=seed)
                 problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
                 starts = sample_starts(cfg, problem)
-                _, j_ref, runs = reference_solution(problem, starts, cfg.tr.sub)
-                reports = []
-                for x0 in starts:
-                    try:
-                        reports.append(minimize(problem, x0, cfg.baseline, cfg.tr.sub).to_dict())
-                    except HermiteTrError as exc:
-                        reports.append(f"{type(exc).__name__}: {exc}")
+                _, j_ref, runs, group = reference_solution(problem, starts, cfg.tr.sub,
+                                                           cfg.baseline)
+                reports = [r if isinstance(r, str) else r.to_dict() for _, r in group]
                 out.append((j_ref, sum(r["fom_evals"] for r in runs), reports))
             return out
 

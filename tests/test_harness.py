@@ -476,8 +476,7 @@ class TestProtocol:
         cfg = config_from_dict({**MINIMAL, "n_starts": 2,
                                 "trust_region": {"norm_source": "analytic"},
                                 "subproblem": {"kappa_bt": 0.3}})
-        received = {"solve": [], "minimize": [], "minimize_each": [], "reference_solution": [],
-                    "backtrack": []}
+        received = {"solve": [], "minimize": [], "reference_solution": [], "backtrack": []}
 
         def recording(module, name, position):
             fn = getattr(module, name)
@@ -489,8 +488,7 @@ class TestProtocol:
             monkeypatch.setattr(module, name, wrapper)
 
         recording(driver, "solve", 3)
-        recording(harness, "minimize", 3)
-        recording(baseline, "minimize_each", 3)
+        recording(baseline, "minimize", 3)
         recording(harness, "reference_solution", 2)
         ladder = subproblem.backtracking_ladder
 
@@ -501,8 +499,7 @@ class TestProtocol:
         monkeypatch.setattr(subproblem, "backtracking_ladder", recording_ladder)
         monkeypatch.setattr(baseline, "backtracking_ladder", recording_ladder)
         run_experiment(cfg)
-        assert [len(received[name]) for name in ("minimize", "minimize_each",
-                                                 "reference_solution")] == [0, 2, 1]
+        assert [len(received[name]) for name in ("minimize", "reference_solution")] == [2, 1]
         assert received["solve"] and received["backtrack"]
         for name, seen in received.items():
             assert all(c is cfg.tr.sub for c in seen), name
@@ -737,12 +734,25 @@ class TestGoldenOutputs:
         "small_pde2d": "6ba5740b6955d3bcf8297c2a82d481c93da33e79e4cbb6aabd13c9fd35ccedb5",
     }
 
+    # bundled configs with one section key changed: a baseline tolerance
+    # below the reference's, and a baseline budget above the reference's
+    VARIANTS = {
+        "one_d-tau_foc-1e-12": ("one_d", "trust_region", {"tau_foc": 1.0e-12}),
+        "rosenbrock-i_max-600": ("rosenbrock", "baseline", {"i_max": 600}),
+    }
+
     @pytest.fixture(scope="class")
     def config_path(self, tmp_path_factory):
-        """Path of a bundled config, or of small_pde2d() written to a file."""
-        small = tmp_path_factory.mktemp("config") / "pde2d_small.yaml"
-        small.write_text(yaml.safe_dump(small_pde2d()))
-        return lambda name: small if name == "small_pde2d" else CONFIG_DIR / f"{name}.yaml"
+        """Path of a bundled config, or of small_pde2d() or a variant written to a file."""
+        written = {"small_pde2d": small_pde2d()}
+        for name, (bundled, section, over) in self.VARIANTS.items():
+            data = yaml.safe_load((CONFIG_DIR / f"{bundled}.yaml").read_text())
+            written[name] = {**data, section: {**data.get(section, {}), **over}}
+        folder = tmp_path_factory.mktemp("config")
+        for name, data in written.items():
+            (folder / f"{name}.yaml").write_text(yaml.safe_dump(data))
+        return lambda name: folder / f"{name}.yaml" if name in written \
+            else CONFIG_DIR / f"{name}.yaml"
 
     def _digest(self, cli_output, command, config):
         """sha256 of the file `hermite-tr <command>` writes for a config file."""
@@ -778,6 +788,16 @@ class TestGoldenOutputs:
         Shares its run of the CLI with the summary test of the same config.
         """
         assert tree_digest(cli_output("run", config_path(name))) == self.TREE_SHA256[name]
+
+    @pytest.mark.parametrize("name", [*sorted(SUMMARY_SHA256), *VARIANTS])
+    def test_reference_command_reads_the_run_commands_reference(self, name, cli_output,
+                                                                config_path):
+        """`hermite-tr reference` writes the reference that `hermite-tr run` records."""
+        ref = json.loads((cli_output("reference", config_path(name)) / "reference.json")
+                         .read_text())
+        run = json.loads((cli_output("run", config_path(name)) / "experiment.json").read_text())
+        for key in ("reference_iterate", "reference_j", "reference_runs"):
+            assert json.dumps(ref[key]) == json.dumps(run[key]), key
 
     def test_small_pde2d_twice_in_one_process(self, tmp_path):
         """A second experiment on the grid reuses the first one's condensation
@@ -856,6 +876,32 @@ class TestCli:
         for path in (tmp_path, latin1):
             assert cli_main(["run", str(path)]) == 2
             assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("command", ["run", "reference", "compare", "power-field"])
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
+    def test_output_location_that_cannot_be_a_directory_is_a_config_error(
+            self, command, below, tmp_path, monkeypatch, capsys):
+        # an output location at, or below, an existing file is refused
+        # before the objective is evaluated once
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(blocker.joinpath(*below)))
+        evaluations = []
+        evaluate = Problem.eval
+
+        def counted(self, x):
+            evaluations.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(Problem, "eval", counted)
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
+        assert cli_main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create {blocker.joinpath(*below)}: "
+            f"{blocker} is not a writable directory")
+        assert evaluations == []
+        assert blocker.read_text() == ""
 
     def test_analytic_norm_on_rosenbrock_is_config_error(self, tmp_path):
         # the closed-form norm exists only for the 1D Gaussian setup; this

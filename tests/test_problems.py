@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg._dsolve import _superlu
 
 from hermite_tr import pde2d
-from hermite_tr.baseline import BaselineConfig, minimize, reference_solution
+from hermite_tr.baseline import REFERENCE, BaselineConfig, minimize, reference_solution
 from hermite_tr.driver import TRConfig, run
 from hermite_tr.errors import (
     AssumptionViolationError,
@@ -190,14 +190,14 @@ class TestNonFinite:
                 run(p, make_kernel("gaussian", 0.725, 1), np.array([1.5]), TRConfig(),
                     analytic_norm_1d_gaussian(0.725))
             else:
-                minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
+                minimize(p, np.array([1.5]), (BaselineConfig(),), SubproblemConfig())
         assert exc.value.report is None and p.counter == 1
 
     def test_minimize_rejects_a_non_finite_trial(self, case):
         # the second evaluation is the first trial of the first line search
-        clean = minimize(problem_1d(), np.array([1.5]), BaselineConfig(), SubproblemConfig())
+        clean, = minimize(problem_1d(), np.array([1.5]), (BaselineConfig(),), SubproblemConfig())
         p = non_finite_1d(case, bad=lambda call: call == 2)
-        report = minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
+        report, = minimize(p, np.array([1.5]), (BaselineConfig(),), SubproblemConfig())
         assert report.fom_evals == p.counter
         assert report.termination == clean.termination
         assert report.final_j == pytest.approx(clean.final_j, abs=1e-10)
@@ -205,13 +205,14 @@ class TestNonFinite:
     def test_minimize_stalls_when_every_trial_is_non_finite(self, case):
         p = non_finite_1d(case)
         with pytest.raises(StalledError, match="line search") as exc:
-            minimize(p, np.array([1.5]), BaselineConfig(), SubproblemConfig())
+            minimize(p, np.array([1.5]), (BaselineConfig(),), SubproblemConfig())
         report = exc.value.report
         assert report.final_iterate.tolist() == [1.5] and report.fom_evals == p.counter > 2
 
     def test_reference_skips_a_non_finite_start(self, case):
         p = non_finite_1d(case, bad=lambda call: call == 1)
-        x, j, runs = reference_solution(p, np.array([[1.5], [-1.0]]), SubproblemConfig())
+        x, j, runs, _ = reference_solution(p, np.array([[1.5], [-1.0]]), SubproblemConfig(),
+                                           REFERENCE)
         assert runs[0] == {"start": 0, "fom_evals": 1, "termination": "failed"}
         assert runs[1]["termination"] != "failed"
         assert runs[1]["fom_evals"] == p.counter - 1 and np.isfinite(j)
