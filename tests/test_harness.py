@@ -476,19 +476,23 @@ class TestProtocol:
         cfg = config_from_dict({**MINIMAL, "n_starts": 2,
                                 "trust_region": {"norm_source": "analytic"},
                                 "subproblem": {"kappa_bt": 0.3}})
-        received = {"solve": [], "minimize": [], "reference_solution": [], "backtrack": []}
+        received = {"solve": [], "harness.minimize": [], "baseline.minimize": [],
+                    "reference_solution": [], "backtrack": []}
 
-        def recording(module, name, position):
+        def recording(module, name, position, key=None):
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                received[name].append(args[position])
+                received[key or name].append(args[position])
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
         recording(driver, "solve", 3)
-        recording(baseline, "minimize", 3)
+        # harness binds minimize at import, so a call through that name
+        # escapes a patch of baseline.minimize: both are recorded
+        recording(harness, "minimize", 3, key="harness.minimize")
+        recording(baseline, "minimize", 3, key="baseline.minimize")
         recording(harness, "reference_solution", 2)
         ladder = subproblem.backtracking_ladder
 
@@ -499,7 +503,8 @@ class TestProtocol:
         monkeypatch.setattr(subproblem, "backtracking_ladder", recording_ladder)
         monkeypatch.setattr(baseline, "backtracking_ladder", recording_ladder)
         run_experiment(cfg)
-        assert [len(received[name]) for name in ("minimize", "reference_solution")] == [2, 1]
+        assert [len(received[name]) for name in ("harness.minimize", "baseline.minimize",
+                                                 "reference_solution")] == [0, 2, 1]
         assert received["solve"] and received["backtrack"]
         for name, seen in received.items():
             assert all(c is cfg.tr.sub for c in seen), name
