@@ -33,22 +33,30 @@ from .harness import (
 from .problems import make_problem
 
 
-def _load(args):
-    """args.config's config, refused if its output location cannot be a directory.
+def _writable_dir(path) -> bool:
+    return path.is_dir() and os.access(path, os.W_OK | os.X_OK)
+
+
+def _load(args, *subdirs):
+    """args.config's config, refused if its output location cannot be a directory,
+    or holds an entry named in subdirs that is not a writable directory.
 
     The check evaluates nothing and creates nothing: a later failure leaves no directory.
     """
     cfg = load_config(args.config)
     out = output_dir(cfg).absolute()
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
-    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+    if not _writable_dir(existing):
         raise ConfigError(f"cannot create {out}: {existing} is not a writable directory")
+    for sub in map(out.joinpath, subdirs):
+        if os.path.lexists(sub) and not _writable_dir(sub):
+            raise ConfigError(f"cannot write to {sub}: it is not a writable directory")
     return cfg
 
 
 def _cmd_run(args):
     """Run the experiment and write its outputs; compare adds the gap to the baseline."""
-    cfg = _load(args)
+    cfg = _load(args, "runs")
     rows, reports, meta = run_experiment(cfg)
     out = emit_outputs(rows, reports, meta, cfg)
     print(format_table(rows))

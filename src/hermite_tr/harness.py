@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
 from .errors import ConfigError, NumericalError, failure_text, integral, require_finite
 from .kernels import FAMILIES, make_kernel
 from .problems import BOXES, PROBLEM_FACTORIES, bounded_box, make_problem
+from .sampling import uniform
 from .subproblem import SubproblemConfig
 from .surrogate import sampled_fit
 
@@ -89,6 +91,9 @@ class ExperimentConfig:
                     f"upper bound, inside the {self.problem} box "
                     f"{[list(box_lower), list(box_upper)]}, got {self.start_box}"
                 )
+            if not all(math.isfinite(hi - lo) for lo, hi in zip(lower, upper)):
+                raise ConfigError(f"start_box widths upper - lower must be finite, "
+                                  f"got {self.start_box}")
 
 
 @dataclass
@@ -235,8 +240,7 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
 def sample_starts(cfg: ExperimentConfig, problem) -> np.ndarray:
     """Shared start list: uniform in the problem box (or cfg.start_box)."""
     lower, upper = bounded_box(problem, cfg.start_box)
-    rng = np.random.default_rng(cfg.seed)
-    return rng.uniform(lower, upper, size=(cfg.n_starts, problem.dim))
+    return uniform(cfg.seed, lower, upper, cfg.n_starts)
 
 
 def _rel_err(j_value, j_ref):

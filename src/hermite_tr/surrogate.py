@@ -30,6 +30,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, radial_profiles
 from .problems import bounded_box
+from .sampling import uniform
 
 # Points closer than DISTINCT_TOL * (1 + ||x||) count as the same center.
 DISTINCT_TOL = 1e-10
@@ -458,9 +459,7 @@ def sampled_fit(kernel: KernelSpec, problem, box, n_samples: int, seed: int) -> 
     Every sample is a counted objective evaluation; the same seed gives
     the same points, and a larger n_samples extends a smaller one.
     """
-    lower, upper = box
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lower, upper, size=(n_samples, problem.dim))
+    pts = uniform(seed, *box, n_samples)
     vals = np.empty(n_samples)
     grads = np.empty((n_samples, problem.dim))
     for i, x in enumerate(pts):

@@ -843,6 +843,19 @@ class TestPowerField:
 
 
 class TestCli:
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The points Problem.eval is called at, from here on."""
+        points = []
+        evaluate = Problem.eval
+
+        def counted(self, x):
+            points.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(Problem, "eval", counted)
+        return points
+
     def test_run_and_exit_codes(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(
@@ -885,20 +898,12 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "reference", "compare", "power-field"])
     @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
     def test_output_location_that_cannot_be_a_directory_is_a_config_error(
-            self, command, below, tmp_path, monkeypatch, capsys):
+            self, command, below, tmp_path, monkeypatch, capsys, evaluations):
         # an output location at, or below, an existing file is refused
         # before the objective is evaluated once
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(blocker.joinpath(*below)))
-        evaluations = []
-        evaluate = Problem.eval
-
-        def counted(self, x):
-            evaluations.append(x)
-            return evaluate(self, x)
-
-        monkeypatch.setattr(Problem, "eval", counted)
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
         assert cli_main([command, str(cfg_path)]) == 2
@@ -907,6 +912,58 @@ class TestCli:
             f"{blocker} is not a writable directory")
         assert evaluations == []
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("entry", ["file", "dangling-link"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_runs_entry_that_is_not_a_directory_is_a_config_error(
+            self, command, entry, tmp_path, monkeypatch, capsys, evaluations):
+        # run and compare write their run records to out/runs: an entry of
+        # that name that is not a directory is refused before the objective
+        # is evaluated once, and before summary.csv is written
+        out = tmp_path / "out"
+        out.mkdir()
+        runs = out / "runs"
+        if entry == "file":
+            runs.write_text("")
+        else:
+            runs.symlink_to(tmp_path / "missing")
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
+        assert cli_main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write to {runs}: it is not a writable directory\n")
+        assert evaluations == []
+        assert sorted(p.name for p in out.iterdir()) == ["runs"]
+
+    def test_a_runs_file_does_not_stop_the_commands_that_write_no_runs(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "runs").write_text("")
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 1}))
+        assert cli_main(["power-field", str(cfg_path), "--grid", "5", "--centers", "2"]) == 0
+        assert cli_main(["reference", str(cfg_path)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "power_field.csv", "reference.json", "runs"]
+
+    def test_a_start_box_whose_width_overflows_is_a_config_error(self, tmp_path, evaluations):
+        # each bound lies inside rosenbrock's unbounded box, but
+        # upper - lower is inf: refused before any evaluation
+        data = {"problem": "rosenbrock", "n_starts": 1,
+                "start_box": [[-1.0e308, 0.0], [1.0e308, 1.0]],
+                "kernel": {"family": "gaussian", "shape": 1.0},
+                "output_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigError, match="widths upper - lower must be finite"):
+            config_from_dict(data)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(path)]) == 2
+        assert evaluations == []
+        assert not (tmp_path / "out").exists()
+        assert config_from_dict({**data, "start_box": [[-1.0e307, 0.0], [1.0e307, 1.0]]})
 
     def test_analytic_norm_on_rosenbrock_is_config_error(self, tmp_path):
         # the closed-form norm exists only for the 1D Gaussian setup; this
