@@ -19,27 +19,30 @@ import sys
 
 import numpy as np
 
-from .baseline import reference_solution
 from .errors import ConfigError, NumericalError
 from .harness import (
+    EXPERIMENT_FILES,
+    POWER_FIELD_FILE,
+    REFERENCE_FILE,
+    RUNS_DIR,
     emit_outputs,
     export_power_field,
+    export_reference,
     format_table,
     load_config,
     output_dir,
     run_experiment,
-    sample_starts,
 )
-from .problems import make_problem
 
 
 def _writable_dir(path) -> bool:
     return path.is_dir() and os.access(path, os.W_OK | os.X_OK)
 
 
-def _load(args, *subdirs):
+def _load(args, files, dirs=()):
     """args.config's config, refused if its output location cannot be a directory,
-    or holds an entry named in subdirs that is not a writable directory.
+    or holds a directory at a name in files or anything but a writable
+    directory at a name in dirs: the entries that args.command writes.
 
     The check evaluates nothing and creates nothing: a later failure leaves no directory.
     """
@@ -48,15 +51,18 @@ def _load(args, *subdirs):
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not _writable_dir(existing):
         raise ConfigError(f"cannot create {out}: {existing} is not a writable directory")
-    for sub in map(out.joinpath, subdirs):
-        if os.path.lexists(sub) and not _writable_dir(sub):
-            raise ConfigError(f"cannot write to {sub}: it is not a writable directory")
+    for path in map(out.joinpath, files):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+    for path in map(out.joinpath, dirs):
+        if os.path.lexists(path) and not _writable_dir(path):
+            raise ConfigError(f"cannot write to {path}: it is not a writable directory")
     return cfg
 
 
 def _cmd_run(args):
     """Run the experiment and write its outputs; compare adds the gap to the baseline."""
-    cfg = _load(args, "runs")
+    cfg = _load(args, EXPERIMENT_FILES, dirs=(RUNS_DIR,))
     rows, reports, meta = run_experiment(cfg)
     out = emit_outputs(rows, reports, meta, cfg)
     print(format_table(rows))
@@ -77,27 +83,12 @@ def _cmd_run(args):
 
 def _cmd_reference(args):
     """The reference of run's experiment: the same runs, stopped by the baseline's rule too."""
-    cfg = _load(args)
-    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-    x_ref, j_ref, runs, _ = reference_solution(problem, sample_starts(cfg, problem),
-                                               cfg.tr.sub, cfg.baseline)
-    payload = {
-        "reference_iterate": np.asarray(x_ref).tolist(),
-        "reference_j": float(j_ref),
-        "fom_evals": problem.counter,
-        "reference_runs": runs,
-    }
-    out = output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "reference.json", "w") as fh:
-        json.dump(payload, fh, indent=1)
-    print(json.dumps(payload, indent=1))
+    print(json.dumps(export_reference(_load(args, (REFERENCE_FILE,))), indent=1))
     return 0
 
 
 def _cmd_power_field(args):
-    cfg = _load(args)
-    path = export_power_field(cfg, grid=args.grid, centers=args.centers)
+    path = export_power_field(_load(args, (POWER_FIELD_FILE,)), args.grid, args.centers)
     print(f"power field written to {path}")
     return 0
 

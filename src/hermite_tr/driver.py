@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StalledError, require_finite
-from .kernels import GAUSSIAN, KernelSpec
+from .kernels import KernelSpec
 from .problems import Problem
 from .subproblem import (
     SubproblemConfig,
@@ -237,22 +237,17 @@ def _initial_data(problem: Problem, x, samples: TrainingSet | None) -> TrainingS
 def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Problem, box):
     """Materialize the norm bound; returns (value, samples).
 
-    samples is the TrainingSet an estimated bound was fitted to, in draw
-    order, and None for a fixed or analytic bound.  The estimate's
-    evaluations show in the problem's counter, also when it fails.
+    samples is the TrainingSet, drawn in box, that an estimated bound was
+    fitted to, in draw order, and None for a fixed or analytic bound (the
+    config checks that one applies).  The estimate's evaluations show in
+    the problem's counter, also when it fails.
     """
     if norm_source.kind == "fixed":
         return float(norm_source.value), None
     if norm_source.kind == "analytic":
-        # the closed form is the norm of one_d's objective, not of any 1D objective
-        if kernel.family != GAUSSIAN or problem.name != "one_d":
-            raise ConfigError("analytic norm source is only valid for the one_d Gaussian setup")
-        try:
-            return analytic_norm_1d_gaussian(kernel.shape), None
-        except ValueError as exc:
-            raise ConfigError(f"analytic norm source: {exc}") from None
+        return analytic_norm_1d_gaussian(kernel.shape), None
     return estimate_norm(kernel, problem, norm_source.n_samples, norm_source.seed,
-                         norm_source.safety, box=box)
+                         norm_source.safety, box)
 
 
 def acceptance_step(state: TRState, result: SubproblemResult, problem: Problem,

@@ -26,13 +26,16 @@ import yaml
 from .baseline import BaselineConfig, minimize, reference_solution  # noqa: F401
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
 from .errors import ConfigError, NumericalError, failure_text, integral, require_finite
-from .kernels import FAMILIES, make_kernel
-from .problems import BOXES, PROBLEM_FACTORIES, bounded_box, make_problem
+from .kernels import FAMILIES, GAUSSIAN, make_kernel
+from .problems import BOXES, PROBLEM_FACTORIES, make_problem
 from .sampling import uniform
 from .subproblem import SubproblemConfig
-from .surrogate import sampled_fit
+from .surrogate import analytic_norm_1d_gaussian, sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
+# what the writers below put in the output directory: files, and RUNS_DIR of run records
+EXPERIMENT_FILES, RUNS_DIR = ("summary.csv", "table.txt", "experiment.json"), "runs"
+REFERENCE_FILE, POWER_FIELD_FILE = "reference.json", "power_field.csv"
 # grid points the power-field export scores per block: one distance pass
 # per block and one triangular solve per point (rosenbrock's --grid 101
 # export: 0.12-0.16 s, against 0.10 s when each block shared one solve;
@@ -78,22 +81,33 @@ class ExperimentConfig:
             raise ConfigError("n_starts must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.start_box is not None:
-            # starts and norm samples are drawn from it unprojected
-            box_lower, box_upper = BOXES[self.problem]
-            dim = len(box_lower)
-            lower, upper = self.start_box
-            if len(lower) != dim or len(upper) != dim or \
-                    not all(blo <= lo <= hi <= bhi for blo, lo, hi, bhi
-                            in zip(box_lower, lower, upper, box_upper)):
-                raise ConfigError(
-                    f"start_box must hold {dim} lower bounds, each at or below its "
-                    f"upper bound, inside the {self.problem} box "
-                    f"{[list(box_lower), list(box_upper)]}, got {self.start_box}"
-                )
-            if not all(math.isfinite(hi - lo) for lo, hi in zip(lower, upper)):
-                raise ConfigError(f"start_box widths upper - lower must be finite, "
-                                  f"got {self.start_box}")
+        # starts and norm samples are drawn from the sampling box unprojected
+        box_lower, box_upper = BOXES[self.problem]
+        dim = len(box_lower)
+        lower, upper = self.sample_box
+        if len(lower) != dim or len(upper) != dim or \
+                not all(blo <= lo <= hi <= bhi for blo, lo, hi, bhi
+                        in zip(box_lower, lower, upper, box_upper)):
+            raise ConfigError(f"start_box must hold {dim} lower bounds, each at or below its "
+                              f"upper bound, inside the {self.problem} box "
+                              f"{[list(box_lower), list(box_upper)]}, got {self.start_box}")
+        if not all(math.isfinite(hi - lo) for lo, hi in zip(lower, upper)):
+            raise ConfigError(f"{self.problem} sampling box widths upper - lower must be "
+                              f"finite, got {[list(lower), list(upper)]}; provide start_box")
+        if self.norm_source.kind == "analytic":
+            # the closed form is the norm of one_d's objective, not of any 1D objective
+            if self.kernel_family != GAUSSIAN or self.problem != "one_d":
+                raise ConfigError("analytic norm source needs the one_d Gaussian setup")
+            try:
+                for shape in self.shapes:
+                    analytic_norm_1d_gaussian(shape)
+            except ValueError as exc:
+                raise ConfigError(f"analytic norm source: {exc}") from None
+
+    @property
+    def sample_box(self) -> tuple:
+        """(lower, upper) of the starts and norm samples: start_box, else the problem's box."""
+        return self.start_box if self.start_box is not None else BOXES[self.problem]
 
 
 @dataclass
@@ -237,10 +251,9 @@ def config_from_dict(data, source="<dict>") -> ExperimentConfig:
 # -- execution --------------------------------------------------------
 
 
-def sample_starts(cfg: ExperimentConfig, problem) -> np.ndarray:
-    """Shared start list: uniform in the problem box (or cfg.start_box)."""
-    lower, upper = bounded_box(problem, cfg.start_box)
-    return uniform(cfg.seed, lower, upper, cfg.n_starts)
+def sample_starts(cfg: ExperimentConfig) -> np.ndarray:
+    """Shared start list: seeded uniform draws in cfg.sample_box."""
+    return uniform(cfg.seed, *cfg.sample_box, cfg.n_starts)
 
 
 def _rel_err(j_value, j_ref):
@@ -266,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig):
     NumericalError fails only its start; from a norm estimate, its shape's starts.
     """
     problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-    starts = sample_starts(cfg, problem)
+    starts = sample_starts(cfg)
     # one run per start serves the reference and the baseline; each
     # evaluation is charged once, the baseline's to its own reports
     evals_before = problem.counter
@@ -283,13 +296,11 @@ def run_experiment(cfg: ExperimentConfig):
         label = shape_label(shape)
         kernel = make_kernel(cfg.kernel_family, shape, problem.dim)
         # one bound per shape, shared by all starts (deterministic by seed),
-        # whose samples, if any, every start's first model reuses; a norm
-        # source that does not fit the problem is a config error
+        # whose samples, if any, every start's first model reuses
         evals_before = problem.counter
         try:
-            norm_bound, samples = resolve_norm_bound(
-                cfg.norm_source, kernel, problem, box=cfg.start_box
-            )
+            norm_bound, samples = resolve_norm_bound(cfg.norm_source, kernel, problem,
+                                                     cfg.sample_box)
             failed = None
         except NumericalError as exc:
             norm_bound, failed = None, [(k, failure_text(exc)) for k in range(len(starts))]
@@ -355,6 +366,7 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
     """
     out = output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
+    summary, table, experiment = (out / name for name in EXPERIMENT_FILES)
 
     lines = ["label,avg_fom_evals,avg_foc,avg_rel_err_J,n_failures"]
     for r in rows:
@@ -362,10 +374,10 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
             f"{r.label},{r.avg_fom_evals:.12g},{r.avg_foc:.12g},"
             f"{r.avg_rel_err_j:.12g},{r.n_failures}"
         )
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
-    (out / "table.txt").write_text(format_table(rows) + "\n")
+    summary.write_text("\n".join(lines) + "\n")
+    table.write_text(format_table(rows) + "\n")
 
-    runs_dir = out / "runs"
+    runs_dir = out / RUNS_DIR
     runs_dir.mkdir(exist_ok=True)
     written = set()
     for label, group in reports.items():
@@ -380,9 +392,23 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
     for stale in set(runs_dir.glob("*__start*.json")) - written:
         stale.unlink()
 
-    with open(out / "experiment.json", "w") as fh:
+    with open(experiment, "w") as fh:
         json.dump(meta, fh, indent=1)
     return out
+
+
+def export_reference(cfg: ExperimentConfig) -> dict:
+    """Write REFERENCE_FILE, the reference of run's experiment alone, and return its content."""
+    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+    x_ref, j_ref, runs, _ = reference_solution(problem, sample_starts(cfg), cfg.tr.sub,
+                                               cfg.baseline)
+    payload = {"reference_iterate": np.asarray(x_ref).tolist(), "reference_j": float(j_ref),
+               "fom_evals": problem.counter, "reference_runs": runs}
+    out = output_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / REFERENCE_FILE, "w") as fh:
+        json.dump(payload, fh, indent=1)
+    return payload
 
 
 def export_power_field(cfg: ExperimentConfig, grid: int, centers: int) -> Path:
@@ -394,16 +420,16 @@ def export_power_field(cfg: ExperimentConfig, grid: int, centers: int) -> Path:
     """
     if grid < 2 or centers < 1:
         raise ConfigError("grid must be >= 2 and centers >= 1")
-    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-    if problem.dim > 2:
+    dim = len(cfg.sample_box[0])
+    if dim > 2:
         raise ConfigError("power-field export supports 1D and 2D problems")
-    lower, upper = bounded_box(problem, cfg.start_box)
-    kernel = make_kernel(cfg.kernel_family, cfg.shapes[0], problem.dim)
-    surrogate = sampled_fit(kernel, problem, (lower, upper), centers, cfg.seed)
+    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+    kernel = make_kernel(cfg.kernel_family, cfg.shapes[0], dim)
+    surrogate = sampled_fit(kernel, problem, cfg.sample_box, centers, cfg.seed)
     pts = surrogate.training.points
 
-    axes = [np.linspace(lower[d], upper[d], grid) for d in range(problem.dim)]
-    if problem.dim == 1:
+    axes = [np.linspace(lo, hi, grid) for lo, hi in zip(*cfg.sample_box)]
+    if dim == 1:
         # fold the fitted centers into the grid so their (vanishing)
         # power values appear in the export
         points = np.unique(np.concatenate([axes[0], pts[:, 0]]))[:, None]
@@ -416,7 +442,7 @@ def export_power_field(cfg: ExperimentConfig, grid: int, centers: int) -> Path:
 
     out = output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "power_field.csv"
+    path = out / POWER_FIELD_FILE
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(points), POWER_FIELD_BLOCK):

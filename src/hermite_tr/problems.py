@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolationError, ConfigError, NonFiniteError
+from .errors import AssumptionViolationError, NonFiniteError
 
 
 @dataclass
@@ -60,8 +60,8 @@ class Problem:
         return val, grad
 
 
-# name -> (lower, upper) bounds; a problem's dimension is their length, so
-# it is known without building the problem
+# name -> (lower, upper) bounds, known without building the problem: its
+# dimension is their length, and the config samples in them or a start_box
 BOXES = {
     "one_d": ((-2.0,), (2.0,)),
     "rosenbrock": ((-np.inf, -np.inf), (np.inf, np.inf)),
@@ -131,16 +131,3 @@ def make_problem(name: str, grid_n: int) -> Problem:
     except KeyError:
         raise ValueError(f"unknown problem {name!r}") from None
     return factory(grid_n)
-
-
-def bounded_box(problem: Problem, box=None):
-    """(lower, upper) float arrays of box, or of the problem's own box if None.
-
-    Sampling needs finite bounds, so an unbounded result is a config
-    error: the caller has to supply a start_box.
-    """
-    lower, upper = (np.asarray(b, dtype=float)
-                    for b in (box if box is not None else (problem.lower, problem.upper)))
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ConfigError(f"problem {problem.name} has an unbounded box; provide start_box")
-    return lower, upper

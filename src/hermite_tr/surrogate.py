@@ -29,7 +29,6 @@ from .errors import (
     NumericalError,
 )
 from .kernels import KernelSpec, radial_profiles
-from .problems import bounded_box
 from .sampling import uniform
 
 # Points closer than DISTINCT_TOL * (1 + ||x||) count as the same center.
@@ -441,15 +440,14 @@ def estimate_norm(kernel: KernelSpec, problem, n_samples: int, sampler_seed: int
                   safety: float, box) -> tuple[float, TrainingSet]:
     """Estimate the target's RKHS norm from a global interpolant.
 
-    Fits one interpolant to n_samples seeded points in the problem box
-    (see sampled_fit) and returns safety * its norm, with the samples it
-    was fitted to, so callers can reuse the paid-for data.  The objective
-    evaluations spent here are counted on the problem's counter; callers
-    report them separately from optimization evaluations.  A box other
-    than None overrides the sampling region, e.g. for problems without
-    bounds.  n_samples >= 1 and safety >= 1, as NormSource checks.
+    Fits one interpolant to n_samples seeded points in box, a finite
+    (lower, upper) pair (see sampled_fit), and returns safety * its norm,
+    with the samples it was fitted to, so callers can reuse the paid-for
+    data.  The objective evaluations spent here are counted on the
+    problem's counter; callers report them separately from optimization
+    evaluations.  n_samples >= 1 and safety >= 1, as NormSource checks.
     """
-    s = sampled_fit(kernel, problem, bounded_box(problem, box), n_samples, sampler_seed)
+    s = sampled_fit(kernel, problem, box, n_samples, sampler_seed)
     return float(safety) * s.rkhs_norm(), s.training
 
 

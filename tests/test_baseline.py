@@ -220,7 +220,7 @@ class TestRetracesReference:
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         if grid_n is not None:
             cfg = replace(cfg, grid_n=grid_n)
-        for x0 in sample_starts(cfg, make_problem(cfg.problem, grid_n=cfg.grid_n)):
+        for x0 in sample_starts(cfg):
             base, ref = (self.report(cfg, x0, c) for c in (cfg.baseline, REFERENCE))
             assert 0 < len(base.log) <= len(ref.log)
             for b, r in zip(base.log, ref.log):
@@ -301,7 +301,7 @@ class TestSharedRun:
 
     def test_a_run_that_stalls_before_the_baseline_fires_fails_the_baseline(self):
         cfg = config_from_dict(bundled("one_d", **TIGHT_ONE_D))
-        x0 = sample_starts(cfg, problem_1d())[0]
+        x0 = sample_starts(cfg)[0]
         problem = problem_1d()
         _, _, runs, [(k, failure)] = reference_solution(problem, x0[None, :], cfg.tr.sub,
                                                        cfg.baseline)
@@ -386,7 +386,7 @@ class TestRoundingStop:
             for seed in seeds:
                 cfg = replace(load_config(CONFIG_DIR / f"{name}.yaml"), seed=seed)
                 problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-                starts = sample_starts(cfg, problem)
+                starts = sample_starts(cfg)
                 _, j_ref, runs, group = reference_solution(problem, starts, cfg.tr.sub,
                                                            cfg.baseline)
                 reports = [r if isinstance(r, str) else r.to_dict() for _, r in group]

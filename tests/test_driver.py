@@ -268,7 +268,8 @@ class TestWarmStart:
         kernel = make_kernel("gaussian", 0.725, 1)
         source = NormSource(kind="estimated", n_samples=n, seed=seed)
         evals_before = problem.counter
-        norm_bound, samples = resolve_norm_bound(source, kernel, problem, box=None)
+        norm_bound, samples = resolve_norm_bound(source, kernel, problem,
+                                                 (problem.lower, problem.upper))
         assert problem.counter - evals_before == n and samples.n == n
         return kernel, norm_bound, samples
 
@@ -589,29 +590,19 @@ class TestRun:
         assert problem.counter == (meta["reference_fom_evals"] + sum(norm_evals)
                                    + sum(r.fom_evals for r in runs))
 
-    def test_analytic_norm_requires_1d_gaussian(self):
+    def test_fixed_and_analytic_bounds_spend_no_evaluations(self):
+        # neither a closed form nor a fixed bound spends evaluations,
+        # whatever the kernel and problem; an analytic source that does not
+        # apply is refused when the config loads
         from hermite_tr.problems import problem_rosenbrock
 
-        analytic = NormSource(kind="analytic")
-        with pytest.raises(ConfigError):
-            resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 2), problem_rosenbrock(),
-                               box=None)
-        with pytest.raises(ConfigError):
-            resolve_norm_bound(analytic, make_kernel("wendland2", 1.0, 1), problem_1d(), box=None)
-        # the closed form is one_d's norm, not that of every 1D objective: no
-        # nonzero polynomial lies in the Gaussian native space
-        quadratic = Problem("quadratic", np.array([-2.0]), np.array([2.0]),
-                            lambda x: (1.0 + 50.0 * x[0] ** 2, 100.0 * x))
-        with pytest.raises(ConfigError, match="one_d"):
-            resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), quadratic, box=None)
-        # neither a closed form nor a fixed bound spends evaluations,
-        # whatever the kernel and problem
         one_d, rosenbrock = problem_1d(), problem_rosenbrock()
-        assert resolve_norm_bound(analytic, make_kernel("gaussian", 1.0, 1), one_d, box=None) \
+        assert resolve_norm_bound(NormSource(kind="analytic"), make_kernel("gaussian", 1.0, 1),
+                                  one_d, (one_d.lower, one_d.upper)) \
             == (analytic_norm_1d_gaussian(1.0), None)
         assert resolve_norm_bound(NormSource(kind="fixed", value=3.0),
                                   make_kernel("gaussian", 1.0, 2), rosenbrock,
-                                  box=None) == (3.0, None)
+                                  (rosenbrock.lower, rosenbrock.upper)) == (3.0, None)
         assert one_d.counter == rosenbrock.counter == 0
 
     def test_config_validation(self):

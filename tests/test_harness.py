@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hermite_tr import baseline, driver, harness, pde2d, subproblem, surrogate
+from hermite_tr import baseline, driver, harness, pde2d, problems, subproblem, surrogate
 from hermite_tr.baseline import BaselineConfig
 from hermite_tr.cli import main as cli_main
 from hermite_tr.driver import NormSource, TRConfig
@@ -304,8 +304,8 @@ class TestLoadConfig:
 class TestProtocol:
     def test_starts_deterministic_and_shared(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        a = sample_starts(cfg, make_problem(cfg.problem, grid_n=cfg.grid_n))
-        b = sample_starts(cfg, make_problem(cfg.problem, grid_n=cfg.grid_n))
+        a = sample_starts(cfg)
+        b = sample_starts(cfg)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (2, 1)
         assert np.all((-2 <= a) & (a <= 2))
@@ -965,22 +965,87 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert config_from_dict({**data, "start_box": [[-1.0e307, 0.0], [1.0e307, 1.0]]})
 
-    def test_analytic_norm_on_rosenbrock_is_config_error(self, tmp_path):
-        # the closed-form norm exists only for the 1D Gaussian setup; this
-        # is a config error for the experiment, not a failure of each run
-        data = {
-            "problem": "rosenbrock", "n_starts": 1,
-            "start_box": [[-1.5, -1.5], [1.5, 1.5]],
-            "kernel": {"family": "gaussian", "shape": 1.0},
-            "trust_region": {"norm_source": "analytic"},
-            "output_dir": str(tmp_path / "out"),
-        }
-        with pytest.raises(ConfigError, match="analytic"):
-            run_experiment(config_from_dict(data))
+    @pytest.mark.parametrize("command", ["run", "reference", "power-field"])
+    def test_an_unbounded_problem_without_a_start_box_is_a_config_error(
+            self, command, tmp_path, monkeypatch, evaluations):
+        # starts and norm samples need a finite box: the config refuses
+        # rosenbrock's own box before any problem is built
+        def build(*args):
+            raise AssertionError("config check built the problem")
+
+        data = {"problem": "rosenbrock", "n_starts": 1,
+                "kernel": {"family": "gaussian", "shape": 1.0},
+                "output_dir": str(tmp_path / "out")}
+        with monkeypatch.context() as m:
+            m.setattr(harness, "make_problem", build)
+            m.setattr(problems, "problem_rosenbrock", build)
+            with pytest.raises(ConfigError, match="must be finite, got .*; provide start_box"):
+                config_from_dict(data)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main([command, str(path)]) == 2
+        assert evaluations == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data,match", [
+        ({"problem": "rosenbrock", "start_box": [[-1.5, -1.5], [1.5, 1.5]],
+          "kernel": {"family": "gaussian", "shape": 1.0}}, "one_d Gaussian"),
+        ({"problem": "one_d", "kernel": {"family": "quad_matern", "shape": 0.725}},
+         "one_d Gaussian"),
+        # the closed form diverges for the sweep's second shape, 0.6^2 <= 1/2
+        ({"problem": "one_d", "kernel": {"family": "gaussian", "shape": [0.725, 0.6]}},
+         "divergent"),
+    ], ids=["rosenbrock", "quad_matern", "sweep"])
+    def test_an_analytic_norm_that_cannot_apply_is_a_config_error(
+            self, data, match, tmp_path, evaluations):
+        # the closed-form norm exists only for the one_d Gaussian setup with
+        # shape^2 > 1/2: a config error for the experiment, refused at load
+        # rather than after the reference has run
+        data = {**data, "n_starts": 1, "trust_region": {"norm_source": "analytic"},
+                "output_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(data)
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(data))
         assert cli_main(["run", str(path)]) == 2
+        assert evaluations == []
         assert not (tmp_path / "out").exists()
+
+    def test_analytic_norm_needs_one_d_and_the_gaussian_kernel(self, monkeypatch):
+        # no nonzero polynomial lies in the Gaussian native space, so the
+        # closed form does not hold for a 1D quadratic
+        monkeypatch.setitem(problems.BOXES, "quadratic", ((-2.0,), (2.0,)))
+        monkeypatch.setitem(problems.PROBLEM_FACTORIES, "quadratic", lambda grid_n: Problem(
+            "quadratic", np.array([-2.0]), np.array([2.0]),
+            lambda x: (1.0 + 50.0 * x[0] ** 2, 100.0 * x)))
+        analytic = {"trust_region": {"norm_source": "analytic"}}
+        with pytest.raises(ConfigError, match="one_d Gaussian"):
+            config_from_dict({**MINIMAL, **analytic, "problem": "quadratic"})
+        with pytest.raises(ConfigError, match="one_d Gaussian"):
+            config_from_dict({**MINIMAL, **analytic,
+                              "kernel": {"family": "wendland2", "shape": 1.0}})
+        assert config_from_dict({**MINIMAL, **analytic,
+                                 "kernel": {"family": "gaussian", "shape": [0.725, 1.0]}})
+
+    @pytest.mark.parametrize("command,name", [
+        *((command, name) for command in ("run", "compare") for name in harness.EXPERIMENT_FILES),
+        ("reference", harness.REFERENCE_FILE),
+        ("power-field", harness.POWER_FIELD_FILE),
+    ])
+    def test_a_directory_where_an_output_file_goes_is_a_config_error(
+            self, command, name, tmp_path, monkeypatch, capsys, evaluations):
+        # each command refuses a directory at the name of a file it writes
+        # before the objective is evaluated once, and writes nothing
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
+        assert cli_main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / name}: it is a directory\n")
+        assert evaluations == []
+        assert list(out.rglob("*")) == [out / name]
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch, command):

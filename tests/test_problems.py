@@ -18,7 +18,6 @@ from hermite_tr.kernels import make_kernel
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
     Problem,
-    bounded_box,
     make_problem,
     problem_1d,
     problem_pde2d,
@@ -97,10 +96,6 @@ class TestRosenbrock:
             g = peek(p, x)[1]
             g_fd = fd_gradient(p, x, h=1e-7)
             assert np.max(np.abs(g - g_fd)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
-
-    def test_unbounded_box(self):
-        with pytest.raises(ConfigError):
-            bounded_box(problem_rosenbrock())
 
 
 class TestPositivityGuard:

@@ -761,12 +761,10 @@ class TestRkhsNorm:
 
 
 class _CountingObjective:
-    """What estimate_norm reads of a Problem: name, dim, box, counted eval.
+    """What estimate_norm reads of a Problem, dim and counted eval, and a box.
 
     A kernel expansion can take values <= 0, which Problem rejects.
     """
-
-    name = "expansion"
 
     def __init__(self, f, df, dim):
         self.f, self.df, self.dim = f, df, dim
@@ -790,7 +788,7 @@ class TestEstimateNorm:
         cs = rng.normal(size=5)
         problem, exact = _expansion_problem(k, zs, cs)
         est, samples = estimate_norm(k, problem, n_samples=40, sampler_seed=5, safety=1.0,
-                                     box=None)
+                                     box=(problem.lower, problem.upper))
         assert est == pytest.approx(exact, rel=0.05)
         assert problem.counter == 40
         # the samples come back with their data, in draw order
@@ -803,7 +801,8 @@ class TestEstimateNorm:
         zs = rng.uniform(-1, 1, (4, 2))
         problem, _ = _expansion_problem(k, zs, rng.normal(size=4))
         estimates = [
-            estimate_norm(k, problem, n_samples=n, sampler_seed=17, safety=1.0, box=None)[0]
+            estimate_norm(k, problem, n_samples=n, sampler_seed=17, safety=1.0,
+                          box=(problem.lower, problem.upper))[0]
             for n in (5, 10, 20, 40)
         ]
         for a, b in zip(estimates, estimates[1:]):
@@ -813,7 +812,7 @@ class TestEstimateNorm:
         k = make_kernel("gaussian", 1.0, 2)
         zs = rng.uniform(-1, 1, (3, 2))
         problem, _ = _expansion_problem(k, zs, rng.normal(size=3))
-        base, _ = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=1.0, box=None)
-        doubled, _ = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=2.0,
-                                   box=None)
+        box = (problem.lower, problem.upper)
+        base, _ = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=1.0, box=box)
+        doubled, _ = estimate_norm(k, problem, n_samples=10, sampler_seed=3, safety=2.0, box=box)
         assert doubled == 2.0 * base
