@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .harness import (
-    EXPERIMENT_FILES,
     POWER_FIELD_FILE,
     REFERENCE_FILE,
-    RUNS_DIR,
     emit_outputs,
+    experiment_files,
     export_power_field,
     export_reference,
     format_table,
@@ -35,34 +34,27 @@ from .harness import (
 )
 
 
-def _writable_dir(path) -> bool:
-    return path.is_dir() and os.access(path, os.W_OK | os.X_OK)
-
-
-def _load(args, files, dirs=()):
-    """args.config's config, refused if its output location cannot be a directory,
-    or holds a directory at a name in files or anything but a writable
-    directory at a name in dirs: the entries that args.command writes.
+def _load(args, files):
+    """args.config's config cfg, refused if a file that args.command writes,
+    by files(cfg) relative to the output location, is a directory, or if the
+    nearest existing entry above it is not a writable directory.
 
     The check evaluates nothing and creates nothing: a later failure leaves no directory.
     """
     cfg = load_config(args.config)
     out = output_dir(cfg).absolute()
-    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
-    if not _writable_dir(existing):
-        raise ConfigError(f"cannot create {out}: {existing} is not a writable directory")
-    for path in map(out.joinpath, files):
+    for path in map(out.joinpath, files(cfg)):
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
-    for path in map(out.joinpath, dirs):
-        if os.path.lexists(path) and not _writable_dir(path):
-            raise ConfigError(f"cannot write to {path}: it is not a writable directory")
+        existing = next(p for p in path.parents if os.path.lexists(p))
+        if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write {path}: {existing} is not a writable directory")
     return cfg
 
 
 def _cmd_run(args):
     """Run the experiment and write its outputs; compare adds the gap to the baseline."""
-    cfg = _load(args, EXPERIMENT_FILES, dirs=(RUNS_DIR,))
+    cfg = _load(args, experiment_files)
     rows, reports, meta = run_experiment(cfg)
     out = emit_outputs(rows, reports, meta, cfg)
     print(format_table(rows))
@@ -83,12 +75,13 @@ def _cmd_run(args):
 
 def _cmd_reference(args):
     """The reference of run's experiment: the same runs, stopped by the baseline's rule too."""
-    print(json.dumps(export_reference(_load(args, (REFERENCE_FILE,))), indent=1))
+    print(json.dumps(export_reference(_load(args, lambda cfg: (REFERENCE_FILE,))), indent=1))
     return 0
 
 
 def _cmd_power_field(args):
-    path = export_power_field(_load(args, (POWER_FIELD_FILE,)), args.grid, args.centers)
+    cfg = _load(args, lambda cfg: (POWER_FIELD_FILE,))
+    path = export_power_field(cfg, args.grid, args.centers)
     print(f"power field written to {path}")
     return 0
 

@@ -40,7 +40,6 @@ realized/predicted decrease ratio; rejections shrink by a separate factor.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -183,10 +182,6 @@ class RunReport:
             "audit_failures": self.audit_failures,
             "log": [r.to_dict() for r in self.log],
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
 
 
 def rho(j_old: float, j_new: float, m_old: float, m_new: float) -> float:

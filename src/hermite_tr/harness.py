@@ -33,8 +33,10 @@ from .subproblem import SubproblemConfig
 from .surrogate import analytic_norm_1d_gaussian, sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
-# what the writers below put in the output directory: files, and RUNS_DIR of run records
-EXPERIMENT_FILES, RUNS_DIR = ("summary.csv", "table.txt", "experiment.json"), "runs"
+# the files the writers below put in the output directory, by path relative
+# to it: run and compare write experiment_files(cfg), EXPERIMENT_FILES and
+# the run records that run_record names
+EXPERIMENT_FILES = ("summary.csv", "table.txt", "experiment.json")
 REFERENCE_FILE, POWER_FIELD_FILE = "reference.json", "power_field.csv"
 # grid points the power-field export scores per block: one distance pass
 # per block and one triangular solve per point (rosenbrock's --grid 101
@@ -46,6 +48,18 @@ POWER_FIELD_BLOCK = 512
 def shape_label(shape) -> str:
     """A sweep group's label: its summary row, report files and norm record."""
     return f"eps={shape:g}"
+
+
+def run_record(label, k) -> str:
+    """The record of start k of group label, by path relative to the output directory."""
+    return f"runs/{label.replace('=', '_')}__start{k}.json"
+
+
+def experiment_files(cfg) -> tuple:
+    """Every file run and compare write: EXPERIMENT_FILES, then each group's run records."""
+    labels = (*map(shape_label, cfg.shapes), "baseline")
+    return EXPERIMENT_FILES + tuple(run_record(label, k) for label in labels
+                                    for k in range(cfg.n_starts))
 
 
 @dataclass(frozen=True)
@@ -360,9 +374,10 @@ def format_table(rows) -> str:
 
 
 def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
-    """Write summary.csv, a table mirror, per-run records, and metadata.
+    """Write experiment_files(cfg): summary.csv, a table mirror, metadata, per-run records.
 
-    Run records in out/runs that this experiment did not write are removed.
+    Files in the output directory that run_record could name but this
+    experiment did not write are removed; a directory is never one.
     """
     out = output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,20 +392,18 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
     summary.write_text("\n".join(lines) + "\n")
     table.write_text(format_table(rows) + "\n")
 
-    runs_dir = out / RUNS_DIR
-    runs_dir.mkdir(exist_ok=True)
+    records = run_record("*", "*")        # the pattern of every name run_record gives
+    (out / records).parent.mkdir(exist_ok=True)
     written = set()
     for label, group in reports.items():
-        tag = label.replace("=", "_")
         for k, item in group:
-            path = runs_dir / f"{tag}__start{k}.json"
-            if isinstance(item, RunReport):
-                item.to_json(path)
-            else:
-                path.write_text(json.dumps({"failure": item}, indent=1))
+            path = out / run_record(label, k)
+            record = item.to_dict() if isinstance(item, RunReport) else {"failure": item}
+            path.write_text(json.dumps(record, indent=1))
             written.add(path)
-    for stale in set(runs_dir.glob("*__start*.json")) - written:
-        stale.unlink()
+    for stale in set(out.glob(records)) - written:
+        if not stale.is_dir():
+            stale.unlink()
 
     with open(experiment, "w") as fh:
         json.dump(meta, fh, indent=1)

@@ -254,9 +254,6 @@ class PointBlock:
         self._values = {}     # row -> value
         self._powers = {}     # (row, order) -> power
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def _derivative_row(self, i, order):
         """Generalized kernel vector of d1_order k(x, .) at row i."""
         return _kernel_rows(self.dt[i], self.k_vals[i], self.g1[i], self.g2[i], order)

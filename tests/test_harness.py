@@ -421,17 +421,21 @@ class TestProtocol:
                                                                        monkeypatch):
         # the bundled one_d experiment (5 starts), then a 2-start one, into
         # one directory: runs/ holds the 2-start records, and a file that is
-        # not a run record stays
+        # not a run record stays, as does a directory named like one
         monkeypatch.setenv("HERMITE_TR_OUTPUT_DIR", str(tmp_path / "out"))
         cfg = load_config(CONFIG_DIR / "one_d.yaml")
         out = emit_outputs(*run_experiment(cfg), cfg)
-        assert len(list((out / "runs").glob("*__start*.json"))) == 10
+        # the files cli._load checks before a run are the files the run writes
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == \
+            set(harness.experiment_files(cfg))
         (out / "runs" / "notes.txt").write_text("kept\n")
+        (out / "runs" / "old__start0.json").mkdir()
         fewer = replace(cfg, n_starts=2)
         emit_outputs(*run_experiment(fewer), fewer)
         assert sorted(p.name for p in (out / "runs").iterdir()) == [
             "baseline__start0.json", "baseline__start1.json",
-            "eps_0.725__start0.json", "eps_0.725__start1.json", "notes.txt"]
+            "eps_0.725__start0.json", "eps_0.725__start1.json", "notes.txt",
+            "old__start0.json"]
 
     def test_start_box_checked_without_building_the_problem(self, monkeypatch):
         def build(grid_n):
@@ -907,9 +911,11 @@ class TestCli:
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
         assert cli_main([command, str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"config error: cannot create {blocker.joinpath(*below)}: "
-            f"{blocker} is not a writable directory")
+        first = {"run": "summary.csv", "compare": "summary.csv",
+                 "reference": harness.REFERENCE_FILE, "power-field": harness.POWER_FIELD_FILE}
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {blocker.joinpath(*below, first[command])}: "
+            f"{blocker} is not a writable directory\n")
         assert evaluations == []
         assert blocker.read_text() == ""
 
@@ -931,8 +937,9 @@ class TestCli:
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
         assert cli_main([command, str(cfg_path)]) == 2
+        record = out / harness.run_record("eps=0.725", 0)
         assert capsys.readouterr().err == (
-            f"config error: cannot write to {runs}: it is not a writable directory\n")
+            f"config error: cannot write {record}: {runs} is not a writable directory\n")
         assert evaluations == []
         assert sorted(p.name for p in out.iterdir()) == ["runs"]
 
@@ -1028,14 +1035,16 @@ class TestCli:
                                  "kernel": {"family": "gaussian", "shape": [0.725, 1.0]}})
 
     @pytest.mark.parametrize("command,name", [
-        *((command, name) for command in ("run", "compare") for name in harness.EXPERIMENT_FILES),
+        *((command, name) for command in ("run", "compare")
+          for name in harness.experiment_files(config_from_dict({**MINIMAL, "n_starts": 2}))),
         ("reference", harness.REFERENCE_FILE),
         ("power-field", harness.POWER_FIELD_FILE),
     ])
     def test_a_directory_where_an_output_file_goes_is_a_config_error(
             self, command, name, tmp_path, monkeypatch, capsys, evaluations):
-        # each command refuses a directory at the name of a file it writes
-        # before the objective is evaluated once, and writes nothing
+        # each command refuses a directory at the name of a file it writes,
+        # run records included, before the objective is evaluated once, and
+        # writes nothing
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
@@ -1045,7 +1054,22 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: cannot write {out / name}: it is a directory\n")
         assert evaluations == []
-        assert list(out.rglob("*")) == [out / name]
+        # the directory and the directories above it, up to out
+        assert {p.relative_to(out) for p in out.rglob("*")} == \
+            {Path(name), *Path(name).parents} - {Path(".")}
+
+    def test_a_directory_named_like_a_stale_run_record_is_kept(self, tmp_path, monkeypatch):
+        # the stale-record sweep removes files only: a directory that matches
+        # the record pattern but no record of this config lets the run finish
+        out = tmp_path / "out"
+        (out / "runs" / "old__start0.json").mkdir(parents=True)
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 1}))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        files = harness.experiment_files(load_config(cfg_path))
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == sorted(map(out.joinpath, files))
+        assert (out / "runs" / "old__start0.json").is_dir()
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch, command):

@@ -531,7 +531,7 @@ class TestPointBlock:
         s = self._surrogate(family, dim, rng)
         points = self._awkward_points(s, rng)
         block = s.block(points)
-        assert len(block) == len(points)
+        assert len(block.rows) == len(points)
         for i, x in enumerate(points):
             twin = dataclasses.replace(s)
             assert _bits(block.value(i)) == _bits(twin.value(x)), (i, x)
@@ -606,7 +606,7 @@ class TestPointBlock:
             assert ref() is None
         finally:
             gc.enable()
-        assert len(block) == 3 and block.power(1) >= 0.0
+        assert len(block.rows) == 3 and block.power(1) >= 0.0
 
     def test_kernel_rows_of_a_block_are_the_one_point_rows(self, family, rng):
         s = self._surrogate(family, 3, rng)
@@ -629,7 +629,7 @@ class TestPointBlock:
             twin = dataclasses.replace(s)
             value, power = twin.value(x), twin.power(x)
             block = twin.block([x])               # the block a point query scores
-            assert len(block) == 1
+            assert len(block.rows) == 1
             assert (_bits(block.value(0)), _bits(block.power(0))) == (_bits(value), _bits(power))
             b = block.rows[0]
             assert b[: s.training.n].tobytes() == surrogate.radial_profiles(s.kernel, r)[0].tobytes()
