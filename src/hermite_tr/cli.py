@@ -1,32 +1,29 @@
 """Command line front end.
 
 Subcommands:
-  run <config>           full experiment: sweep + baseline + reference, write outputs
-  reference <config>     tight-tolerance reference solution only, from run's shared runs
-  compare <config>       surrogate method vs. baseline evaluation-count table
+  run <config>           full experiment: sweep + baseline + reference, write outputs,
+                         and print each group's gap to the baseline
   power-field <config>   export the power function of a small seeded fit on a grid
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (for run and
-compare, also when every run failed).
+Exit codes: 0 success, 2 config error, 3 numerical failure (for run, also
+when every run failed).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .harness import (
     POWER_FIELD_FILE,
-    REFERENCE_FILE,
     emit_outputs,
     experiment_files,
     export_power_field,
-    export_reference,
     format_table,
     load_config,
     output_dir,
@@ -35,9 +32,11 @@ from .harness import (
 
 
 def _load(args, files):
-    """args.config's config cfg, refused if a file that args.command writes,
-    by files(cfg) relative to the output location, is a directory, or if the
-    nearest existing entry above it is not a writable directory.
+    """args.config's config cfg, refused unless each file that args.command
+    writes, by files(cfg) relative to the output location, can be written:
+    an entry at its name must be, after links, a regular file; a link whose
+    target does not exist needs the target's parent to be a writable
+    directory; and where no entry is, so must the nearest existing entry above.
 
     The check evaluates nothing and creates nothing: a later failure leaves no directory.
     """
@@ -46,36 +45,48 @@ def _load(args, files):
     for path in map(out.joinpath, files(cfg)):
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
-        existing = next(p for p in path.parents if os.path.lexists(p))
+        if os.path.lexists(path):
+            target = Path(os.path.realpath(path))
+            if os.path.lexists(target):
+                # a FIFO would block the writer, a link loop fail it
+                if not target.is_file():
+                    raise ConfigError(f"cannot write {path}: it is not a regular file")
+                continue
+            # writing through a dangling link creates its target, but no directory above it
+            existing = target.parent
+        else:
+            existing = next(p for p in path.parents if os.path.lexists(p))
         if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
             raise ConfigError(f"cannot write {path}: {existing} is not a writable directory")
     return cfg
 
 
 def _cmd_run(args):
-    """Run the experiment and write its outputs; compare adds the gap to the baseline."""
+    """Run the experiment, write its outputs and print each group's gap to the baseline.
+
+    A group whose norm was estimated also gets its gap charged with the
+    estimate's evaluations, shared by the group's starts.
+    """
     cfg = _load(args, experiment_files)
     rows, reports, meta = run_experiment(cfg)
     out = emit_outputs(rows, reports, meta, cfg)
     print(format_table(rows))
     print(f"reference J = {meta['reference_j']:.12g}")
-    if args.command == "compare":
-        base = next(r for r in rows if r.label == "baseline")
-        for r in rows:
-            if r.label == "baseline" or np.isnan(r.avg_fom_evals):
-                continue
-            gap = r.avg_fom_evals - base.avg_fom_evals
-            print(f"{r.label}: avg FOM evals {r.avg_fom_evals:g} vs baseline "
-                  f"{base.avg_fom_evals:g} (gap {gap:+g})")
+    *groups, base = rows
+    for r in groups:
+        if np.isnan(r.avg_fom_evals) or np.isnan(base.avg_fom_evals):
+            continue
+        line = (f"{r.label}: avg FOM evals {r.avg_fom_evals:g} vs baseline "
+                f"{base.avg_fom_evals:g} (gap {r.avg_fom_evals - base.avg_fom_evals:+g})")
+        norm = meta["norm_estimation"].get(r.label)
+        if norm is not None:
+            charged = r.avg_fom_evals + norm["norm_evals"] / cfg.n_starts
+            line += (f"; charged the norm estimate's {norm['norm_evals']} evals, "
+                     f"{charged:g} (gap {charged - base.avg_fom_evals:+g})")
+        print(line)
     print(f"outputs written to {out}")
     if all(np.isnan(r.avg_fom_evals) for r in rows):
         raise NumericalError("all runs failed")
-    return 0
-
-
-def _cmd_reference(args):
-    """The reference of run's experiment: the same runs, stopped by the baseline's rule too."""
-    print(json.dumps(export_reference(_load(args, lambda cfg: (REFERENCE_FILE,))), indent=1))
     return 0
 
 
@@ -96,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the configured experiment")
     p_run.add_argument("config")
     p_run.set_defaults(func=_cmd_run)
-
-    p_ref = sub.add_parser("reference", help="compute the reference solution")
-    p_ref.add_argument("config")
-    p_ref.set_defaults(func=_cmd_reference)
-
-    p_cmp = sub.add_parser("compare", help="surrogate method vs. baseline table")
-    p_cmp.add_argument("config")
-    p_cmp.set_defaults(func=_cmd_run)
 
     p_pow = sub.add_parser("power-field", help="export the power function on a grid")
     p_pow.add_argument("config")

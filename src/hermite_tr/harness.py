@@ -34,10 +34,10 @@ from .surrogate import analytic_norm_1d_gaussian, sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
 # the files the writers below put in the output directory, by path relative
-# to it: run and compare write experiment_files(cfg), EXPERIMENT_FILES and
-# the run records that run_record names
+# to it: run writes experiment_files(cfg), EXPERIMENT_FILES and the run
+# records that run_record names; power-field writes POWER_FIELD_FILE
 EXPERIMENT_FILES = ("summary.csv", "table.txt", "experiment.json")
-REFERENCE_FILE, POWER_FIELD_FILE = "reference.json", "power_field.csv"
+POWER_FIELD_FILE = "power_field.csv"
 # grid points the power-field export scores per block: one distance pass
 # per block and one triangular solve per point (rosenbrock's --grid 101
 # export: 0.12-0.16 s, against 0.10 s when each block shared one solve;
@@ -56,7 +56,7 @@ def run_record(label, k) -> str:
 
 
 def experiment_files(cfg) -> tuple:
-    """Every file run and compare write: EXPERIMENT_FILES, then each group's run records."""
+    """Every file run writes: EXPERIMENT_FILES, then each group's run records."""
     labels = (*map(shape_label, cfg.shapes), "baseline")
     return EXPERIMENT_FILES + tuple(run_record(label, k) for label in labels
                                     for k in range(cfg.n_starts))
@@ -408,20 +408,6 @@ def emit_outputs(rows, reports, meta, cfg: ExperimentConfig) -> Path:
     with open(experiment, "w") as fh:
         json.dump(meta, fh, indent=1)
     return out
-
-
-def export_reference(cfg: ExperimentConfig) -> dict:
-    """Write REFERENCE_FILE, the reference of run's experiment alone, and return its content."""
-    problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
-    x_ref, j_ref, runs, _ = reference_solution(problem, sample_starts(cfg), cfg.tr.sub,
-                                               cfg.baseline)
-    payload = {"reference_iterate": np.asarray(x_ref).tolist(), "reference_j": float(j_ref),
-               "fom_evals": problem.counter, "reference_runs": runs}
-    out = output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / REFERENCE_FILE, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return payload
 
 
 def export_power_field(cfg: ExperimentConfig, grid: int, centers: int) -> Path:

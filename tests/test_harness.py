@@ -681,7 +681,8 @@ def tree_digest(out):
 
 @pytest.fixture(scope="class")
 def cli_output(tmp_path_factory):
-    """Output directory of `hermite-tr <command> <config>`, run once per class.
+    """Output directory of `hermite-tr <command> <config>`, run once per class;
+    the command's stdout is stdout.txt beside it.
 
     The run happens in a fresh process with one BLAS thread: rosenbrock's
     evaluation counts move with the thread count.
@@ -693,8 +694,10 @@ def cli_output(tmp_path_factory):
         if key not in done:
             out = tmp_path_factory.mktemp("cli") / "out"
             env = one_blas_thread_env(HERMITE_TR_OUTPUT_DIR=str(out))
-            subprocess.run([sys.executable, "-m", "hermite_tr.cli", command, str(config)],
-                           env=env, check=True, capture_output=True)
+            printed = subprocess.run(
+                [sys.executable, "-m", "hermite_tr.cli", command, str(config)],
+                env=env, check=True, capture_output=True, text=True).stdout
+            (out.parent / "stdout.txt").write_text(printed)
             done[key] = out
         return done[key]
 
@@ -710,20 +713,15 @@ class TestGoldenOutputs:
         "pde2d": "cb131610a6aa3aa56a64b9f82da8b33adc1fe004a1d799711e2c14c9ddf9e049",
         "rosenbrock": "42acede53c7447727fe0c79ed969ec61b16169da71e84d838e7c51c1e1fd0440",
     }
-    # sha256 of the file the reference and power-field commands write, with
-    # their default arguments, under the same conditions
+    # sha256 of the file the power-field command writes, with its default
+    # arguments, under the same conditions
     COMMAND_SHA256 = {
-        ("reference", "one_d"):
-            "53f69c4f8acdb7eb6a06ee5c691675245f464680b020470103fcb6874b2bc63e",
-        ("reference", "rosenbrock"):
-            "c4efb53d36835d900b7e739be9151dfc75f7adc2ea3df6f5114828dbe2669cfa",
         ("power-field", "one_d"):
             "f1502458344ed6922325191a3e573d128b79b95dc54f6b2a1c9a5001676a61bb",
         ("power-field", "rosenbrock"):
             "fe16f9924d68c023aaf6e328b620c9e73db6abcde44c1cf6806cd5933727e2bf",
     }
-    OUTPUT_FILE = {"run": "summary.csv", "reference": "reference.json",
-                   "power-field": "power_field.csv"}
+    OUTPUT_FILE = {"run": "summary.csv", "power-field": "power_field.csv"}
 
     # the same for small_pde2d(); the condensed PDE solve and then its
     # interface eigenbasis moved its last bits, and the warm start from the
@@ -741,6 +739,20 @@ class TestGoldenOutputs:
         "pde2d": "6e8cf3d3598c9d05f66aff213de5e7eb2d1071d6051b4134cf253a4cea7d3b70",
         "rosenbrock": "bbc554a9f77ceee75ae9b1952156703d6de75fab299e900b2d8ddbe96e97f487",
         "small_pde2d": "6ba5740b6955d3bcf8297c2a82d481c93da33e79e4cbb6aabd13c9fd35ccedb5",
+    }
+
+    # the gap lines `hermite-tr run` prints for each bundled config: where
+    # the norm is estimated, charged, the method spends more than the baseline
+    GAP_LINES = {
+        "one_d": ("eps=0.725: avg FOM evals 5.8 vs baseline 8.2 (gap -2.4)",),
+        "one_d_sweep": ("eps=0.725: avg FOM evals 5.8 vs baseline 8.2 (gap -2.4)",
+                        "eps=1: avg FOM evals 6.4 vs baseline 8.2 (gap -1.8)",
+                        "eps=2: avg FOM evals 9.2 vs baseline 8.2 (gap +1)",
+                        "eps=10: avg FOM evals 33.4 vs baseline 8.2 (gap +25.2)"),
+        "pde2d": ("eps=0.4: avg FOM evals 5 vs baseline 7.6 (gap -2.6); "
+                  "charged the norm estimate's 50 evals, 15 (gap +7.4)",),
+        "rosenbrock": ("eps=2: avg FOM evals 16.3333 vs baseline 35 (gap -18.6667); "
+                       "charged the norm estimate's 60 evals, 36.3333 (gap +1.33333)",),
     }
 
     # bundled configs with one section key changed: a baseline tolerance
@@ -781,7 +793,7 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("command,name", sorted(COMMAND_SHA256))
     def test_bundled_command_output_unchanged(self, command, name, cli_output, config_path):
-        """reference.json and power_field.csv keep their bytes, as summary.csv does."""
+        """power_field.csv keeps its bytes, as summary.csv does."""
         digest = self._digest(cli_output, command, config_path(name))
         assert digest == self.COMMAND_SHA256[command, name]
 
@@ -798,15 +810,33 @@ class TestGoldenOutputs:
         """
         assert tree_digest(cli_output("run", config_path(name))) == self.TREE_SHA256[name]
 
+    @pytest.mark.parametrize("name", sorted(GAP_LINES))
+    def test_bundled_gap_line(self, name, cli_output, config_path):
+        """The method's gap to the baseline, uncharged and charged, as printed.
+
+        Shares its run of the CLI with the summary test of the same config.
+        """
+        printed = (cli_output("run", config_path(name)).parent / "stdout.txt").read_text()
+        assert tuple(line for line in printed.splitlines()
+                     if " vs baseline " in line) == self.GAP_LINES[name]
+
     @pytest.mark.parametrize("name", [*sorted(SUMMARY_SHA256), *VARIANTS])
-    def test_reference_command_reads_the_run_commands_reference(self, name, cli_output,
-                                                                config_path):
-        """`hermite-tr reference` writes the reference that `hermite-tr run` records."""
-        ref = json.loads((cli_output("reference", config_path(name)) / "reference.json")
-                         .read_text())
-        run = json.loads((cli_output("run", config_path(name)) / "experiment.json").read_text())
-        for key in ("reference_iterate", "reference_j", "reference_runs"):
-            assert json.dumps(ref[key]) == json.dumps(run[key]), key
+    def test_reference_runs_account_for_every_evaluation(self, name, cli_output,
+                                                         config_path):
+        """experiment.json gives one reference run per start, and their
+        evaluations are the reference's plus those of the baseline's records.
+
+        The variants make the baseline stop before the reference, and after it.
+        """
+        out = cli_output("run", config_path(name))
+        meta = json.loads((out / "experiment.json").read_text())
+        runs = meta["reference_runs"]
+        starts = range(len(meta["starts"]))
+        assert [r["start"] for r in runs] == list(starts)
+        baseline_evals = sum(
+            json.loads((out / harness.run_record("baseline", k)).read_text()).get("fom_evals", 0)
+            for k in starts)
+        assert sum(r["fom_evals"] for r in runs) == meta["reference_fom_evals"] + baseline_evals
 
     def test_small_pde2d_twice_in_one_process(self, tmp_path):
         """A second experiment on the grid reuses the first one's condensation
@@ -872,6 +902,9 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "eps=0.725" in out and "baseline" in out
+        # one gap line, not charged: the analytic norm costs no evaluations
+        [gap] = [line for line in out.splitlines() if line.startswith("eps=0.725: avg FOM")]
+        assert " vs baseline " in gap and "charged" not in gap
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -899,7 +932,7 @@ class TestCli:
             assert cli_main(["run", str(path)]) == 2
             assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
 
-    @pytest.mark.parametrize("command", ["run", "reference", "compare", "power-field"])
+    @pytest.mark.parametrize("command", ["run", "power-field"])
     @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
     def test_output_location_that_cannot_be_a_directory_is_a_config_error(
             self, command, below, tmp_path, monkeypatch, capsys, evaluations):
@@ -911,8 +944,7 @@ class TestCli:
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
         assert cli_main([command, str(cfg_path)]) == 2
-        first = {"run": "summary.csv", "compare": "summary.csv",
-                 "reference": harness.REFERENCE_FILE, "power-field": harness.POWER_FIELD_FILE}
+        first = {"run": "summary.csv", "power-field": harness.POWER_FIELD_FILE}
         assert capsys.readouterr().err == (
             f"config error: cannot write {blocker.joinpath(*below, first[command])}: "
             f"{blocker} is not a writable directory\n")
@@ -920,12 +952,11 @@ class TestCli:
         assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("entry", ["file", "dangling-link"])
-    @pytest.mark.parametrize("command", ["run", "compare"])
     def test_a_runs_entry_that_is_not_a_directory_is_a_config_error(
-            self, command, entry, tmp_path, monkeypatch, capsys, evaluations):
-        # run and compare write their run records to out/runs: an entry of
-        # that name that is not a directory is refused before the objective
-        # is evaluated once, and before summary.csv is written
+            self, entry, tmp_path, monkeypatch, capsys, evaluations):
+        # run writes its run records to out/runs: an entry of that name that
+        # is not a directory is refused before the objective is evaluated
+        # once, and before summary.csv is written
         out = tmp_path / "out"
         out.mkdir()
         runs = out / "runs"
@@ -936,7 +967,7 @@ class TestCli:
         monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
-        assert cli_main([command, str(cfg_path)]) == 2
+        assert cli_main(["run", str(cfg_path)]) == 2
         record = out / harness.run_record("eps=0.725", 0)
         assert capsys.readouterr().err == (
             f"config error: cannot write {record}: {runs} is not a writable directory\n")
@@ -952,9 +983,7 @@ class TestCli:
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 1}))
         assert cli_main(["power-field", str(cfg_path), "--grid", "5", "--centers", "2"]) == 0
-        assert cli_main(["reference", str(cfg_path)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "power_field.csv", "reference.json", "runs"]
+        assert sorted(p.name for p in out.iterdir()) == ["power_field.csv", "runs"]
 
     def test_a_start_box_whose_width_overflows_is_a_config_error(self, tmp_path, evaluations):
         # each bound lies inside rosenbrock's unbounded box, but
@@ -972,7 +1001,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
         assert config_from_dict({**data, "start_box": [[-1.0e307, 0.0], [1.0e307, 1.0]]})
 
-    @pytest.mark.parametrize("command", ["run", "reference", "power-field"])
+    @pytest.mark.parametrize("command", ["run", "power-field"])
     def test_an_unbounded_problem_without_a_start_box_is_a_config_error(
             self, command, tmp_path, monkeypatch, evaluations):
         # starts and norm samples need a finite box: the config refuses
@@ -1035,9 +1064,8 @@ class TestCli:
                                  "kernel": {"family": "gaussian", "shape": [0.725, 1.0]}})
 
     @pytest.mark.parametrize("command,name", [
-        *((command, name) for command in ("run", "compare")
+        *(("run", name)
           for name in harness.experiment_files(config_from_dict({**MINIMAL, "n_starts": 2}))),
-        ("reference", harness.REFERENCE_FILE),
         ("power-field", harness.POWER_FIELD_FILE),
     ])
     def test_a_directory_where_an_output_file_goes_is_a_config_error(
@@ -1058,6 +1086,73 @@ class TestCli:
         assert {p.relative_to(out) for p in out.rglob("*")} == \
             {Path(name), *Path(name).parents} - {Path(".")}
 
+    @pytest.mark.parametrize("name", ["summary.csv", "table.txt", harness.run_record("baseline", 1),
+                                      harness.POWER_FIELD_FILE])
+    @pytest.mark.parametrize("entry", ["dangling-link", "fifo", "link-loop"])
+    def test_an_entry_at_an_output_file_name_that_is_not_a_writable_file_is_a_config_error(
+            self, entry, name, tmp_path, monkeypatch, capsys, evaluations):
+        # writing through a link whose target's directory is missing fails,
+        # through a link loop too, and writing to a FIFO blocks: each is
+        # refused before the objective is evaluated once, and nothing is
+        # written; power_field.csv is the file of power-field, the others of run
+        command = "power-field" if name == harness.POWER_FIELD_FILE else "run"
+        out = tmp_path / "out"
+        path = out / name
+        path.parent.mkdir(parents=True)
+        reason = "it is not a regular file"
+        if entry == "dangling-link":
+            path.symlink_to(out / "missing" / "x")
+            reason = f"{Path(os.path.realpath(out)) / 'missing'} is not a writable directory"
+        elif entry == "fifo":
+            os.mkfifo(path)
+        else:
+            path.symlink_to(path)
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 2}))
+        assert cli_main([command, str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {path}: {reason}\n"
+        assert evaluations == []
+        assert {p.relative_to(out) for p in out.rglob("*")} == \
+            {Path(name), *Path(name).parents} - {Path(".")}
+
+    def test_a_link_to_a_creatable_file_is_written_through(self, tmp_path, monkeypatch):
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        (out / "summary.csv").symlink_to(elsewhere / "summary.csv")
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, str(out))
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 1}))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        assert (out / "summary.csv").is_symlink()
+        assert (elsewhere / "summary.csv").read_text().startswith("label,")
+
+    @pytest.mark.parametrize("option", [["--grid", "1"], ["--centers", "0"]],
+                             ids=["grid-1", "centers-0"])
+    def test_power_field_refuses_too_few_grid_points_or_centers(
+            self, option, tmp_path, capsys, evaluations):
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["power-field", str(cfg_path), *option]) == 2
+        assert capsys.readouterr().err == "config error: grid must be >= 2 and centers >= 1\n"
+        assert evaluations == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "reference"])
+    def test_a_folded_experiment_command_is_refused(self, command, tmp_path, capsys,
+                                                    evaluations):
+        # run is the only experiment command: argparse refuses the old
+        # names before the config is read, and nothing is evaluated or written
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "output_dir": str(tmp_path / "out")}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, str(cfg_path)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert evaluations == []
+        assert not (tmp_path / "out").exists()
+
     def test_a_directory_named_like_a_stale_run_record_is_kept(self, tmp_path, monkeypatch):
         # the stale-record sweep removes files only: a directory that matches
         # the record pattern but no record of this config lets the run finish
@@ -1071,8 +1166,7 @@ class TestCli:
         assert sorted(p for p in out.rglob("*") if p.is_file()) == sorted(map(out.joinpath, files))
         assert (out / "runs" / "old__start0.json").is_dir()
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch, command):
+    def test_all_failed_runs_exit_code(self, tmp_path, monkeypatch):
         # a summary consisting only of failures must still be written, and
         # the command must exit nonzero (numerical failure)
         import hermite_tr.cli as cli_mod
@@ -1091,7 +1185,7 @@ class TestCli:
             "problem: one_d\nkernel:\n  family: gaussian\n  shape: 0.725\n"
             f"output_dir: {tmp_path / 'out'}\n"
         )
-        assert cli_mod.main([command, str(cfg_path)]) == 3
+        assert cli_mod.main(["run", str(cfg_path)]) == 3
         assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_power_field_command(self, tmp_path):
@@ -1103,33 +1197,3 @@ class TestCli:
         )
         assert cli_main(["power-field", str(cfg_path), "--grid", "11", "--centers", "3"]) == 0
         assert (tmp_path / "out" / "power_field.csv").exists()
-
-    def test_compare_command(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.yaml"
-        cfg_path.write_text(
-            "problem: one_d\n"
-            "kernel:\n  family: gaussian\n  shape: 0.725\n"
-            "n_starts: 2\nseed: 5\n"
-            f"output_dir: {tmp_path / 'out'}\n"
-            "trust_region:\n  norm_source: analytic\n"
-        )
-        assert cli_main(["compare", str(cfg_path)]) == 0
-        out = capsys.readouterr().out
-        assert "vs baseline" in out
-
-    def test_reference_command(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.yaml"
-        cfg_path.write_text(
-            "problem: one_d\n"
-            "kernel:\n  family: gaussian\n  shape: 0.725\n"
-            "n_starts: 2\nseed: 5\n"
-            f"output_dir: {tmp_path / 'out'}\n"
-        )
-        assert cli_main(["reference", str(cfg_path)]) == 0
-        printed = capsys.readouterr().out
-        assert '"reference_j": 2' in printed
-        written = json.loads((tmp_path / "out" / "reference.json").read_text())
-        assert json.loads(printed) == written
-        runs = written["reference_runs"]
-        assert [r["start"] for r in runs] == [0, 1]
-        assert sum(r["fom_evals"] for r in runs) == written["fom_evals"]
