@@ -3,8 +3,8 @@
 Runs directly against the (expensive) objective so its evaluation counts
 are comparable head-to-head with the surrogate-driven method: every
 backtracking trial costs one evaluation, through the inner solver's line
-search and settings, and it stops by the trust region's tolerances; the
-accepted trial keeps the gradient its own evaluation returned.  Also
+search and settings; it stops by the method's rule and tolerances; and
+the accepted trial keeps the gradient its own evaluation returned.  Also
 provides tight-tolerance reference solutions for accuracy reporting.
 
 A run stops by one or more rules (minimize): each rule's report is taken
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import Branch, IterationRecord, RunReport, TRConfig
+from .driver import Branch, IterationRecord, RunReport, TRConfig, start_point, stop_reason
 from .errors import (
     ConfigError,
     LineSearchError,
@@ -44,7 +44,6 @@ from .subproblem import (
     armijo_backtrack,
     backtracking_ladder,
     bfgs_inverse_update,
-    project_box,
     projected_decrease_rule,
     projected_gradient_norm,
     relative_decrease,
@@ -81,11 +80,8 @@ def minimize(problem: Problem, x0, rules, ls_cfg: SubproblemConfig) -> list:
     before it (None for the others).
     """
     box = (problem.lower, problem.upper)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
+    x = start_point(problem, x0)
     evals_before = problem.counter
-    x = project_box(x0, box)
     fx = grad = None
     hinv = np.eye(problem.dim)
 
@@ -127,7 +123,7 @@ def minimize(problem: Problem, x0, rules, ls_cfg: SubproblemConfig) -> list:
         while True:
             foc = projected_gradient_norm(x, grad, box)
             for k, cfg in enumerate(rules):
-                termination = _termination(cfg, iters, foc, j_diff)
+                termination = stop_reason(cfg, iters, foc, j_diff)
                 if reports[k] is None and termination is not None:
                     reports[k] = report(termination)
             if all(r is not None for r in reports):
@@ -180,20 +176,6 @@ def minimize(problem: Problem, x0, rules, ls_cfg: SubproblemConfig) -> list:
             exc.report = report("stalled")
         exc.fired = reports
         raise
-
-
-def _termination(cfg, iters, foc, j_diff):
-    """The rule cfg's verdict at an iterate iters steps in, or None to go on.
-
-    The step that reached it decreased J by j_diff relative (inf at the start).
-    """
-    if j_diff <= cfg.tau_j:
-        return "stagnation"
-    if iters == cfg.i_max:
-        return "max_iters"
-    if foc <= cfg.tau_foc:
-        return "foc"
-    return None
 
 
 # tight tolerances and a long budget for the reference solution

@@ -40,6 +40,7 @@ realized/predicted decrease ratio; rejections shrink by a separate factor.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -166,8 +167,12 @@ class RunReport:
     termination: str              # "foc" | "stagnation" | "max_iters" | "stalled"
     norm_bound: float
     log: list = field(default_factory=list)
-    audit_failures: int = 0
     method: str = "kernel_tr"
+
+    @property
+    def audit_failures(self) -> int:
+        """The log's refuted certificates."""
+        return sum(r.sufficient_check_ok is False for r in self.log)
 
     def to_dict(self):
         return {
@@ -182,6 +187,27 @@ class RunReport:
             "audit_failures": self.audit_failures,
             "log": [r.to_dict() for r in self.log],
         }
+
+
+def start_point(problem: Problem, x0) -> np.ndarray:
+    """x0 projected onto the problem's box; a ConfigError unless its shape is (dim,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.dim,):
+        raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
+    return project_box(x0, (problem.lower, problem.upper))
+
+
+def stop_reason(rule, iters, foc, j_diff):
+    """Why rule, a TRConfig or BaselineConfig, stops an iterate iters accepted steps
+    in, with projected gradient norm foc, reached by a step that decreased J by
+    j_diff relative (inf at the start); None to go on.  Both methods stop by it."""
+    if j_diff <= rule.tau_j:
+        return "stagnation"
+    if iters == rule.i_max:
+        return "max_iters"
+    if foc <= rule.tau_foc:
+        return "foc"
+    return None
 
 
 def rho(j_old: float, j_new: float, m_old: float, m_new: float) -> float:
@@ -313,37 +339,27 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
     holds the start's datum, then the samples in their order; a start
     within DISTINCT_TOL of a sample takes that sample's datum without an
     evaluation.
-    Termination: projected gradient of the objective at the current
-    iterate below tau_foc (the iterate is a center, so the history holds
-    that gradient; see _stationarity), relative objective decrease at an
-    accepted step below tau_j (stagnation), a rejected candidate
-    repeating itself with no new information (a fixed point of the loop,
-    reported as stagnation), or i_max accepted iterations.  A
-    NumericalError after the first model's fit leaves with the partial
+    Termination: stop_reason (stagnation, then max_iters, then foc) at each
+    iterate, and two stagnation exits of the loop's own: a rejected candidate
+    repeating with no new data, and a second subproblem failure in a row.
+    A NumericalError after the first model's fit leaves with the partial
     report (see NumericalError).
     """
     box = (problem.lower, problem.upper)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ConfigError(f"x0 must have shape ({problem.dim},), got {x0.shape}")
-    x = project_box(x0, box)
+    x = start_point(problem, x0)
     evals_before = problem.counter
 
     surrogate = fit(kernel, _initial_data(problem, x, samples), norm_bound)
     j0 = float(surrogate.training.values[0])
     state = TRState(iterate=x, current_j=j0, delta=cfg.delta0, surrogate=surrogate)
     foc = _stationarity(state, box)     # at the current iterate, once per iterate
+    j_diff = math.inf                   # the relative decrease of the last accepted step
 
-    termination = "max_iters"
     rejects = 0
     last_rejected = None
     solver_failed_before = False
     try:
-        while state.outer_iter < cfg.i_max:
-            if foc <= cfg.tau_foc:
-                termination = "foc"
-                break
-
+        while (termination := stop_reason(cfg, state.outer_iter, foc, j_diff)) is None:
             try:
                 result = solve(state.surrogate, state.iterate, state.delta, cfg.sub, box=box)
             except NumericalError as exc:
@@ -377,9 +393,7 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
                     rejects = 0
                     last_rejected = None
                     foc = record.foc_measure = _stationarity(state, box)
-                    if relative_decrease(j_before, state.current_j) <= cfg.tau_j:
-                        termination = "stagnation"
-                        break
+                    j_diff = relative_decrease(j_before, state.current_j)
                     continue
 
                 cand = result.candidate
@@ -399,12 +413,10 @@ def run(problem: Problem, kernel: KernelSpec, x0, cfg: TRConfig,
             if rejects >= cfg.max_rejects:
                 raise StalledError(f"{cfg.max_rejects} consecutive rejections") from cause
     except NumericalError as exc:
-        exc.report = _build_report(state, problem, foc, termination="stalled",
-                                   evals_before=evals_before)
+        exc.report = _build_report(state, problem, foc, "stalled", evals_before)
         raise
 
-    return _build_report(state, problem, foc, termination=termination,
-                         evals_before=evals_before)
+    return _build_report(state, problem, foc, termination, evals_before)
 
 
 def _stationarity(state: TRState, box) -> float:
@@ -420,9 +432,6 @@ def _stationarity(state: TRState, box) -> float:
 
 def _build_report(state: TRState, problem: Problem, final_foc: float, termination: str,
                   evals_before: int) -> RunReport:
-    audit_failures = sum(
-        1 for r in state.log if r.sufficient_check_ok is False
-    )
     return RunReport(
         final_iterate=np.asarray(state.iterate).copy(),
         final_j=state.current_j,
@@ -432,5 +441,4 @@ def _build_report(state: TRState, problem: Problem, final_foc: float, terminatio
         termination=termination,
         norm_bound=state.surrogate.norm_bound,
         log=list(state.log),
-        audit_failures=audit_failures,
     )

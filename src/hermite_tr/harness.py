@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("n_starts must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty string")
         # starts and norm samples are drawn from the sampling box unprojected
         box_lower, box_upper = BOXES[self.problem]
         dim = len(box_lower)
@@ -155,9 +157,16 @@ def _real(raw):
     return float(raw)
 
 
+def _text(raw):
+    """raw, which must be a YAML string: null or a list is no name or path."""
+    if not isinstance(raw, str):
+        raise TypeError(f"{raw!r} is not a string")
+    return raw
+
+
 # annotation -> cast for the dataclass fields a YAML section sets directly;
 # the config modules postpone annotations, so field.type is the string
-_CASTS = {"int": integral, "float": _real, "str": str}
+_CASTS = {"int": integral, "float": _real, "str": _text}
 
 
 def _build(cls, section, path, keys=None, defaults=None, **given):
@@ -359,7 +368,7 @@ def _summarize(label, group, ref_j) -> SummaryRow:
 
 
 def output_dir(cfg: ExperimentConfig) -> Path:
-    return Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
+    return Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
 
 
 def format_table(rows) -> str:

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 import yaml
 
-from hermite_tr import baseline
+from hermite_tr import baseline, driver
 from hermite_tr.baseline import (
     REFERENCE,
     BaselineConfig,
     minimize,
     reference_solution,
 )
+from hermite_tr.driver import TRConfig
 from hermite_tr.errors import ConfigError, NumericalError, failure_text
 from hermite_tr.harness import config_from_dict, load_config, run_experiment, sample_starts
+from hermite_tr.kernels import make_kernel
 from hermite_tr.problems import Problem, make_problem, problem_1d, problem_rosenbrock
 from hermite_tr.subproblem import SubproblemConfig, projected_gradient_norm
 
@@ -48,6 +50,20 @@ class TestOneD:
         p = problem_1d()
         report, = minimize(p, np.array([1.0]), (BaselineConfig(),), LS)
         assert report.fom_evals == p.counter
+
+    def test_shares_the_methods_stop_rule_and_start_check(self):
+        assert baseline.stop_reason is driver.stop_reason
+        assert baseline.start_point is driver.start_point
+
+    def test_stops_by_the_rule_it_looks_up(self, monkeypatch):
+        # minimize asks stop_reason at every iterate and, once it gives a
+        # label, ends the rule's report with it
+        def after_one_step(rule, iters, foc, j_diff):
+            return "sentinel" if iters == 1 else None
+
+        monkeypatch.setattr(baseline, "stop_reason", after_one_step)
+        report, = minimize(problem_1d(), np.array([1.7]), (BaselineConfig(),), LS)
+        assert (report.termination, report.outer_iters) == ("sentinel", 1)
 
     def test_the_last_step_ends_stagnation_when_it_stagnates(self):
         # the stagnation test of a step comes before the iteration budget
@@ -168,12 +184,15 @@ class TestReference:
         with pytest.raises(ValueError, match="need at least one start"):
             reference_solution(problem_1d(), [], LS, REFERENCE)
 
-    @pytest.mark.parametrize("solver", ["minimize", "reference_solution"])
+    @pytest.mark.parametrize("solver", ["minimize", "reference_solution", "run"])
     def test_start_of_the_wrong_dimension_refused_before_any_evaluation(self, solver):
+        # the method's run shares the baseline's start check
         p = problem_1d()
         with pytest.raises(ConfigError, match=r"x0 must have shape \(1,\), got \(2,\)"):
             if solver == "minimize":
                 minimize(p, np.array([0.5, 1.0]), (BaselineConfig(),), LS)
+            elif solver == "run":
+                driver.run(p, make_kernel("gaussian", 0.725, 1), [0.5, 1.0], TRConfig(), 1.0)
             else:
                 reference_solution(p, [[0.5, 1.0], [1.5, -1.0]], LS, REFERENCE)
         assert p.counter == 0

@@ -1,6 +1,7 @@
 """Outer loop: ratio, radius law, acceptance branches, full runs."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermite_tr import driver, surrogate
+from hermite_tr.baseline import BaselineConfig
 from hermite_tr.driver import (
     Branch,
     NormSource,
@@ -20,6 +22,7 @@ from hermite_tr.driver import (
     resolve_norm_bound,
     rho,
     run,
+    stop_reason,
     update_radius,
 )
 from hermite_tr.errors import (
@@ -36,6 +39,7 @@ from hermite_tr.subproblem import (
     SubproblemConfig,
     Termination,
     projected_gradient_norm,
+    relative_decrease,
     solve,
 )
 from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
@@ -614,3 +618,59 @@ class TestRun:
             NormSource(kind="bogus")
         with pytest.raises(ConfigError):
             NormSource(kind="fixed", value=0.0)
+
+
+class TestStopReason:
+    """The one stopping rule of the method and its baseline."""
+
+    # i_max = 3, tau_foc = 1e-6, tau_j = 1e-14; each bound is inclusive
+    @pytest.mark.parametrize("iters,foc,j_diff,expected", [
+        (0, 1.0, math.inf, None),
+        (0, 1e-6, math.inf, "foc"),             # a stationary start
+        (1, 1.0, 1e-3, None),
+        (1, 1e-7, 1e-3, "foc"),
+        (1, 1.0, 1e-14, "stagnation"),
+        (1, 1e-7, 1e-15, "stagnation"),         # stagnation before foc
+        (2, 1e-7, 1e-13, "foc"),
+        (3, 1.0, 1e-3, "max_iters"),
+        (3, 1e-7, 1e-3, "max_iters"),           # the i_max-th step also reaches tau_foc
+        (3, 1.0, 1e-15, "stagnation"),          # stagnation before max_iters
+        (3, 1e-7, 1e-15, "stagnation"),
+    ])
+    @pytest.mark.parametrize("make_rule", [TRConfig, BaselineConfig],
+                             ids=["method", "baseline"])
+    def test_order(self, make_rule, iters, foc, j_diff, expected):
+        rule = make_rule(i_max=3, tau_foc=1e-6, tau_j=1e-14)
+        assert stop_reason(rule, iters, foc, j_diff) == expected
+
+    def test_run_stops_by_the_rule_it_looks_up(self, monkeypatch):
+        # driver.run asks stop_reason at every iterate, the start's with an
+        # infinite decrease, and stops with whatever label it gives
+        asked = []
+
+        def after_one_step(rule, iters, foc, j_diff):
+            asked.append((iters, foc, j_diff))
+            return "sentinel" if iters == 1 else None
+
+        monkeypatch.setattr(driver, "stop_reason", after_one_step)
+        problem = problem_1d()
+        j0 = peek(problem, np.array([1.5]))[0]
+        report = run_1d(problem, 0.725, [1.5])
+        assert (report.termination, report.outer_iters) == ("sentinel", 1)
+        assert asked[0][0] == 0 and asked[0][2] == math.inf
+        assert asked[-1] == (1, report.final_foc, relative_decrease(j0, report.final_j))
+
+
+class TestAuditCount:
+    def test_audit_failures_counts_the_refuted_certificates_of_the_log(self):
+        # None is no audit (a direct branch), True a certificate that held
+        log = [driver.IterationRecord(outer_iter=k, branch=Branch.ACCEPTED_BY_SUFFICIENT,
+                                      sufficient_check_ok=ok)
+               for k, ok in enumerate([None, False, True, False])]
+        report = RunReport(final_iterate=np.zeros(1), final_j=1.0, final_foc=0.0,
+                           fom_evals=4, outer_iters=2, termination="foc",
+                           norm_bound=1.0, log=log)
+        assert report.audit_failures == 2
+        assert report.to_dict()["audit_failures"] == 2
+        assert RunReport(final_iterate=np.zeros(1), final_j=1.0, final_foc=0.0, fom_evals=1,
+                         outer_iters=0, termination="foc", norm_bound=1.0).audit_failures == 0

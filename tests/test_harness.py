@@ -1153,6 +1153,45 @@ class TestCli:
         assert evaluations == []
         assert not (tmp_path / "out").exists()
 
+    def test_an_empty_output_dir_variable_counts_as_unset(self, tmp_path, monkeypatch):
+        # "" would be the working directory, whose runs/ the stale-record
+        # sweep would then clear: the config's output_dir is used instead
+        work = tmp_path / "work"
+        (work / "runs").mkdir(parents=True)
+        (work / "runs" / "mine__start0.json").write_text("mine\n")
+        monkeypatch.chdir(work)
+        monkeypatch.setenv(harness.OUTPUT_DIR_ENV, "")
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 1, "output_dir": "out"}))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        assert (work / "runs" / "mine__start0.json").read_text() == "mine\n"
+        assert sorted(p.name for p in work.iterdir()) == ["out", "runs"]
+        files = harness.experiment_files(load_config(cfg_path))
+        assert sorted(p for p in (work / "out").rglob("*") if p.is_file()) == \
+            sorted(map((work / "out").joinpath, files))
+
+    @pytest.mark.parametrize("key,value,reason", [
+        ("output_dir", None, "output_dir: cannot interpret None"),
+        ("output_dir", ["a", "b"], "output_dir: cannot interpret ['a', 'b']"),
+        ("output_dir", "", "output_dir must be a non-empty string"),
+        ("problem", None, "problem: cannot interpret None"),
+    ], ids=["null", "list", "empty", "null-problem"])
+    def test_a_string_setting_that_is_no_string_is_a_config_error(
+            self, key, value, reason, tmp_path, monkeypatch, capsys, evaluations):
+        # a null or a list is no path (it was written to ./None), and ""
+        # would be the working directory: refused before any evaluation,
+        # with no directory made
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**MINIMAL, "n_starts": 1, key: value}))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert reason in capsys.readouterr().err
+        assert evaluations == []
+        assert list(work.iterdir()) == []
+
     def test_a_directory_named_like_a_stale_run_record_is_kept(self, tmp_path, monkeypatch):
         # the stale-record sweep removes files only: a directory that matches
         # the record pattern but no record of this config lets the run finish
