@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, StalledError, require_finite
 from .kernels import KernelSpec
-from .problems import Problem
+from .problems import PROBLEMS, Problem
 from .subproblem import (
     SubproblemConfig,
     SubproblemResult,
@@ -60,7 +60,6 @@ from .subproblem import (
 from .surrogate import (
     Surrogate,
     TrainingSet,
-    analytic_norm_1d_gaussian,
     coincide,
     estimate_norm,
     fit,
@@ -266,7 +265,7 @@ def resolve_norm_bound(norm_source: NormSource, kernel: KernelSpec, problem: Pro
     if norm_source.kind == "fixed":
         return float(norm_source.value), None
     if norm_source.kind == "analytic":
-        return analytic_norm_1d_gaussian(kernel.shape), None
+        return PROBLEMS[problem.name].norms[kernel.family](kernel.shape), None
     return estimate_norm(kernel, problem, norm_source.n_samples, norm_source.seed,
                          norm_source.safety, box)
 

@@ -26,11 +26,11 @@ import yaml
 from .baseline import BaselineConfig, minimize, reference_solution  # noqa: F401
 from .driver import NormSource, RunReport, TRConfig, resolve_norm_bound, run
 from .errors import ConfigError, NumericalError, failure_text, integral, require_finite
-from .kernels import FAMILIES, GAUSSIAN, make_kernel
-from .problems import BOXES, PROBLEM_FACTORIES, make_problem
+from .kernels import make_kernel
+from .problems import PROBLEMS, make_problem
 from .sampling import uniform
 from .subproblem import SubproblemConfig
-from .surrogate import analytic_norm_1d_gaussian, sampled_fit
+from .surrogate import sampled_fit
 
 OUTPUT_DIR_ENV = "HERMITE_TR_OUTPUT_DIR"
 # the files the writers below put in the output directory, by path relative
@@ -78,14 +78,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.problem not in PROBLEM_FACTORIES:
-            raise ConfigError(
-                f"problem must be one of {tuple(PROBLEM_FACTORIES)}, got {self.problem!r}"
-            )
-        if self.kernel_family not in FAMILIES:
-            raise ConfigError(f"kernel.family must be one of {FAMILIES}")
-        if len(self.shapes) < 1 or any(not s > 0 for s in self.shapes):
-            raise ConfigError("kernel.shape must be a positive number or list of them")
+        if self.problem not in PROBLEMS:
+            raise ConfigError(f"problem must be one of {tuple(PROBLEMS)}, got {self.problem!r}")
+        (box_lower, box_upper), _, norms = PROBLEMS[self.problem]
+        dim = len(box_lower)
+        analytic = self.norm_source.kind == "analytic"
+        if analytic and self.kernel_family not in norms:
+            raise ConfigError(f"analytic norm source: the {self.problem} objective has "
+                              f"no closed-form norm for the {self.kernel_family} kernel")
+        if not self.shapes:
+            raise ConfigError("kernel.shape must be a number or a non-empty list of them")
+        for shape in self.shapes:
+            try:
+                make_kernel(self.kernel_family, shape, dim)
+                if analytic:
+                    norms[self.kernel_family](shape)
+            except ValueError as exc:
+                raise ConfigError(f"kernel: {exc}") from None
         labels = [shape_label(s) for s in self.shapes]
         clash = [s for s, label in zip(self.shapes, labels) if labels.count(label) > 1]
         if clash:
@@ -95,11 +104,10 @@ class ExperimentConfig:
             raise ConfigError("n_starts must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.output_dir:
-            raise ConfigError("output_dir must be a non-empty string")
+        if not self.output_dir or "\0" in self.output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string without a NUL byte, "
+                              f"got {self.output_dir!r}")
         # starts and norm samples are drawn from the sampling box unprojected
-        box_lower, box_upper = BOXES[self.problem]
-        dim = len(box_lower)
         lower, upper = self.sample_box
         if len(lower) != dim or len(upper) != dim or \
                 not all(blo <= lo <= hi <= bhi for blo, lo, hi, bhi
@@ -110,20 +118,11 @@ class ExperimentConfig:
         if not all(math.isfinite(hi - lo) for lo, hi in zip(lower, upper)):
             raise ConfigError(f"{self.problem} sampling box widths upper - lower must be "
                               f"finite, got {[list(lower), list(upper)]}; provide start_box")
-        if self.norm_source.kind == "analytic":
-            # the closed form is the norm of one_d's objective, not of any 1D objective
-            if self.kernel_family != GAUSSIAN or self.problem != "one_d":
-                raise ConfigError("analytic norm source needs the one_d Gaussian setup")
-            try:
-                for shape in self.shapes:
-                    analytic_norm_1d_gaussian(shape)
-            except ValueError as exc:
-                raise ConfigError(f"analytic norm source: {exc}") from None
 
     @property
     def sample_box(self) -> tuple:
         """(lower, upper) of the starts and norm samples: start_box, else the problem's box."""
-        return self.start_box if self.start_box is not None else BOXES[self.problem]
+        return self.start_box if self.start_box is not None else PROBLEMS[self.problem].box
 
 
 @dataclass

@@ -15,6 +15,7 @@ needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,8 +34,9 @@ class KernelSpec:
     """A kernel family with shape parameter and ambient dimension.
 
     Immutable; all evaluation helpers are pure functions, so instances are
-    safe to share across threads.  The two diagonal constants are computed
-    from radial_profiles once, on first use.
+    safe to share across threads.  The profiles at r = 0, where each peaks,
+    are computed once: a shape that makes one of them overflow is refused,
+    and the two diagonal constants are read from them.
     """
 
     family: str
@@ -49,6 +51,13 @@ class KernelSpec:
             raise ValueError(f"shape parameter must be positive, got {self.shape}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        try:
+            finite = all(map(math.isfinite, self._at_zero))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"shape parameter {self.shape} overflows the {self.family} "
+                             "kernel's profiles")
 
     @property
     def wendland_l(self) -> int:
@@ -56,14 +65,18 @@ class KernelSpec:
         return self.dim // 2 + 3
 
     @cached_property
+    def _at_zero(self) -> tuple:
+        return radial_profiles(self, 0.0)
+
+    @cached_property
     def diag_value(self) -> float:
         """k(x, x) = phi(0), constant for radial kernels."""
-        return float(radial_profiles(self, 0.0)[0])
+        return float(self._at_zero[0])
 
     @cached_property
     def cross_diag(self) -> float:
         """[d1_l d2_l k](x, x) = -g1(0), the same for every direction l."""
-        return -float(radial_profiles(self, 0.0)[1])
+        return -float(self._at_zero[1])
 
 
 def make_kernel(family: str, shape: float, dim: int) -> KernelSpec:

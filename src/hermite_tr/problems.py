@@ -4,18 +4,20 @@ Every objective evaluation goes through Problem.eval and increments the
 counter by exactly one; the counter is the cost metric reported by the
 experiment harness, and nothing reads J or its gradient without it.  Each
 request calls the objective once, a repeated point too; the only reuse of
-an evaluated datum is the driver's, at a model center.
+an evaluated datum is the driver's, at a model center.  A problem is one
+Entry of PROBLEMS: its box, its factory and its closed-form norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AssumptionViolationError, NonFiniteError
+from .kernels import GAUSSIAN
 
 
 @dataclass
@@ -60,17 +62,8 @@ class Problem:
         return val, grad
 
 
-# name -> (lower, upper) bounds, known without building the problem: its
-# dimension is their length, and the config samples in them or a start_box
-BOXES = {
-    "one_d": ((-2.0,), (2.0,)),
-    "rosenbrock": ((-np.inf, -np.inf), (np.inf, np.inf)),
-    "pde2d": ((0.5, 0.5), (np.pi, np.pi)),
-}
-
-
 def _boxed(name, fn) -> Problem:
-    lower, upper = BOXES[name]
+    lower, upper = PROBLEMS[name].box
     return Problem(name=name, lower=np.array(lower), upper=np.array(upper), fn=fn)
 
 
@@ -84,6 +77,26 @@ def problem_1d() -> Problem:
         return val, np.array([grad])
 
     return _boxed("one_d", fn)
+
+
+def analytic_norm_1d_gaussian(eps: float) -> float:
+    """Exact RKHS norm of problem_1d's objective, Gaussian kernel.
+
+    Derived by integrating |F(J)|^2 / F(phi) over frequency space for
+    J(u) = -exp(-u^2) + 3 exp(-0.001 u^2); finite only for eps^2 > 1/2, and
+    then positive: the third term exceeds the second wherever eps^2 > 0.001.
+    """
+    e2 = float(eps) ** 2
+    if e2 <= 0.5:
+        raise ValueError(
+            f"RKHS norm divergent for this shape parameter (eps^2 = {e2:.4g} <= 1/2)"
+        )
+    norm_sq = e2 * (
+        1.0 / np.sqrt(2.0 * e2 - 1.0)
+        - 60.0 * np.sqrt(10.0) / np.sqrt(1001.0 * e2 - 1.0)
+        + 9000.0 / np.sqrt(2000.0 * e2 - 1.0)
+    )
+    return float(np.sqrt(norm_sq))
 
 
 def problem_rosenbrock() -> Problem:
@@ -117,17 +130,24 @@ def problem_pde2d(grid_n: int) -> Problem:
     return _boxed("pde2d", fn)
 
 
-# name -> factory taking the grid size, which only the PDE problem uses
-PROBLEM_FACTORIES = {
-    "one_d": lambda grid_n: problem_1d(),
-    "rosenbrock": lambda grid_n: problem_rosenbrock(),
-    "pde2d": problem_pde2d,
+class Entry(NamedTuple):
+    box: tuple          # (lower, upper), known without building: configs sample in it
+    factory: Callable   # grid_n -> Problem; only the PDE problem uses the grid size
+    norms: dict         # kernel family -> (shape -> the objective's exact native-space norm)
+
+
+PROBLEMS = {
+    "one_d": Entry(((-2.0,), (2.0,)), lambda grid_n: problem_1d(),
+                   {GAUSSIAN: analytic_norm_1d_gaussian}),
+    "rosenbrock": Entry(((-np.inf, -np.inf), (np.inf, np.inf)),
+                        lambda grid_n: problem_rosenbrock(), {}),
+    "pde2d": Entry(((0.5, 0.5), (np.pi, np.pi)), problem_pde2d, {}),
 }
 
 
 def make_problem(name: str, grid_n: int) -> Problem:
     try:
-        factory = PROBLEM_FACTORIES[name]
+        factory = PROBLEMS[name].factory
     except KeyError:
         raise ValueError(f"unknown problem {name!r}") from None
     return factory(grid_n)

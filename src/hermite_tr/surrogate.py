@@ -460,24 +460,3 @@ def sampled_fit(kernel: KernelSpec, problem, box, n_samples: int, seed: int) -> 
     for i, x in enumerate(pts):
         vals[i], grads[i] = problem.eval(x)
     return fit(kernel, TrainingSet(pts, vals, grads), norm_bound=1.0)
-
-
-def analytic_norm_1d_gaussian(eps: float) -> float:
-    """Exact RKHS norm of the bundled 1D benchmark objective, Gaussian kernel.
-
-    Derived by integrating |F(J)|^2 / F(phi) over frequency space for
-    J(u) = -exp(-u^2) + 3 exp(-0.001 u^2); finite only for eps^2 > 1/2.
-    """
-    e2 = float(eps) ** 2
-    if e2 <= 0.5:
-        raise ValueError(
-            f"RKHS norm divergent for this shape parameter (eps^2 = {e2:.4g} <= 1/2)"
-        )
-    norm_sq = e2 * (
-        1.0 / np.sqrt(2.0 * e2 - 1.0)
-        - 60.0 * np.sqrt(10.0) / np.sqrt(1001.0 * e2 - 1.0)
-        + 9000.0 / np.sqrt(2000.0 * e2 - 1.0)
-    )
-    if norm_sq <= 0:
-        raise NumericalError(f"nonpositive norm square {norm_sq:.3e}")
-    return float(np.sqrt(norm_sq))

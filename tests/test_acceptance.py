@@ -16,7 +16,8 @@ from hermite_tr.driver import Branch, update_radius
 from hermite_tr.errors import DuplicatePointsError
 from hermite_tr.harness import config_from_dict, run_experiment
 from hermite_tr.kernels import make_kernel, radial_profiles
-from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, assemble_gram, fit
+from hermite_tr.problems import analytic_norm_1d_gaussian
+from hermite_tr.surrogate import TrainingSet, assemble_gram, fit
 
 from oracles import grad1, peek, value
 from test_norms import norm_squared_by_quadrature

@@ -34,7 +34,7 @@ from hermite_tr.errors import (
 )
 from hermite_tr.harness import load_config, run_experiment
 from hermite_tr.kernels import make_kernel
-from hermite_tr.problems import Problem, problem_1d
+from hermite_tr.problems import Problem, analytic_norm_1d_gaussian, problem_1d
 from hermite_tr.subproblem import (
     SubproblemConfig,
     Termination,
@@ -42,7 +42,7 @@ from hermite_tr.subproblem import (
     relative_decrease,
     solve,
 )
-from hermite_tr.surrogate import TrainingSet, analytic_norm_1d_gaussian, fit
+from hermite_tr.surrogate import TrainingSet, fit
 
 from oracles import peek, scored_result
 

@@ -100,6 +100,13 @@ def small_pde2d():
     return {**data, "grid_n": 24, "n_starts": 2}
 
 
+def quadratic_entry(norms):
+    """A PROBLEMS entry for a 1D quadratic on [-2, 2] with the given closed-form norms."""
+    return problems.Entry(((-2.0,), (2.0,)), lambda grid_n: Problem(
+        "quadratic", np.array([-2.0]), np.array([2.0]),
+        lambda x: (1.0 + 50.0 * x[0] ** 2, 100.0 * x)), norms)
+
+
 # config dataclass -> keyword arguments with one real set to the given value
 NON_FINITE = {
     "ExperimentConfig.shapes": (ExperimentConfig, lambda v: dict(
@@ -1025,9 +1032,10 @@ class TestCli:
 
     @pytest.mark.parametrize("data,match", [
         ({"problem": "rosenbrock", "start_box": [[-1.5, -1.5], [1.5, 1.5]],
-          "kernel": {"family": "gaussian", "shape": 1.0}}, "one_d Gaussian"),
+          "kernel": {"family": "gaussian", "shape": 1.0}},
+         "rosenbrock objective has no closed-form norm for the gaussian kernel"),
         ({"problem": "one_d", "kernel": {"family": "quad_matern", "shape": 0.725}},
-         "one_d Gaussian"),
+         "one_d objective has no closed-form norm for the quad_matern kernel"),
         # the closed form diverges for the sweep's second shape, 0.6^2 <= 1/2
         ({"problem": "one_d", "kernel": {"family": "gaussian", "shape": [0.725, 0.6]}},
          "divergent"),
@@ -1050,18 +1058,53 @@ class TestCli:
     def test_analytic_norm_needs_one_d_and_the_gaussian_kernel(self, monkeypatch):
         # no nonzero polynomial lies in the Gaussian native space, so the
         # closed form does not hold for a 1D quadratic
-        monkeypatch.setitem(problems.BOXES, "quadratic", ((-2.0,), (2.0,)))
-        monkeypatch.setitem(problems.PROBLEM_FACTORIES, "quadratic", lambda grid_n: Problem(
-            "quadratic", np.array([-2.0]), np.array([2.0]),
-            lambda x: (1.0 + 50.0 * x[0] ** 2, 100.0 * x)))
+        monkeypatch.setitem(problems.PROBLEMS, "quadratic", quadratic_entry({}))
         analytic = {"trust_region": {"norm_source": "analytic"}}
-        with pytest.raises(ConfigError, match="one_d Gaussian"):
+        with pytest.raises(ConfigError, match="quadratic objective has no closed-form norm"):
             config_from_dict({**MINIMAL, **analytic, "problem": "quadratic"})
-        with pytest.raises(ConfigError, match="one_d Gaussian"):
+        with pytest.raises(ConfigError, match="no closed-form norm for the wendland2 kernel"):
             config_from_dict({**MINIMAL, **analytic,
                               "kernel": {"family": "wendland2", "shape": 1.0}})
         assert config_from_dict({**MINIMAL, **analytic,
                                  "kernel": {"family": "gaussian", "shape": [0.725, 1.0]}})
+
+    def test_a_closed_form_in_a_problems_entry_is_its_analytic_bound(self, monkeypatch,
+                                                                      evaluations):
+        # a problem registered with a closed-form norm under a kernel family
+        # takes an analytic bound for that family, and the bound costs no
+        # evaluation
+        monkeypatch.setitem(problems.PROBLEMS, "quadratic",
+                            quadratic_entry({"wendland2": lambda shape: 7.0 * shape}))
+        cfg = config_from_dict({**MINIMAL, "problem": "quadratic",
+                                "kernel": {"family": "wendland2", "shape": [0.5, 2.0]},
+                                "trust_region": {"norm_source": "analytic"}})
+        problem = make_problem(cfg.problem, grid_n=cfg.grid_n)
+        assert [driver.resolve_norm_bound(cfg.norm_source, KernelSpec("wendland2", shape, 1),
+                                          problem, cfg.sample_box)
+                for shape in cfg.shapes] == [(3.5, None), (14.0, None)]
+        assert evaluations == [] and problem.counter == 0
+
+    @pytest.mark.parametrize("data", [
+        # eps**4 raises OverflowError
+        {"problem": "rosenbrock", "start_box": [[-1.5, -1.5], [1.5, 1.5]],
+         "kernel": {"family": "gaussian", "shape": 1.0e100}},
+        # c**2 * eps**4 rounds to inf
+        {**small_pde2d(), "grid_n": 12, "kernel": {"family": "wendland2", "shape": 1.0e76}},
+        # eps**2 raises OverflowError, in the kernel and in the closed form
+        {"problem": "one_d", "kernel": {"family": "gaussian", "shape": 1.0e200},
+         "trust_region": {"norm_source": "analytic"}},
+    ], ids=["rosenbrock", "pde2d", "one_d-analytic"])
+    def test_a_shape_that_overflows_the_kernel_is_a_config_error(
+            self, data, tmp_path, capsys, evaluations):
+        # a finite shape whose kernel profiles overflow at r = 0 is refused
+        # before any evaluation, and nothing is written
+        data = {**data, "n_starts": 1, "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(path)]) == 2
+        assert "kernel's profiles" in capsys.readouterr().err
+        assert evaluations == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,name", [
         *(("run", name)
@@ -1174,13 +1217,14 @@ class TestCli:
         ("output_dir", None, "output_dir: cannot interpret None"),
         ("output_dir", ["a", "b"], "output_dir: cannot interpret ['a', 'b']"),
         ("output_dir", "", "output_dir must be a non-empty string"),
+        ("output_dir", "out\0dir", "without a NUL byte"),
         ("problem", None, "problem: cannot interpret None"),
-    ], ids=["null", "list", "empty", "null-problem"])
+    ], ids=["null", "list", "empty", "nul-byte", "null-problem"])
     def test_a_string_setting_that_is_no_string_is_a_config_error(
             self, key, value, reason, tmp_path, monkeypatch, capsys, evaluations):
-        # a null or a list is no path (it was written to ./None), and ""
-        # would be the working directory: refused before any evaluation,
-        # with no directory made
+        # a null or a list is no path (it was written to ./None), "" would
+        # be the working directory, and no directory name holds a NUL byte:
+        # refused before any evaluation, with no directory made
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)

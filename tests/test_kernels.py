@@ -87,6 +87,13 @@ class TestValues:
         with pytest.raises(ValueError):
             KernelSpec(family="gaussian", shape=1.0, dim=0)
 
+        # finite shapes whose profiles overflow at r = 0, where each peaks
+        for family, huge, dim in [("gaussian", 1.0e100, 1), ("quad_matern", 1.0e100, 2),
+                                  ("wendland2", 1.0e76, 2)]:
+            with pytest.raises(ValueError, match="overflows the"):
+                KernelSpec(family=family, shape=huge, dim=dim)
+            assert KernelSpec(family=family, shape=1.0e50, dim=dim).cross_diag > 0.0
+
 
 class TestSymmetry:
     def test_bitwise_symmetry(self, family, rng):
@@ -194,7 +201,7 @@ class TestDerivatives:
         first = (k.diag_value, k.cross_diag)
         for _ in range(3):
             assert (k.diag_value, k.cross_diag) == first
-        assert len(calls) == 2
+        assert calls == [0.0]   # the overflow check's profiles at r = 0 serve both
 
 
 class TestPositiveDefiniteness:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hermite_tr.surrogate import analytic_norm_1d_gaussian
+from hermite_tr.problems import analytic_norm_1d_gaussian
 
 A, RATE_A = -1.0 / np.sqrt(2.0), 0.25
 B, RATE_B = 3.0 / np.sqrt(0.002), 250.0

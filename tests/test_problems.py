@@ -18,13 +18,13 @@ from hermite_tr.kernels import make_kernel
 from hermite_tr.pde2d import Pde2dDiscretization, pde2d_gradient, pde2d_solve, theta1, theta2
 from hermite_tr.problems import (
     Problem,
+    analytic_norm_1d_gaussian,
     make_problem,
     problem_1d,
     problem_pde2d,
     problem_rosenbrock,
 )
 from hermite_tr.subproblem import SubproblemConfig
-from hermite_tr.surrogate import analytic_norm_1d_gaussian
 
 from oracles import (
     cholesky_pde2d,
